@@ -59,14 +59,6 @@ def mean_stderr(samples: np.ndarray):
     return mean, stderr
 
 
-def estimate_constants(sector: Sector, hopf: Hopf, ctx: OperatorContext,
-                       prep, trees, level: int, n_samples: int, seed: int,
-                       eps=Fraction(0), mode: str = "qbar") -> dict:
-    return {t: mean_stderr(constant_samples(
-        sector, hopf, ctx, prep, t, level, n_samples, seed, eps, mode))
-        for t in trees}
-
-
 def solve_bphz_c(sector: Sector, hopf: Hopf, ctx: OperatorContext,
                  level: int, n_samples: int, seed: int,
                  mode: str = "qbar", stderr_threshold: float | None = None):

@@ -154,10 +154,9 @@ class Model:
         out = self._ginv_pl.get(key)
         if out is None:
             xc = self.base_coord(x)
-            ideal_zero = (lab == K and sub.is_poly())
             out = 0.0
-            for l in self.hopf._decoration_candidates(
-                    lab, e, sub, self.eps, invp, ideal_zero):
+            for l, _c in self.hopf._decoration_candidates(
+                    lab, e, sub, self.hopf.truncation(self.eps, invp)):
                 w = 1.0
                 for j, lj in enumerate(l):
                     if lj:
@@ -243,9 +242,8 @@ class Model:
                         self._kf2[kk] = f
                     return self.at(f, x)
             out = base
-            ideal_zero = (lab == K and sub.is_poly())
-            for l in self.hopf._decoration_candidates(
-                    lab, e, sub, self.eps, invp, ideal_zero):
+            for l, _c in self.hopf._decoration_candidates(
+                    lab, e, sub, self.hopf.truncation(self.eps, invp)):
                 out = out - (self.poly_field(l, x) / mi_factorial(l)) \
                     * point(mi_add(e, l))
             self._hat2_pl[key] = out

@@ -30,12 +30,6 @@ EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
 
-class VerificationFailure(RuntimeError):
-    def __init__(self, report):
-        super().__init__("verification failed")
-        self.report = report
-
-
 def _frac_str(x) -> str:
     return str(Fraction(x))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .trees import OMEGA, H, K, Tree, mi_weight
@@ -51,7 +52,7 @@ class Params:
         if not self.r0 < -self.abs_scaling / 2 - self.s0:
             raise ValueError("r0 must be below -|s|/2 - s0")
 
-    @property
+    @cached_property
     def abs_scaling(self) -> Fraction:
         return sum(self.scaling, Fraction(0))
 
@@ -76,10 +77,6 @@ class DegreeForm:
         return DegreeForm(self.cR0 - other.cR0, self.cBeta0 - other.cBeta0,
                           self.cInvP - other.cInvP, self.cConst - other.cConst)
 
-    def shift_const(self, c) -> "DegreeForm":
-        return DegreeForm(self.cR0, self.cBeta0, self.cInvP,
-                          self.cConst + Fraction(c))
-
 
 _LABEL_FORM = {
     OMEGA: DegreeForm(cR0=1),
@@ -93,19 +90,30 @@ def label_form(label: str) -> DegreeForm:
 
 
 def degree_form(t: Tree, params: Params) -> DegreeForm:
-    form = DegreeForm(cConst=mi_weight(t.n, params.scaling))
-    for lab, e, sub in t.children:
-        form = form + _LABEL_FORM[lab].shift_const(
-            -mi_weight(e, params.scaling)) + degree_form(sub, params)
-    return form
+    """The degree of t as an affine form, in O(1) per interned tree.
+
+    Summing the label forms and decorations over the tree only needs
+    the label counts (``t.stats()``: every Omega and H edge adds one
+    r0, every H edge one |s|/p, every K edge one beta0) and the net
+    decoration ``t.net()``, weighted once by the scaling.  Both are
+    cached on the tree and neither depends on params, so the same
+    cache serves every parameter set."""
+    omega, edges, h = t.stats()
+    return DegreeForm(omega + h, edges - omega - h, h,
+                      mi_weight(t.net(), params.scaling))
 
 
-def degree_eval(f: DegreeForm, params: Params, eps, invp) -> Fraction:
+def degree_consts(params: Params, eps, invp) -> tuple:
+    """(r0 - eps, beta0, |s|/p): what cR0, cBeta0 and cInvP multiply."""
     eps, invp = Fraction(eps), Fraction(invp)
     if not 0 <= invp <= Fraction(1, 2):
         raise ValueError("1/p must lie in [0, 1/2]")
-    return (f.cR0 * (params.r0 - eps) + f.cBeta0 * params.beta0
-            + f.cInvP * params.abs_scaling * invp + f.cConst)
+    return params.r0 - eps, params.beta0, params.abs_scaling * invp
+
+
+def degree_eval(f: DegreeForm, params: Params, eps, invp) -> Fraction:
+    r, beta0, s_invp = degree_consts(params, eps, invp)
+    return f.cR0 * r + f.cBeta0 * beta0 + f.cInvP * s_invp + f.cConst
 
 
 def degree(t: Tree, params: Params, eps, invp) -> Fraction:

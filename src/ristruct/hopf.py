@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
-from .grading import (GenericityError, Params, degree_eval, degree_form,
-                      label_form)
-from .trees import (K, LinComb, Tree, X, has_k_leaf, mi_abs, mi_add,
-                    mi_binom, mi_factorial, mi_range, mi_sub, mi_weight,
+from .grading import GenericityError, Params, degree_consts
+from .trees import (H, K, OMEGA, LinComb, Tree, X, has_k_leaf, mi_abs,
+                    mi_add, mi_binom, mi_factorial, mi_range, mi_sub,
                     mi_zero, plant, plant_tree, tree_product, unit)
 
 
@@ -34,7 +34,11 @@ class TensorSum:
 
     def add(self, left: Tree, right: Tree, c) -> None:
         key = (left, right)
-        c = self.terms.get(key, Fraction(0)) + Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        old = self.terms.get(key)
+        if old is not None:
+            c += old
         if c:
             self.terms[key] = c
         else:
@@ -86,11 +90,6 @@ class TensorSum:
         return "TensorSum(" + (" + ".join(parts) or "0") + ")"
 
 
-def forest_factors(f: Tree):
-    """Split a forest tree into its polynomial part and planted factors."""
-    return f.n, f.children
-
-
 class Character:
     """Multiplicative functional determined by values on generators.
 
@@ -121,21 +120,86 @@ class Character:
         return sum((c * self(t) for t, c in v), Fraction(0))
 
 
+class _Truncation:
+    """What a Hopf instance keeps for one (eps, 1/p).
+
+    The degree constants are integers over M, the least common
+    denominator of r0 - eps, beta0, |s|/p and the scaling (whose own
+    denominator is D, with m = M / D): M times the degree of a tree is
+    an integer, so sign tests and decoration bounds need no Fraction.
+    ``label`` maps an edge label to M times its degree form.  The memos
+    of Delta, Delta+ and S+ at this point are keyed by tree alone."""
+
+    __slots__ = ("M", "m", "r", "beta0", "s_invp", "label", "cop",
+                 "cop_plus", "antipode", "antipode_planted")
+
+    def __init__(self, params: Params, D: int, eps, invp):
+        consts = degree_consts(params, eps, invp)
+        self.M = lcm(D, *(c.denominator for c in consts))
+        self.m = self.M // D
+        self.r, self.beta0, self.s_invp = (int(c * self.M) for c in consts)
+        self.label = {OMEGA: self.r, H: self.r + self.s_invp,
+                      K: self.beta0}
+        self.cop, self.cop_plus = {}, {}
+        self.antipode, self.antipode_planted = {}, {}
+
+
 class Hopf:
-    """Coproduct machinery for a fixed parameter set, with memoization."""
+    """Coproduct machinery for a fixed parameter set, with memoization.
+
+    Degrees are evaluated as integers: the scaling is held as integer
+    weights ``w`` over its common denominator D, and each (eps, 1/p)
+    gets a _Truncation with its constants and memos."""
 
     def __init__(self, params: Params):
         self.params = params
         self.d = params.d
-        self._cop = {}
-        self._cop_plus = {}
-        self._antipode = {}
+        self._D = lcm(*(s.denominator for s in params.scaling))
+        self._w = tuple(int(s * self._D) for s in params.scaling)
+        self._truncations = {}
+        self._lattices = {}
 
-    # degree of the planted tree I_k^lab(sub) at (eps, 1/p)
+    def truncation(self, eps, invp) -> _Truncation:
+        key = (Fraction(eps), Fraction(invp))
+        tr = self._truncations.get(key)
+        if tr is None:
+            tr = self._truncations[key] = _Truncation(self.params, self._D,
+                                                      *key)
+        return tr
+
+    def _dot(self, k) -> int:
+        return sum(x * y for x, y in zip(k, self._w))
+
+    def _planted_num(self, lab: str, k, sub: Tree, tr: _Truncation) -> int:
+        """M times the degree of the planted tree I_k^lab(sub)."""
+        omega, edges, h = sub.stats()
+        return ((omega + h) * tr.r + (edges - omega - h) * tr.beta0
+                + h * tr.s_invp + tr.label[lab]
+                + tr.m * (self._dot(sub.net()) - self._dot(k)))
+
     def planted_degree(self, lab: str, k, sub: Tree, eps, invp) -> Fraction:
-        form = degree_form(sub, self.params) + label_form(lab)
-        return (degree_eval(form, self.params, eps, invp)
-                - mi_weight(k, self.params.scaling))
+        """Degree of the planted tree I_k^lab(sub) at (eps, 1/p)."""
+        tr = self.truncation(eps, invp)
+        return Fraction(self._planted_num(lab, k, sub, tr), tr.M)
+
+    def _positive(self, lab: str, k, sub: Tree, tr: _Truncation) -> bool:
+        """Whether I_k^lab(sub) survives P+; refuses a zero degree."""
+        num = self._planted_num(lab, k, sub, tr)
+        if num == 0:
+            raise GenericityError("planted factor degree vanishes under P+")
+        return num > 0
+
+    def _lattice(self, cap: int):
+        """(l, w.l, 1/l!) for all l with w.l <= cap, in mi_range order."""
+        out = self._lattices.get(cap)
+        if out is None:
+            out = []
+            for l in mi_range(tuple(cap // x for x in self._w)):
+                wl = self._dot(l)
+                if wl <= cap:
+                    out.append((l, wl, Fraction(1, mi_factorial(l))))
+            self._lattices[cap] = out
+        return out
 
     def _poly_coproduct(self, n) -> TensorSum:
         out = TensorSum()
@@ -143,69 +207,73 @@ class Hopf:
             out.add(X(l), X(mi_sub(n, l)), mi_binom(n, l))
         return out
 
-    def _decoration_candidates(self, lab, k, sub, eps, invp, ideal_zero):
+    def _decoration_candidates(self, lab, k, sub, tr: _Truncation):
         """Extra decorations l with I_{k+l}^lab(sub) of positive degree.
 
-        Yields (l, remaining degree); raises GenericityError when some
-        admissible l puts the degree exactly at zero.  ``ideal_zero``
-        marks plantings that vanish in the K-leaf quotient, for which no
-        terms (and no genericity complaints) are produced."""
-        if ideal_zero:
+        Yields (l, 1/l!); raises GenericityError when some admissible l
+        puts the degree exactly at zero.  Plantings that vanish in the
+        K-leaf quotient produce no terms (and no genericity complaints).
+        With base = D times the degree of I_k^lab(sub), l is admissible
+        when the integer w.l is at most base, a tie when it equals it."""
+        if lab == K and sub.is_poly():
             return
-        base = self.planted_degree(lab, k, sub, eps, invp)
-        if base < 0:
+        num = self._planted_num(lab, k, sub, tr)
+        if num < 0:
             return
-        bounds = tuple(int(base / s) + 1 for s in self.params.scaling)
-        for l in mi_range(bounds):
-            w = mi_weight(l, self.params.scaling)
-            if w > base:
-                continue
-            if w == base:
+        cap, rem = divmod(num, tr.m)  # base = cap + rem / m
+        for l, wl, inv_fact in self._lattice(cap):
+            if wl == cap and not rem:
                 raise GenericityError(
                     f"planted degree vanishes: label {lab}, k+l={mi_add(k, l)}")
-            yield l
+            yield l, inv_fact
 
     # recursive coproduct ------------------------------------------------
 
     def coproduct(self, t: Tree, eps, invp) -> TensorSum:
         """Delta_{eps,p} via the recursive formula (primary route)."""
-        eps, invp = Fraction(eps), Fraction(invp)
-        key = (t, eps, invp)
-        cached = self._cop.get(key)
+        return self._coproduct(t, eps, invp, False)
+
+    def _coproduct(self, t: Tree, eps, invp, plus: bool) -> TensorSum:
+        tr = self.truncation(eps, invp)
+        memo = tr.cop_plus if plus else tr.cop
+        cached = memo.get(t)
         if cached is not None:
             return cached
         out = self._poly_coproduct(t.n)
         for lab, e, sub in t.children:
             out = out.pair_product(
-                self._coproduct_planted(lab, e, sub, eps, invp))
-        self._cop[key] = out
+                self._coproduct_planted(lab, e, sub, eps, invp, tr, plus))
+        memo[t] = out
         return out
 
-    def _coproduct_planted(self, lab, k, sub, eps, invp) -> TensorSum:
+    def _coproduct_planted(self, lab, k, sub, eps, invp, tr, plus: bool)\
+            -> TensorSum:
+        """Delta (plus=False) or Delta+ (plus=True) of I_k^lab(sub).
+
+        They differ only in the planted left factors: Delta+ keeps those
+        of positive degree."""
         out = TensorSum()
         for (sigma, forest), c in self.coproduct(sub, eps, invp):
             for pt, pc in plant(lab, k, sigma):
-                out.add(pt, forest, c * pc)
-        ideal_zero = (lab == K and sub.is_poly())
-        for l in self._decoration_candidates(lab, k, sub, eps, invp,
-                                             ideal_zero):
-            out.add(X(l), plant_tree(lab, mi_add(k, l), sub),
-                    Fraction(1, mi_factorial(l)))
+                if not plus or self._positive(lab, k, sigma, tr):
+                    out.add(pt, forest, c * pc)
+        for l, inv_fact in self._decoration_candidates(lab, k, sub, tr):
+            out.add(X(l), plant_tree(lab, mi_add(k, l), sub), inv_fact)
         return out
 
     # graphical coproduct ------------------------------------------------
 
     def coproduct_graphical(self, t: Tree, eps, invp) -> TensorSum:
         """Delta_{eps,p} by enumerating root subtrees (oracle route)."""
-        eps, invp = Fraction(eps), Fraction(invp)
+        tr = self.truncation(eps, invp)
         out = TensorSum()
-        for sigma, forest, excess, coeff in self._graph_node(t, eps, invp):
+        for sigma, forest, excess, coeff in self._graph_node(t, tr):
             if has_k_leaf(sigma):
                 continue
             out.add(sigma, tree_product(X(excess), forest), coeff)
         return out
 
-    def _graph_node(self, t: Tree, eps, invp):
+    def _graph_node(self, t: Tree, tr: _Truncation):
         """All ways to realize the root node of t inside a root subtree.
 
         Yields (sigma, boundary forest, polynomial excess, coefficient);
@@ -214,14 +282,12 @@ class Hopf:
         child_options = []
         for lab, e, sub in t.children:
             opts = []
-            ideal_zero = (lab == K and sub.is_poly())
-            for delta in self._decoration_candidates(lab, e, sub, eps, invp,
-                                                     ideal_zero):
+            for delta, inv_fact in self._decoration_candidates(lab, e, sub,
+                                                               tr):
                 factor = plant_tree(lab, mi_add(e, delta), sub)
-                opts.append((delta, None, factor, mi_zero(t.dim),
-                             Fraction(1, mi_factorial(delta))))
+                opts.append((delta, None, factor, mi_zero(t.dim), inv_fact))
             for sig_sub, forest_sub, excess_sub, c_sub in self._graph_node(
-                    sub, eps, invp):
+                    sub, tr):
                 opts.append((mi_zero(t.dim), (lab, e, sig_sub), forest_sub,
                              excess_sub, c_sub))
             child_options.append(opts)
@@ -250,14 +316,9 @@ class Hopf:
     # projection and Delta+ ----------------------------------------------
 
     def forest_survives(self, f: Tree, eps, invp) -> bool:
-        for lab, e, sub in f.children:
-            deg = self.planted_degree(lab, e, sub, eps, invp)
-            if deg == 0:
-                raise GenericityError(
-                    "planted factor degree vanishes under P+")
-            if deg < 0:
-                return False
-        return True
+        tr = self.truncation(eps, invp)
+        return all(self._positive(lab, e, sub, tr)
+                   for lab, e, sub in f.children)
 
     def project_plus(self, v: LinComb, eps, invp) -> LinComb:
         out = LinComb()
@@ -268,72 +329,41 @@ class Hopf:
 
     def coproduct_plus(self, f: Tree, eps, invp) -> TensorSum:
         """Delta+_{eps,p} on a forest in the P+ range."""
-        eps, invp = Fraction(eps), Fraction(invp)
-        key = (f, eps, invp)
-        cached = self._cop_plus.get(key)
-        if cached is not None:
-            return cached
-        out = self._poly_coproduct(f.n)
-        for lab, e, sub in f.children:
-            out = out.pair_product(
-                self._coproduct_plus_planted(lab, e, sub, eps, invp))
-        self._cop_plus[key] = out
-        return out
-
-    def _coproduct_plus_planted(self, lab, k, sub, eps, invp) -> TensorSum:
-        out = TensorSum()
-        for (sigma, forest), c in self.coproduct(sub, eps, invp):
-            for pt, pc in plant(lab, k, sigma):
-                deg = self.planted_degree(lab, k, sigma, eps, invp)
-                if deg == 0:
-                    raise GenericityError(
-                        "planted factor degree vanishes under P+")
-                if deg > 0:
-                    out.add(pt, forest, c * pc)
-        ideal_zero = (lab == K and sub.is_poly())
-        for l in self._decoration_candidates(lab, k, sub, eps, invp,
-                                             ideal_zero):
-            out.add(X(l), plant_tree(lab, mi_add(k, l), sub),
-                    Fraction(1, mi_factorial(l)))
-        return out
+        return self._coproduct(f, eps, invp, True)
 
     # antipode -----------------------------------------------------------
 
     def antipode(self, f: Tree, eps, invp) -> LinComb:
         """S+_{eps,p} of a forest, as a LinComb of forests."""
-        eps, invp = Fraction(eps), Fraction(invp)
+        tr = self.truncation(eps, invp)
+        cached = tr.antipode.get(f)
+        if cached is not None:
+            return cached
         out = LinComb.single(X(tuple(f.n)), (-1) ** mi_abs(f.n))
         for lab, e, sub in f.children:
-            out = out.product(self._antipode_planted(lab, e, sub, eps, invp))
+            out = out.product(self._antipode_planted(lab, e, sub, eps, invp,
+                                                     tr))
+        tr.antipode[f] = out
         return out
 
-    def _antipode_planted(self, lab, k, sub, eps, invp) -> LinComb:
-        key = (lab, tuple(k), sub, eps, invp)
-        cached = self._antipode.get(key)
+    def _antipode_planted(self, lab, k, sub, eps, invp, tr) -> LinComb:
+        key = (lab, k, sub)
+        cached = tr.antipode_planted.get(key)
         if cached is not None:
             return cached
         out = LinComb()
         for (sigma, forest), c in self.coproduct(sub, eps, invp):
-            if lab == K and sigma.is_poly():
-                continue
-            base = self.planted_degree(lab, k, sigma, eps, invp)
-            if base < 0:
-                continue
-            s_forest = self.antipode(forest, eps, invp)
-            bounds = tuple(int(base / s) + 1 for s in self.params.scaling)
-            for l in mi_range(bounds):
-                w = mi_weight(l, self.params.scaling)
-                if w > base:
-                    continue
-                if w == base:
-                    raise GenericityError(
-                        "planted degree vanishes in antipode recursion")
+            s_forest = None
+            for l, inv_fact in self._decoration_candidates(lab, k, sigma,
+                                                           tr):
+                if s_forest is None:
+                    s_forest = self.antipode(forest, eps, invp)
                 left = tree_product(X(l),
                                     plant_tree(lab, mi_add(k, l), sigma))
-                sign = -Fraction((-1) ** mi_abs(l), mi_factorial(l))
+                coeff = (inv_fact if mi_abs(l) % 2 else -inv_fact) * c
                 for g, cg in s_forest:
-                    out.add(tree_product(left, g), sign * c * cg)
-        self._antipode[key] = out
+                    out.add(tree_product(left, g), coeff * cg)
+        tr.antipode_planted[key] = out
         return out
 
     # characters and recentering -----------------------------------------

@@ -86,6 +86,7 @@ class RcMap(PreparationMap):
         self.hopf = hopf
         self.sector = sector
         self.strict_sector = strict_sector
+        self._members = set(sector.members())
         self._memo = {}
 
     def apply(self, t: Tree) -> LinComb:
@@ -102,9 +103,8 @@ class RcMap(PreparationMap):
         if self.strict_sector:
             # the formula extends beyond the basis, so the input itself
             # may sit outside; only extraction remainders must stay in
-            members = set(self.sector.members())
             for term in out.terms:
-                if term is not t and term not in members:
+                if term is not t and term not in self._members:
                     raise SectorEscape(
                         f"R_c({t!r}) contains {term!r} outside the sector "
                         "span; the rule is not complete at these bounds")

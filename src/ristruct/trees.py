@@ -30,9 +30,6 @@ def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x - y for x, y in zip(a, b))
 
-def mi_leq(a: MultiIndex, b: MultiIndex) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
 def mi_abs(a: MultiIndex) -> int:
     return sum(a)
 
@@ -74,9 +71,16 @@ class Tree:
     ``n`` is the root decoration; ``children`` is a tuple of
     ``(label, edge_decoration, subtree)`` triples sorted canonically.
     Instances are interned: equality is identity.
+
+    Two summaries are computed on first use and cached on the instance,
+    since an interned tree never changes: ``stats()`` (the Omega, edge
+    and H counts) and ``net()`` (node decorations minus edge
+    decorations, summed over the tree).  Together they fix the degree
+    form of the tree for every parameter set (see
+    ``grading.degree_form``), so neither depends on params.
     """
 
-    __slots__ = ("n", "children", "_enc", "_hash", "_stats")
+    __slots__ = ("n", "children", "_enc", "_hash", "_stats", "_net")
 
     _intern: dict = {}
 
@@ -96,6 +100,7 @@ class Tree:
         self._enc = enc
         self._hash = hash(enc)
         self._stats = None
+        self._net = None
         cls._intern[enc] = self
         return self
 
@@ -139,6 +144,16 @@ class Tree:
                 hcount += s[2] + (lab == H)
             self._stats = (omega, edges, hcount)
         return self._stats
+
+    def net(self) -> MultiIndex:
+        """Sum of node decorations minus sum of edge decorations."""
+        if self._net is None:
+            net = list(self.n)
+            for _lab, e, sub in self.children:
+                for j, (x, y) in enumerate(zip(sub.net(), e)):
+                    net[j] += x - y
+            self._net = tuple(net)
+        return self._net
 
     def omega_count(self) -> int:
         return self.stats()[0]
@@ -196,13 +211,6 @@ def tree_product(a: Tree, b: Tree) -> Tree:
     return Tree(mi_add(a.n, b.n), a.children + b.children)
 
 
-def tree_product_many(ts: Iterable[Tree], d: int) -> Tree:
-    out = unit(d)
-    for t in ts:
-        out = tree_product(out, t)
-    return out
-
-
 class LinComb:
     """Finite formal sum of canonical trees with Fraction coefficients."""
 
@@ -221,7 +229,11 @@ class LinComb:
         return v
 
     def add(self, t: Tree, c) -> None:
-        c = self.terms.get(t, Fraction(0)) + Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        old = self.terms.get(t)
+        if old is not None:
+            c += old
         if c:
             self.terms[t] = c
         else:
@@ -385,12 +397,6 @@ class _Parser:
         if any(x < 0 for x in mi):
             raise ParseError("negative multi-index entry", self.pos)
         return mi
-
-    def _looks_like_mi(self) -> bool:
-        # Inside "(": a following "(" starts a multi-index only if the
-        # grammar position allows it, which callers decide; here we
-        # distinguish "n=" already.
-        return False
 
     def tree(self) -> Tree:
         self._expect("(")

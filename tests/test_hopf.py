@@ -72,6 +72,43 @@ def test_genericity_refusal_at_threshold(hopf):
         hopf.coproduct(t, 0, F(1, 6))
 
 
+def test_genericity_refusal_in_antipode(hopf):
+    """A planted factor of degree exactly zero stops the S+ recursion."""
+    k_noise = plant_tree("K", (0, 0, 0), noise(3))   # degree 1/2 - eps
+    with pytest.raises(GenericityError):
+        hopf.antipode(k_noise, F(1, 2), 0)
+    with pytest.raises(GenericityError):               # -3/2 + 3/p
+        hopf.antipode(dot_noise(3), 0, F(1, 2))
+    assert hopf.antipode(k_noise, F(1, 100), 0)
+
+
+def _anisotropic():
+    """Scaling (1/2, 3/2): the planted noise has degree 8/5 - eps."""
+    from ristruct.grading import Params
+    return Hopf(Params(d=2, scaling=(F(1, 2), F(3, 2)), r0=F(-2, 5),
+                       beta0=F(2), ell=F(4), ell1=F(1), s0=F(-1)))
+
+
+def test_genericity_ties_with_fractional_scaling():
+    """Ties at eps = 1/10 and nonzero extra decorations l = (3, 0) and
+    (0, 1), where |l|_s = 3/2."""
+    h = _anisotropic()
+    k_noise = plant_tree("K", (0, 0), noise(2))
+    t = parse("(O() K(O()))", dim=2)
+    assert h.planted_degree("K", (0, 0), noise(2), F(1, 7), 0) \
+        == F(8, 5) - F(1, 7)
+    with pytest.raises(GenericityError):
+        h.coproduct(t, F(1, 10), 0)
+    with pytest.raises(GenericityError):
+        h.antipode(k_noise, F(1, 10), 0)
+    for eps in (F(1, 20), F(1, 5)):
+        assert h.coproduct(t, eps, 0) == h.coproduct_graphical(t, eps, 0)
+        assert h.convolution_check(k_noise, eps, 0)
+    # below the tie (3, 0) and (0, 1) join the decorations (0, 0)..(2, 0)
+    assert len(h.coproduct(t, F(1, 20), 0)) \
+        == len(h.coproduct(t, F(1, 5), 0)) + 2
+
+
 def test_graphical_oracle_agreement(hopf, sector):
     for t in sector.members():
         for eps, invp in ((F(1, 100), F(0)), (F(1, 100), F(1, 5)),

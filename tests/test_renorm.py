@@ -140,3 +140,15 @@ def test_sector_escape():
     R = make_Rc(CounterTerms({tau2: F(1)}), s2, h2)
     with pytest.raises(SectorEscape):
         R.apply(parse("(O() K(O() K(O())))", dim=2))
+
+
+def test_verify_preparation_genericity_pam3d_7_5():
+    """At (0, 1/2) the pam3d 7/5 sector has a planted degree tie in Delta,
+    which verify_preparation must refuse rather than truncate."""
+    from ristruct.grading import GenericityError
+    params = pam3d_params()
+    s = generate_from_rule(pam_rule(3), 5, F(2), params, max_edges=7)
+    hopf = Hopf(params)
+    with pytest.raises(GenericityError,
+                       match=r"label K, k\+l=\(1, 0, 0\)"):
+        verify_preparation(make_Rc(CounterTerms({}), s, hopf), s, hopf)

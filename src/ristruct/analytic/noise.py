@@ -32,8 +32,7 @@ def random_fourier_series(grid: GridSpec, amplitude, seed: int,
     per-mode amplitudes; the sample is real by construction (spectral
     shaping of a real white-noise field keeps conjugate symmetry)."""
     base = white_noise(grid, seed, stream)
-    lam = np.meshgrid(*grid.freqs(), indexing="ij")
-    mag = np.sqrt(sum(a ** 2 for a in lam))
+    mag = np.sqrt(sum(a ** 2 for a in grid.freq_mesh()))
     spec = np.fft.fftn(base) * amplitude(mag)
     return np.fft.ifftn(spec).real
 

@@ -17,12 +17,12 @@ from pathlib import Path
 
 from . import __version__
 from .config import builtin_rule_config
-from .grading import (GenericityError, INF, degree, from_invp, p_transition,
-                      phase_sets, to_invp)
+from .grading import (GenericityError, INF, degree, from_invp, phase_sets,
+                      to_invp)
 from .hopf import Hopf
 from .renorm import CounterTerms, RcMap, SectorEscape, verify_preparation
 from .sector import (check_differentiable, check_triangular, epsilon0,
-                     generate_from_rule, key_of, load_rule_config)
+                     key_of, load_sector)
 from .trees import ParseError, format_tree, parse
 
 EXIT_CONFIG = 1
@@ -49,12 +49,10 @@ def _load_json_or_name(spec):
         return json.load(fh)
 
 
-def _load_sector(spec):
-    rule, max_omega, L, params, max_edges = load_rule_config(
-        _load_json_or_name(spec))
-    sector = generate_from_rule(rule, max_omega, L, params,
-                                max_edges=max_edges)
-    return sector, Hopf(params)
+def _load_sector(args, spec):
+    cfg = args.inputs["rule"] = _load_json_or_name(spec)
+    sector = load_sector(cfg)
+    return sector, Hopf(sector.params)
 
 
 def _emit(args, doc: dict) -> None:
@@ -64,19 +62,23 @@ def _emit(args, doc: dict) -> None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "output.json").write_text(text + "\n")
-        # the output directory is not a run parameter: drop it so equal
-        # parameter sets yield byte-identical manifests
+        # the output directory is not a run parameter: drop it, in any
+        # form argparse accepts, so equal parameter sets yield
+        # byte-identical manifests
         argv = list(args._argv)
-        if "--out" in argv:
-            i = argv.index("--out")
-            del argv[i:i + 2]
+        for i, a in enumerate(argv):
+            opt = a.split("=", 1)[0]
+            if len(opt) > 2 and "--out".startswith(opt):
+                del argv[i:i + 1 + ("=" not in a)]
+                break
+        # the hash covers what the run read, not only how it was named
         manifest = {
             "command": args.command,
             "argv": argv,
-            "seed": getattr(args, "seed", None),
+            "seed": args.seed,
             "version": __version__,
             "parameter_hash": hashlib.sha256(
-                json.dumps({"argv": argv},
+                json.dumps({"argv": argv, "inputs": args.inputs},
                            sort_keys=True).encode()).hexdigest(),
         }
         (out / "manifest.json").write_text(
@@ -86,7 +88,7 @@ def _emit(args, doc: dict) -> None:
 # symbolic commands ------------------------------------------------------
 
 def cmd_sector_gen(args):
-    sector, _hopf = _load_sector(args.rule)
+    sector, _hopf = _load_sector(args, args.rule)
     params = sector.params
     listing = []
     for i, t in enumerate(sector.basis_o):
@@ -111,14 +113,8 @@ def cmd_sector_gen(args):
 def cmd_coproduct(args):
     invp = _parse_p(args.p)
     eps = Fraction(args.eps)
-    if args.rule:
-        sector, hopf = _load_sector(args.rule)
-        t = parse(args.tree, dim=sector.params.d)
-    else:
-        cfg = builtin_rule_config("pam3d")
-        _rule, _m, _L, params, _e = load_rule_config(cfg)
-        t = parse(args.tree, dim=params.d)
-        hopf = Hopf(params)
+    sector, hopf = _load_sector(args, args.rule or "pam3d")
+    t = parse(args.tree, dim=sector.params.d)
     cop = (hopf.coproduct_graphical(t, eps, invp) if args.graphical
            else hopf.coproduct(t, eps, invp))
     terms = [{"left": format_tree(a), "right": format_tree(b),
@@ -131,7 +127,7 @@ def cmd_coproduct(args):
 
 
 def cmd_phase(args):
-    sector, _hopf = _load_sector(args.rule)
+    sector, _hopf = _load_sector(args, args.rule)
     eps = Fraction(args.eps)
     invp = _parse_p(args.p)
     gens = [g for g in sector.w_plus_generators(Fraction(0), Fraction(1, 2))
@@ -149,9 +145,9 @@ def cmd_phase(args):
 
 
 def cmd_prep_verify(args):
-    sector, hopf = _load_sector(args.rule)
+    sector, hopf = _load_sector(args, args.rule)
     with open(args.counterterms) as fh:
-        raw = json.load(fh)
+        raw = args.inputs["counterterms"] = json.load(fh)
     values = {parse(k, dim=sector.params.d): Fraction(str(v))
               for k, v in raw.items()}
     R = RcMap(CounterTerms(values), hopf, sector)
@@ -164,7 +160,7 @@ def cmd_prep_verify(args):
 
 
 def cmd_verify_hopf(args):
-    sector, hopf = _load_sector(args.rule)
+    sector, hopf = _load_sector(args, args.rule)
     eps = Fraction(args.eps)
     invp = _parse_p(args.p)
     failures = []
@@ -186,7 +182,7 @@ def cmd_verify_hopf(args):
 
 
 def cmd_verify_triangularity(args):
-    sector, hopf = _load_sector(args.rule)
+    sector, hopf = _load_sector(args, args.rule)
     eps = Fraction(args.eps)
     invp = _parse_p(args.p)
     r1 = check_differentiable(sector, hopf, eps, invp)
@@ -201,7 +197,7 @@ def cmd_verify_triangularity(args):
 
 # numeric commands -------------------------------------------------------
 
-def _numeric_setup(cfg: dict):
+def _numeric_setup(args, cfg: dict):
     import numpy as np
 
     from .analytic.grid import (GridSpec, OperatorContext, OperatorSpec,
@@ -209,7 +205,7 @@ def _numeric_setup(cfg: dict):
                                 second_order_op)
     from .analytic.noise import smooth_field, white_noise
 
-    sector, hopf = _load_sector(cfg.get("rule", "numeric2d"))
+    sector, hopf = _load_sector(args, cfg.get("rule", "numeric2d"))
     params = sector.params
     gcfg = cfg.get("grid", {})
     sizes = tuple(gcfg.get("sizes", (32,) * params.d))
@@ -230,7 +226,7 @@ def _numeric_setup(cfg: dict):
                              float(ocfg.get("cutoffWidth", 1.0)))
     qcfg = cfg.get("quad", {})
     ctx = OperatorContext(grid, op, QuadratureSpec(**qcfg))
-    seed = int(cfg.get("seed", 0))
+    seed = args.seed = int(cfg.get("seed", 0))
     ncfg = cfg.get("noise", {"kind": "smooth"})
     if ncfg.get("kind", "smooth") == "smooth":
         scale = float(ncfg.get("scale", 0.7))
@@ -247,17 +243,19 @@ def _numeric_setup(cfg: dict):
     return sector, hopf, ctx, xi, h, base_points, eps, invp, seed
 
 
-def _load_cfg(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load_cfg(args) -> dict:
+    with open(args.config) as fh:
+        cfg = args.inputs["config"] = json.load(fh)
+    return cfg
 
 
 def cmd_model_build(args):
     from .analytic.checks import check_route_equivalence
     from .analytic.model import Model
 
-    cfg = _load_cfg(args.config)
-    sector, hopf, ctx, xi, h, pts, eps, invp, _seed = _numeric_setup(cfg)
+    cfg = _load_cfg(args)
+    sector, hopf, ctx, xi, h, pts, eps, invp, _seed = \
+        _numeric_setup(args, cfg)
     model = Model(sector, hopf, ctx, xi, h, eps=eps)
     trees = {}
     worst = 0.0
@@ -279,8 +277,9 @@ def cmd_verify_comparison(args):
     from .analytic.model import Model
     from .analytic.checks import check_comparison
 
-    cfg = _load_cfg(args.config)
-    sector, hopf, ctx, xi, h, pts, eps, _invp, _seed = _numeric_setup(cfg)
+    cfg = _load_cfg(args)
+    sector, hopf, ctx, xi, h, pts, eps, _invp, _seed = \
+        _numeric_setup(args, cfg)
     model = Model(sector, hopf, ctx, xi, h, eps=eps)
     bounds = [Fraction(1, 2)] + sorted(
         (to_invp(p) for p in model.phase_points()), reverse=True) \
@@ -303,8 +302,9 @@ def cmd_verify_comparison(args):
 def cmd_verify_dpidd(args):
     from .analytic.checks import check_derivative_identity
 
-    cfg = _load_cfg(args.config)
-    sector, hopf, ctx, xi, h, pts, eps, _invp, _seed = _numeric_setup(cfg)
+    cfg = _load_cfg(args)
+    sector, hopf, ctx, xi, h, pts, eps, _invp, _seed = \
+        _numeric_setup(args, cfg)
     tol = float(cfg.get("tolerance", 1e-9))
     worst, results = 0.0, []
     for t in sector.basis_o:
@@ -320,9 +320,9 @@ def cmd_verify_dpidd(args):
 def cmd_bphz_solve(args):
     from .analytic import mc
 
-    cfg = _load_cfg(args.config)
+    cfg = _load_cfg(args)
     sector, hopf, ctx, _xi, _h, _pts, _eps, _invp, seed = \
-        _numeric_setup(cfg)
+        _numeric_setup(args, cfg)
     level = int(cfg.get("mollify", 4))
     samples = int(cfg.get("samples", 64))
     threshold = cfg.get("stderrThreshold")
@@ -340,8 +340,9 @@ def cmd_bphz_solve(args):
 def cmd_scaling_fit(args):
     from .analytic import mc
 
-    cfg = _load_cfg(args.config)
-    sector, hopf, ctx, _xi, _h, pts, eps, invp, seed = _numeric_setup(cfg)
+    cfg = _load_cfg(args)
+    sector, hopf, ctx, _xi, _h, pts, eps, invp, seed = \
+        _numeric_setup(args, cfg)
     t = parse(args.tree, dim=sector.params.d)
     level = int(cfg.get("mollify", 8))
     samples = int(cfg.get("samples", 16))
@@ -444,6 +445,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     args._argv = argv
+    args.inputs, args.seed = {}, None  # filled in by the loaders
     try:
         return args.func(args)
     except (GenericityError, ParseError, SectorEscape, ValueError,

@@ -1,16 +1,16 @@
-"""Built-in demo configurations and config-file loading.
+"""Built-in demo configurations.
 
 Two configurations ship with the package: a three-dimensional symbolic
 setup used by the algebraic test batteries, and a two-dimensional setup
 with a mildly negative product tree used by the numerical pipelines.
-Numeric parameter values are configuration choices, not claims."""
+Each is defined once, as the rule config ``builtin_rule_config``
+returns; its sector is generated from that config.  Numeric parameter
+values are configuration choices, not claims."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .grading import Params
-from .sector import Rule, Sector, generate_from_rule, pam_rule
+from .sector import Sector, load_sector
 
 PAM3D = {
     "d": 3,
@@ -33,48 +33,29 @@ NUMERIC2D = {
 }
 
 
-def params_from_dict(cfg: dict) -> Params:
-    return Params(
-        d=int(cfg["d"]),
-        scaling=tuple(Fraction(s) for s in cfg["scaling"]),
-        r0=Fraction(cfg["r0"]),
-        beta0=Fraction(cfg["beta0"]),
-        ell=Fraction(cfg["ell"]),
-        ell1=Fraction(cfg["ell1"]),
-        s0=Fraction(cfg.get("s0", 0)),
-    )
+# name -> (params, maxOmega, maxEdges); both use the pam rule with L = 2
+BUILTINS = {"pam3d": (PAM3D, 4, 5), "numeric2d": (NUMERIC2D, 3, 3)}
 
 
 def pam3d_params() -> Params:
-    return params_from_dict(PAM3D)
+    return Params.from_dict(PAM3D)
 
 
 def numeric2d_params() -> Params:
-    return params_from_dict(NUMERIC2D)
+    return Params.from_dict(NUMERIC2D)
 
 
 def pam3d_sector() -> Sector:
-    params = pam3d_params()
-    return generate_from_rule(pam_rule(3), max_omega=4,
-                              poly_bound=Fraction(2), params=params,
-                              max_edges=5)
+    return load_sector(builtin_rule_config("pam3d"))
 
 
 def numeric2d_sector() -> Sector:
-    params = numeric2d_params()
-    return generate_from_rule(pam_rule(2), max_omega=3,
-                              poly_bound=Fraction(2), params=params,
-                              max_edges=3)
+    return load_sector(builtin_rule_config("numeric2d"))
 
 
 def builtin_rule_config(name: str) -> dict:
     """Rule files equivalent to the built-in sectors, as plain dicts."""
-    if name == "pam3d":
-        z = [0, 0, 0]
-        return {"K": [[["O", z], ["K", z], ["K", z]]], "maxOmega": 4,
-                "L": "2", "maxEdges": 5, "params": PAM3D}
-    if name == "numeric2d":
-        z = [0, 0]
-        return {"K": [[["O", z], ["K", z], ["K", z]]], "maxOmega": 3,
-                "L": "2", "maxEdges": 3, "params": NUMERIC2D}
-    raise KeyError(name)
+    params, max_omega, max_edges = BUILTINS[name]
+    z = [0] * params["d"]
+    return {"K": [[["O", z], ["K", z], ["K", z]]], "maxOmega": max_omega,
+            "L": "2", "maxEdges": max_edges, "params": params}

@@ -52,13 +52,15 @@ class Params:
         if not self.r0 < -self.abs_scaling / 2 - self.s0:
             raise ValueError("r0 must be below -|s|/2 - s0")
 
+    @classmethod
+    def from_dict(cls, cfg: dict) -> "Params":
+        """Parameters from a config mapping; rationals may be strings."""
+        return cls(int(cfg["d"]), tuple(cfg["scaling"]), cfg["r0"],
+                   cfg["beta0"], cfg["ell"], cfg["ell1"], cfg.get("s0", 0))
+
     @cached_property
     def abs_scaling(self) -> Fraction:
         return sum(self.scaling, Fraction(0))
-
-    @property
-    def min_scaling(self) -> Fraction:
-        return min(self.scaling)
 
 
 @dataclass(frozen=True)

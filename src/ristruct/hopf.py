@@ -5,7 +5,9 @@ A forest X^k * prod_i I_{k_i}^{l_i}(tau_i) is represented as a Tree
 whose root decoration is k and whose children are the planted factors;
 tree_product then doubles as the forest product.  Two independent
 coproduct implementations are provided: the recursive one (primary) and
-the graphical one enumerating root subtrees (oracle).
+the graphical one enumerating root subtrees (oracle).  A coproduct is a
+LinComb over (left, right) pairs of trees; pair_product multiplies two
+of them componentwise.
 """
 
 from __future__ import annotations
@@ -20,74 +22,13 @@ from .trees import (H, K, OMEGA, LinComb, Tree, X, has_k_leaf, mi_abs,
                     mi_zero, plant, plant_tree, tree_product, unit)
 
 
-class TensorSum:
-    """Finite sum of left (x) right pairs with exact coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for (a, b), c in (terms.items() if isinstance(terms, dict)
-                              else terms):
-                self.add(a, b, c)
-
-    def add(self, left: Tree, right: Tree, c) -> None:
-        key = (left, right)
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        old = self.terms.get(key)
-        if old is not None:
-            c += old
-        if c:
-            self.terms[key] = c
-        else:
-            self.terms.pop(key, None)
-
-    def __add__(self, other: "TensorSum") -> "TensorSum":
-        out = TensorSum(dict(self.terms))
-        for (a, b), c in other.terms.items():
-            out.add(a, b, c)
-        return out
-
-    def __sub__(self, other: "TensorSum") -> "TensorSum":
-        out = TensorSum(dict(self.terms))
-        for (a, b), c in other.terms.items():
-            out.add(a, b, -c)
-        return out
-
-    def scale(self, c) -> "TensorSum":
-        c = Fraction(c)
-        return TensorSum({k: v * c for k, v in self.terms.items()}
-                         if c else {})
-
-    def pair_product(self, other: "TensorSum") -> "TensorSum":
-        """Componentwise product: trees on the left, forests on the right."""
-        out = TensorSum()
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                out.add(tree_product(a1, a2), tree_product(b1, b2), c1 * c2)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSum) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        from .trees import format_tree
-        parts = [f"{c}*{format_tree(a)}(x){format_tree(b)}"
-                 for (a, b), c in sorted(
-                     self.terms.items(),
-                     key=lambda kv: (kv[0][0]._enc, kv[0][1]._enc))]
-        return "TensorSum(" + (" + ".join(parts) or "0") + ")"
+def pair_product(x: LinComb, y: LinComb) -> LinComb:
+    """Componentwise product of two sums over (left, right) pairs."""
+    out = LinComb()
+    for (a1, b1), c1 in x:
+        for (a2, b2), c2 in y:
+            out.add((tree_product(a1, a2), tree_product(b1, b2)), c1 * c2)
+    return out
 
 
 class Character:
@@ -115,9 +56,6 @@ class Character:
             return self.values[gen]
         except KeyError:
             raise KeyError(f"character undefined on generator {gen!r}")
-
-    def on_lincomb(self, v: LinComb):
-        return sum((c * self(t) for t, c in v), Fraction(0))
 
 
 class _Truncation:
@@ -201,10 +139,10 @@ class Hopf:
             self._lattices[cap] = out
         return out
 
-    def _poly_coproduct(self, n) -> TensorSum:
-        out = TensorSum()
+    def _poly_coproduct(self, n) -> LinComb:
+        out = LinComb()
         for l in mi_range(n):
-            out.add(X(l), X(mi_sub(n, l)), mi_binom(n, l))
+            out.add((X(l), X(mi_sub(n, l))), mi_binom(n, l))
         return out
 
     def _decoration_candidates(self, lab, k, sub, tr: _Truncation):
@@ -229,11 +167,11 @@ class Hopf:
 
     # recursive coproduct ------------------------------------------------
 
-    def coproduct(self, t: Tree, eps, invp) -> TensorSum:
+    def coproduct(self, t: Tree, eps, invp) -> LinComb:
         """Delta_{eps,p} via the recursive formula (primary route)."""
         return self._coproduct(t, eps, invp, False)
 
-    def _coproduct(self, t: Tree, eps, invp, plus: bool) -> TensorSum:
+    def _coproduct(self, t: Tree, eps, invp, plus: bool) -> LinComb:
         tr = self.truncation(eps, invp)
         memo = tr.cop_plus if plus else tr.cop
         cached = memo.get(t)
@@ -241,36 +179,36 @@ class Hopf:
             return cached
         out = self._poly_coproduct(t.n)
         for lab, e, sub in t.children:
-            out = out.pair_product(
-                self._coproduct_planted(lab, e, sub, eps, invp, tr, plus))
+            out = pair_product(out, self._coproduct_planted(
+                lab, e, sub, eps, invp, tr, plus))
         memo[t] = out
         return out
 
     def _coproduct_planted(self, lab, k, sub, eps, invp, tr, plus: bool)\
-            -> TensorSum:
+            -> LinComb:
         """Delta (plus=False) or Delta+ (plus=True) of I_k^lab(sub).
 
         They differ only in the planted left factors: Delta+ keeps those
         of positive degree."""
-        out = TensorSum()
+        out = LinComb()
         for (sigma, forest), c in self.coproduct(sub, eps, invp):
             for pt, pc in plant(lab, k, sigma):
                 if not plus or self._positive(lab, k, sigma, tr):
-                    out.add(pt, forest, c * pc)
+                    out.add((pt, forest), c * pc)
         for l, inv_fact in self._decoration_candidates(lab, k, sub, tr):
-            out.add(X(l), plant_tree(lab, mi_add(k, l), sub), inv_fact)
+            out.add((X(l), plant_tree(lab, mi_add(k, l), sub)), inv_fact)
         return out
 
     # graphical coproduct ------------------------------------------------
 
-    def coproduct_graphical(self, t: Tree, eps, invp) -> TensorSum:
+    def coproduct_graphical(self, t: Tree, eps, invp) -> LinComb:
         """Delta_{eps,p} by enumerating root subtrees (oracle route)."""
         tr = self.truncation(eps, invp)
-        out = TensorSum()
+        out = LinComb()
         for sigma, forest, excess, coeff in self._graph_node(t, tr):
             if has_k_leaf(sigma):
                 continue
-            out.add(sigma, tree_product(X(excess), forest), coeff)
+            out.add((sigma, tree_product(X(excess), forest)), coeff)
         return out
 
     def _graph_node(self, t: Tree, tr: _Truncation):
@@ -327,7 +265,7 @@ class Hopf:
                 out.add(f, c)
         return out
 
-    def coproduct_plus(self, f: Tree, eps, invp) -> TensorSum:
+    def coproduct_plus(self, f: Tree, eps, invp) -> LinComb:
         """Delta+_{eps,p} on a forest in the P+ range."""
         return self._coproduct(f, eps, invp, True)
 
@@ -400,30 +338,20 @@ class Hopf:
 
     def comodule_check(self, t: Tree, eps, invp) -> bool:
         """(Delta (x) id)Delta equals (id (x) Delta+)Delta on t."""
-        lhs, rhs = {}, {}
-        for (a, b), c in self.coproduct(t, eps, invp):
-            for (a1, a2), c2 in self.coproduct(a, eps, invp):
-                key = (a1, a2, b)
-                lhs[key] = lhs.get(key, Fraction(0)) + c * c2
-            for (b1, b2), c2 in self.coproduct_plus(b, eps, invp):
-                key = (a, b1, b2)
-                rhs[key] = rhs.get(key, Fraction(0)) + c * c2
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        return lhs == rhs
+        return self._two_sided(self.coproduct, t, eps, invp)
 
     def coassociativity_plus_check(self, f: Tree, eps, invp) -> bool:
         """(Delta+ (x) id)Delta+ equals (id (x) Delta+)Delta+ on f."""
-        lhs, rhs = {}, {}
-        for (a, b), c in self.coproduct_plus(f, eps, invp):
-            for (a1, a2), c2 in self.coproduct_plus(a, eps, invp):
-                key = (a1, a2, b)
-                lhs[key] = lhs.get(key, Fraction(0)) + c * c2
+        return self._two_sided(self.coproduct_plus, f, eps, invp)
+
+    def _two_sided(self, cop, t: Tree, eps, invp) -> bool:
+        """(cop (x) id)cop equals (id (x) Delta+)cop on t."""
+        lhs, rhs = LinComb(), LinComb()
+        for (a, b), c in cop(t, eps, invp):
+            for (a1, a2), c2 in cop(a, eps, invp):
+                lhs.add((a1, a2, b), c * c2)
             for (b1, b2), c2 in self.coproduct_plus(b, eps, invp):
-                key = (a, b1, b2)
-                rhs[key] = rhs.get(key, Fraction(0)) + c * c2
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
+                rhs.add((a, b1, b2), c * c2)
         return lhs == rhs
 
     def convolution_check(self, f: Tree, eps, invp) -> bool:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grading import degree
-from .hopf import Hopf, TensorSum
+from .hopf import Hopf
 from .sector import Sector, derive
 from .trees import (H, K, OMEGA, LinComb, Tree, X, mi_zero, plant,
                     plant_tree, unit)
@@ -174,10 +174,10 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
 
     for t in s.members():
         lhs = _tensor_apply_left(R, hopf.coproduct(t, 0, half))
-        rhs = TensorSum()
+        rhs = LinComb()
         for term, c in R.apply(t):
             for (a, b), c2 in hopf.coproduct(term, 0, half):
-                rhs.add(a, b, c * c2)
+                rhs.add((a, b), c * c2)
         if lhs != rhs:
             report.fail("d", t, "coproduct commutation fails")
 
@@ -190,10 +190,10 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
 
 
 def _tensor_apply_left(R: PreparationMap, ts):
-    out = TensorSum()
+    out = LinComb()
     for (a, b), c in ts:
         for a2, c2 in R.apply(a):
-            out.add(a2, b, c * c2)
+            out.add((a2, b), c * c2)
     return out
 
 

@@ -80,20 +80,18 @@ def load_rule_config(path_or_dict):
     else:
         with open(path_or_dict) as fh:
             cfg = json.load(fh)
-    pcfg = cfg["params"]
-    params = Params(
-        d=int(pcfg["d"]),
-        scaling=tuple(Fraction(s) for s in pcfg["scaling"]),
-        r0=Fraction(pcfg["r0"]),
-        beta0=Fraction(pcfg["beta0"]),
-        ell=Fraction(pcfg["ell"]),
-        ell1=Fraction(pcfg["ell1"]),
-        s0=Fraction(pcfg.get("s0", 0)),
-    )
+    params = Params.from_dict(cfg["params"])
     rule = Rule.from_types(params.d, [
         [(lab, tuple(k)) for lab, k in t] for t in cfg["K"]])
     return (rule, int(cfg["maxOmega"]), Fraction(cfg["L"]), params,
             int(cfg.get("maxEdges", 5)))
+
+
+def load_sector(path_or_dict) -> "Sector":
+    """The sector a rule file generates."""
+    rule, max_omega, L, params, max_edges = load_rule_config(path_or_dict)
+    return generate_from_rule(rule, max_omega, L, params,
+                              max_edges=max_edges)
 
 
 def key_of(t: Tree, params: Params):
@@ -146,14 +144,7 @@ class Sector:
             sorted({s for s, _c in derive(tau)},
                    key=lambda t: key_of(t, params) + (t._enc,))
             for tau in self.basis_o]
-        seen, dots = set(), []
-        for group in self.dot_basis_by_index:
-            for t in group:
-                if t not in seen:
-                    seen.add(t)
-                    dots.append(t)
-        self.dot_basis = sorted(
-            dots, key=lambda t: key_of(t, params) + (t._enc,))
+        self.dot_basis = self.dot_prefix(len(self.basis_o))
 
     def _polys(self):
         d, L = self.params.d, self.poly_bound
@@ -182,13 +173,10 @@ class Sector:
         return self.polys + self.basis_o[:i]
 
     def dot_prefix(self, i: int):
-        seen, out = set(), []
-        for group in self.dot_basis_by_index[:i]:
-            for t in group:
-                if t not in seen:
-                    seen.add(t)
-                    out.append(t)
-        return sorted(out, key=lambda t: key_of(t, self.params) + (t._enc,))
+        """The derivative trees of the first i noise trees, in order."""
+        return sorted({t for group in self.dot_basis_by_index[:i]
+                       for t in group},
+                      key=lambda t: key_of(t, self.params) + (t._enc,))
 
     def strict_lower_set(self, t: Tree):
         """All basis or derivative trees preceding t (strictly)."""
@@ -200,40 +188,36 @@ class Sector:
 
     # generator sets -----------------------------------------------------
 
+    def _below(self, bound):
+        """All multi-indices k with |k|_s < bound, in mi_range order."""
+        scaling = self.params.scaling
+        caps = tuple(int(bound / s) + 1 for s in scaling)
+        return [k for k in mi_range(caps) if mi_weight(k, scaling) < bound]
+
+    def _coordinates(self):
+        d = self.params.d
+        return [X(tuple(1 if j == a else 0 for j in range(d)))
+                for a in range(d)]
+
     def _planted_generators(self, trees, eps, invp):
         out = []
-        beta0 = self.params.beta0
         for tau in trees:
-            if tau.is_poly():
-                continue
-            bound = degree(tau, self.params, eps, invp) + beta0
-            if bound <= 0:
-                continue
-            caps = tuple(int(bound / s) + 1 for s in self.params.scaling)
-            for k in mi_range(caps):
-                if mi_weight(k, self.params.scaling) < bound:
-                    out.append(plant_tree(K, k, tau))
+            if not tau.is_poly():
+                bound = degree(tau, self.params, eps, invp) + self.params.beta0
+                out += [plant_tree(K, k, tau) for k in self._below(bound)]
         return out
 
     def v_plus_generators(self, eps, i: int | None = None):
         """V+ generators: coordinates and K-planted basis trees."""
-        d = self.params.d
         trees = self.basis_o if i is None else self.basis_o[:i]
-        gens = [X(tuple(1 if j == a else 0 for j in range(d)))
-                for a in range(d)]
-        return gens + self._planted_generators(trees, eps, 0)
+        return self._coordinates() + self._planted_generators(trees, eps, 0)
 
     def w_plus_generators(self, eps, invp, i: int | None = None):
         """W+ generators: coordinates, derivative noises and plantings."""
-        d = self.params.d
-        gens = [X(tuple(1 if j == a else 0 for j in range(d)))
-                for a in range(d)]
         h_bound = degree_eval(label_form(H), self.params, eps, invp)
-        if h_bound > 0:
-            caps = tuple(int(h_bound / s) + 1 for s in self.params.scaling)
-            for k in mi_range(caps):
-                if mi_weight(k, self.params.scaling) < h_bound:
-                    gens.append(plant_tree(H, k, unit(d)))
+        gens = self._coordinates() + [
+            plant_tree(H, k, unit(self.params.d))
+            for k in self._below(h_bound)]
         trees = (self.basis_o + self.dot_basis if i is None
                  else self.basis_o[:i] + self.dot_prefix(i))
         return gens + self._planted_generators(trees, eps, invp)

@@ -164,11 +164,6 @@ class Tree:
     def h_count(self) -> int:
         return self.stats()[2]
 
-    def iter_nodes(self):
-        yield self
-        for _lab, _e, sub in self.children:
-            yield from sub.iter_nodes()
-
 
 def X(k: MultiIndex) -> Tree:
     return Tree(tuple(k), ())
@@ -212,7 +207,11 @@ def tree_product(a: Tree, b: Tree) -> Tree:
 
 
 class LinComb:
-    """Finite formal sum of canonical trees with Fraction coefficients."""
+    """Finite formal sum with Fraction coefficients.
+
+    Terms are canonical trees, or tuples of trees for tensors: a
+    coproduct is a LinComb keyed by (left, right) pairs.  ``map_trees``
+    and ``product`` apply to sums of trees only."""
 
     __slots__ = ("terms",)
 
@@ -228,7 +227,7 @@ class LinComb:
         v.add(t, c)
         return v
 
-    def add(self, t: Tree, c) -> None:
+    def add(self, t, c) -> None:
         if type(c) is not Fraction:
             c = Fraction(c)
         old = self.terms.get(t)
@@ -273,8 +272,9 @@ class LinComb:
     def __repr__(self):
         if not self.terms:
             return "LinComb(0)"
-        parts = [f"{c}*{format_tree(t)}" for t, c in sorted(
-            self.terms.items(), key=lambda tc: tc[0]._enc)]
+        rows = sorted((t if type(t) is tuple else (t,), c)
+                      for t, c in self.terms.items())
+        parts = [f"{c}*" + "(x)".join(map(format_tree, ts)) for ts, c in rows]
         return "LinComb(" + " + ".join(parts) + ")"
 
     def map_trees(self, f) -> "LinComb":

@@ -171,6 +171,29 @@ def test_out_manifest(capsys, small_cfg, tmp_path):
     assert len(manifest["parameter_hash"]) == 64
 
 
+def test_out_manifest_identifies_run(capsys, small_cfg, tmp_path):
+    """A config that differs only in its seed changes the manifest's
+    seed and hash; the same config run into two directories, named in
+    either form of --out, does not."""
+    cfg = json.loads(open(small_cfg).read())
+    runs = {}
+    for seed, name in ((1, "a"), (2, "b"), (2, "c")):
+        cfg["seed"] = seed
+        open(small_cfg, "w").write(json.dumps(cfg))
+        outdir = tmp_path / name
+        out = (["--out", str(outdir)] if name != "c"
+               else [f"--out={outdir}"])
+        code, _o, _e = run(capsys, *out, "model", "build", small_cfg)
+        assert code == 0
+        runs[name] = ((outdir / "manifest.json").read_text(),
+                      (outdir / "output.json").read_text())
+    a, b = (json.loads(runs[n][0]) for n in "ab")
+    assert (a["seed"], b["seed"]) == (1, 2)
+    assert a["parameter_hash"] != b["parameter_hash"]
+    assert runs["a"][1] != runs["b"][1]
+    assert runs["b"] == runs["c"]
+
+
 def test_bad_config_exit(capsys, tmp_path):
     code, _o, err = run(capsys, "sector", "gen", "no-such-rule.json")
     assert code == EXIT_CONFIG

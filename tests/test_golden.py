@@ -1,15 +1,18 @@
-"""Golden guard: exact Delta, Delta+ and S+ tables on pam_rule(3) at 9/6.
+"""Golden guards: exact Delta, Delta+ and S+ tables on pam_rule(3) at 9/6,
+and the stdout of the exact-arithmetic README commands.
 
-The digests were recorded with the code of commit d5250fc, before the
+The table digests were recorded with the code of commit d5250fc, before the
 degree bookkeeping moved to cached per-tree signatures and integer
 weights.  Any change to a coefficient, a term or a truncation shows up
 as a different sha256."""
 
 import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from ristruct.cli import main
 from ristruct.config import pam3d_params
 from ristruct.hopf import Hopf
 from ristruct.sector import generate_from_rule, pam_rule
@@ -62,3 +65,44 @@ def tables():
 @pytest.mark.parametrize("table", sorted(GOLDEN))
 def test_golden_tables_pam3d_9_6(tables, table):
     assert tables[table] == GOLDEN[table]
+
+
+# sha256 of the stdout of the exact-arithmetic README commands, recorded
+# with the code of commit 64f9a25, before the symbolic sum types, the
+# identity checks and the builtin configs were merged.  The five
+# verification commands all print {"failures": [], "ok": true}, hence
+# their shared digest.
+CT_FILE = "counterterms.json"
+GOLDEN_CLI = [
+    (("sector", "gen", "pam3d"),
+     "a0d69b27bf6f84ccaeda77a11976daaed146e5f55ec93bc4a4b7cf8abe81a33f"),
+    (("sector", "gen", "numeric2d"),
+     "44c32e8ca71010619cdf7d88c125ff2b538edbbe8b840ff7e2c13953161a716a"),
+    (("coproduct", "(O() K(H()))", "--eps", "0", "--p", "5"),
+     "c6dd5f61f2ebb88e20540f78a16bf6d21c52847c3c0e4d62c10b267926e40a8d"),
+    (("coproduct", "(O() K(H()))", "--eps", "0", "--p", "5", "--graphical"),
+     "c6dd5f61f2ebb88e20540f78a16bf6d21c52847c3c0e4d62c10b267926e40a8d"),
+    (("phase", "numeric2d"),
+     "00e58d555db3441d367e0ef6079c18f904b6d71ae98f9a48605030016cfc5124"),
+    (("prep", "verify", CT_FILE, "--rule", "numeric2d"),
+     "80a05d2beed2e295d5ca8d864704ad01860334821415d450698081f3f52e591b"),
+    (("verify", "hopf", "numeric2d", "--eps", "1/100", "--p", "5"),
+     "80a05d2beed2e295d5ca8d864704ad01860334821415d450698081f3f52e591b"),
+    (("verify", "hopf", "pam3d"),
+     "80a05d2beed2e295d5ca8d864704ad01860334821415d450698081f3f52e591b"),
+    (("verify", "triangularity", "pam3d"),
+     "80a05d2beed2e295d5ca8d864704ad01860334821415d450698081f3f52e591b"),
+    (("verify", "triangularity", "numeric2d"),
+     "80a05d2beed2e295d5ca8d864704ad01860334821415d450698081f3f52e591b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_CLI,
+                         ids=[" ".join(a) for a, _d in GOLDEN_CLI])
+def test_golden_cli_stdout(argv, digest, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / CT_FILE).write_text(json.dumps({"(O() K(O()))": "-1/3"}))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -6,9 +6,9 @@ import pytest
 
 from ristruct.config import pam3d_params, pam3d_sector
 from ristruct.grading import GenericityError
-from ristruct.hopf import Character, Hopf, TensorSum
-from ristruct.trees import (OMEGA, Tree, X, dot_noise, format_tree, noise,
-                            parse, plant_tree, unit)
+from ristruct.hopf import Character, Hopf, pair_product
+from ristruct.trees import (OMEGA, LinComb, Tree, X, dot_noise, format_tree,
+                            noise, parse, plant_tree, unit)
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def sector():
 
 def test_poly_coproduct_binomial(hopf):
     cop = hopf.coproduct(X((1, 1, 0)), 0, 0)
-    expect = TensorSum([
+    expect = LinComb([
         ((unit(3), X((1, 1, 0))), 1),
         ((X((1, 0, 0)), X((0, 1, 0))), 1),
         ((X((0, 1, 0)), X((1, 0, 0))), 1),
@@ -36,7 +36,7 @@ def test_threshold_example_above(hopf):
     """For p above the crossing 6/(1+2eps) the coproduct has two terms."""
     t = parse("(O() K(H()))", dim=3)
     cop = hopf.coproduct(t, 0, F(1, 7))
-    expect = TensorSum([
+    expect = LinComb([
         ((t, unit(3)), 1),
         ((noise(3), plant_tree("K", (0, 0, 0), dot_noise(3))), 1),
     ])
@@ -47,14 +47,14 @@ def test_threshold_example_below(hopf):
     """Below the crossing three derivative-decorated terms appear."""
     t = parse("(O() K(H()))", dim=3)
     cop = hopf.coproduct(t, 0, F(1, 5))
-    expect = TensorSum([
+    expect = LinComb([
         ((t, unit(3)), 1),
         ((noise(3), plant_tree("K", (0, 0, 0), dot_noise(3))), 1),
     ])
     for j in range(3):
         e = tuple(1 if i == j else 0 for i in range(3))
         decorated_noise = Tree(e, ((OMEGA, (0, 0, 0), unit(3)),))
-        expect.add(decorated_noise, plant_tree("K", e, dot_noise(3)), 1)
+        expect.add((decorated_noise, plant_tree("K", e, dot_noise(3))), 1)
     assert cop == expect
 
 
@@ -176,11 +176,33 @@ def test_gamma_recenter_polynomial(hopf):
 
 
 def test_tensor_sum_algebra():
-    a = TensorSum([((noise(3), unit(3)), F(1, 2))])
-    b = TensorSum([((noise(3), unit(3)), F(-1, 2))])
+    a = LinComb([((noise(3), unit(3)), F(1, 2))])
+    b = LinComb([((noise(3), unit(3)), F(-1, 2))])
     assert not (a + b)
     assert a.scale(2).terms == {(noise(3), unit(3)): F(1)}
     assert (a - b).terms == {(noise(3), unit(3)): F(1)}
-    assert len(a.pair_product(a)) == 1
+    assert len(pair_product(a, a)) == 1
     assert "(x)" in repr(a)
     assert format_tree(noise(3)) in repr(a)
+
+
+def test_two_sided_checks_see_a_dropped_term(monkeypatch):
+    """Both identity checks reject a Delta+ that lost one term."""
+    h = Hopf(pam3d_params())
+    real = h.coproduct_plus
+
+    def lossy(f, eps, invp):
+        """Delta+ without its leading term f (x) 1 on non-unit forests."""
+        out = LinComb(real(f, eps, invp).terms)
+        if not f.is_unit():
+            out.add((f, unit(3)), -out.terms[(f, unit(3))])
+        return out
+
+    eps, invp = F(1, 100), F(1, 5)
+    t = parse("(O() K(O()))", dim=3)
+    g = plant_tree("K", (0, 0, 0), t)
+    assert h.comodule_check(t, eps, invp)
+    assert h.coassociativity_plus_check(g, eps, invp)
+    monkeypatch.setattr(h, "coproduct_plus", lossy)
+    assert not h.comodule_check(t, eps, invp)
+    assert not h.coassociativity_plus_check(g, eps, invp)

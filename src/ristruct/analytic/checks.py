@@ -112,23 +112,22 @@ def qnorm_series(model: Model, t: Tree, base_points, t_values, invp):
     p = INF if invp == 0 else 1 / invp
     ip = integrability(t, p)
     raw, weighted = [], []
+    grid = model.ctx.grid
     # recentered fields often coincide across base points (always for
     # trees with trivial recentering); transform each distinct field once
     groups = {}
-    order = []
     for x in base_points:
         f = model.pi_x(t, x, invp)
         dig = hashlib.blake2b(f.tobytes(), digest_size=16).digest()
         if dig not in groups:
-            groups[dig] = (np.fft.fftn(f), [])
+            groups[dig] = (grid.rfft(f), [])
         groups[dig][1].append(x)
-        order.append(dig)
     for tv in t_values:
         mult = model.ctx.heat_multiplier(float(tv))
         vals = []
-        for dig, (spec, xs) in groups.items():
-            smoothed = np.fft.ifftn(spec * mult).real
-            vals.extend(abs(model.at(smoothed, x)) for x in xs)
+        for spec, xs in groups.values():
+            smoothed = spec * mult
+            vals.extend(abs(grid.point_value(smoothed, x)) for x in xs)
         if ip == INF:
             norm = max(vals)
         else:

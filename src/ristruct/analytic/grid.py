@@ -6,6 +6,21 @@ regular grid over a torus.  The time integral defining the kernel
 operator is evaluated once per derivative multi-index by composite
 Gauss-Legendre quadrature over dyadic blocks and cached; a closed-form
 per-mode expression is kept available as an independent reference.
+
+Fields are real, so every spectrum and multiplier is held in the
+``rfftn`` half-spectrum layout: the full ``fftfreq`` layout on every axis
+but the last, which keeps only its first n//2+1 modes (its Nyquist mode
+keeps the negative frequency of the full layout).  A complex multiplier
+m is stored as its Hermitian part (m(k) + conj(m(-k)))/2, which is what
+the real part of the full complex round trip ``ifftn(fftn(f) m)`` sees;
+it differs from m only at Nyquist modes, and only for symbols odd there.
+Even real symbols (the operator, the cutoff, the time integral, the heat
+kernel, the mollifier) are evaluated on the half grid directly.
+
+A single grid value of a field given by its spectrum is read without an
+inverse transform (``GridSpec.point_value``): a weighted sum over the
+half spectrum, where last-axis bins 0 and n/2 count once and the others
+twice (for their conjugate mirrors), times the phase of the grid point.
 """
 
 from __future__ import annotations
@@ -72,6 +87,44 @@ class GridSpec:
 
     def freq_mesh(self):
         return np.meshgrid(*self.freqs(), indexing="ij")
+
+    # the rfftn half spectrum --------------------------------------------
+
+    @property
+    def half_shape(self) -> tuple:
+        """Shape of a half spectrum: the last axis cut to n//2+1 modes."""
+        return self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
+
+    def half_mesh(self, per_axis):
+        """Broadcastable (sparse) mesh over the half spectrum of per-axis
+        arrays given in the full fftfreq layout."""
+        per_axis = list(per_axis)
+        per_axis[-1] = per_axis[-1][: self.half_shape[-1]]
+        return np.meshgrid(*per_axis, indexing="ij", sparse=True)
+
+    def rfft(self, f):
+        """Half spectrum of a real field."""
+        return np.fft.rfftn(f)
+
+    def irfft(self, spec):
+        """The real field with the given half spectrum."""
+        return np.fft.irfftn(spec, s=self.sizes, axes=tuple(range(self.d)))
+
+    def point_value(self, spec, x) -> float:
+        """The value of ``irfft(spec)`` at grid index x, by one weighted
+        sum over the half spectrum instead of an inverse transform."""
+        out = spec
+        for j, n in enumerate(self.sizes):
+            m = out.shape[0]
+            # reduce k x mod n first, so the phase angle stays small
+            phase = np.exp((2j * np.pi / n) * ((np.arange(m) * x[j]) % n))
+            if j == self.d - 1:
+                phase[1:-1] *= 2.0  # the conjugate mirror modes
+            # contract the leading axis by multiply and sum: a BLAS
+            # product is faster single-threaded, but its threads cost
+            # more than the whole sum at these sizes
+            out = (out * phase.reshape((m,) + (1,) * (out.ndim - 1))).sum(0)
+        return float(out.real) / math.prod(self.sizes)
 
 
 def _sym_from(entries):
@@ -141,8 +194,19 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+# cached heat multipliers (one per time and derivative) and mollifiers
+# (one per level); a sweep over more times evicts the least recently used
+_MULT_CACHE_SIZE = 32
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class OperatorContext:
-    """Grid-bound spectral operators with cached multipliers."""
+    """Grid-bound spectral operators with cached multipliers, all held on
+    the half spectrum (see the module docstring)."""
 
     def __init__(self, grid: GridSpec, op: OperatorSpec,
                  quad: QuadratureSpec | None = None):
@@ -151,40 +215,65 @@ class OperatorContext:
         self.quad = quad or QuadratureSpec()
         if len(op.symbol[0][0]) != grid.d:
             raise ValueError("operator dimension does not match grid")
-        self._lam = grid.freq_mesh()
+        self._lam = grid.half_mesh(grid.freqs())
+        # the frequencies of the mirror mode -k: negated, except on the
+        # Nyquist modes, which are their own mirrors
+        nyq = grid.half_mesh([np.arange(n) == n // 2 for n in grid.sizes])
+        self._lam_neg = [np.where(q, lam, -lam)
+                         for lam, q in zip(self._lam, nyq)]
         self._ilam_pow = {}
-        self.P = self._eval_poly(op.symbol)
-        if np.max(np.abs(self.P.imag)) > 1e-12 * max(
-                1.0, np.max(np.abs(self.P.real))):
-            raise ValueError("operator symbol is not real on the lattice")
-        self.P = self.P.real
+        P = self._poly_at(op.symbol, self._lam)
+        tol = 1e-12 * max(1.0, np.max(np.abs(P.real)))
+        if np.max(np.abs(P.imag)) > tol or np.max(np.abs(
+                P - self._poly_at(op.symbol, self._lam_neg))) > tol:
+            raise ValueError(
+                "operator symbol is not real and even on the lattice")
+        self.P = P.real.copy()
         self._check_ellipticity()
         self._chi_hat = self._make_chi_hat()
         self._S = None
         self._kernel_mult = {}
+        self._heat_mult = {}
+        self._mollify_mult = {}
+        self._coords = None
+
+    def coords(self):
+        """The grid's coordinate meshes, built once and shared read-only."""
+        if self._coords is None:
+            self._coords = [_read_only(c) for c in self.grid.coords()]
+        return self._coords
 
     # multiplier building blocks -----------------------------------------
+
+    def _poly_at(self, entries, lam):
+        """The polynomial sum_k c_k (i lam)^k on the given frequencies."""
+        out = np.zeros(self.grid.half_shape, dtype=complex)
+        for k, c in entries:
+            term = c
+            for l, kj in zip(lam, k):
+                if kj:
+                    term = term * (1j * l) ** kj
+            out = out + term
+        return out
+
+    def _eval_poly(self, entries):
+        """Hermitian part (p(k) + conj(p(-k)))/2 of the polynomial symbol
+        p(i lambda) on the half spectrum; a real array when it is real."""
+        out = 0.5 * (self._poly_at(entries, self._lam)
+                     + np.conj(self._poly_at(entries, self._lam_neg)))
+        return out if out.imag.any() else out.real.copy()
 
     def i_lambda_pow(self, k):
         k = tuple(int(x) for x in k)
         out = self._ilam_pow.get(k)
         if out is None:
-            out = np.ones(self.grid.sizes, dtype=complex)
-            for lam, kj in zip(self._lam, k):
-                if kj:
-                    out = out * (1j * lam) ** kj
+            out = _read_only(self._eval_poly(((k, 1.0),)))
             self._ilam_pow[k] = out
-        return out
-
-    def _eval_poly(self, entries):
-        out = np.zeros(self.grid.sizes, dtype=complex)
-        for k, c in entries:
-            out = out + c * self.i_lambda_pow(k)
         return out
 
     def scaled_freq_sq(self):
         """The anisotropic frequency weight sum_j |lambda_j|^(2/s_j)."""
-        out = np.zeros(self.grid.sizes)
+        out = np.zeros(self.grid.half_shape)
         for lam, s in zip(self._lam, self.grid.scaling):
             out = out + np.abs(lam) ** (2.0 / s)
         return out
@@ -208,10 +297,22 @@ class OperatorContext:
     def chi_hat(self):
         return self._chi_hat
 
+    @staticmethod
+    def _cached(cache, key, build):
+        """Bounded cache: on a miss beyond the bound the least recently
+        used entry goes."""
+        out = cache.pop(key, None)
+        if out is None:
+            out = _read_only(build())
+            if len(cache) >= _MULT_CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[key] = out
+        return out
+
     # transforms ---------------------------------------------------------
 
     def apply_multiplier(self, f, mult):
-        return np.fft.ifftn(np.fft.fftn(f) * mult).real
+        return self.grid.irfft(self.grid.rfft(f) * mult)
 
     def derivative(self, f, k):
         if not any(k):
@@ -219,10 +320,12 @@ class OperatorContext:
         return self.apply_multiplier(f, self.i_lambda_pow(k))
 
     def heat_multiplier(self, t: float, k=None):
-        mult = np.exp(t * self.P)
-        if k is not None and any(k):
-            mult = mult * self.i_lambda_pow(k)
-        return mult
+        k = tuple(int(x) for x in k) if k is not None and any(k) else None
+
+        def build():
+            mult = np.exp(t * self.P)
+            return mult if k is None else mult * self.i_lambda_pow(k)
+        return self._cached(self._heat_mult, (float(t), k), build)
 
     def heat_apply(self, f, t: float, k=None):
         if t <= 0:
@@ -240,7 +343,7 @@ class OperatorContext:
         """int_0^1 exp(t P) dt by Gauss-Legendre over dyadic blocks."""
         x, w = _leggauss(nodes)
         J = self._block_depth()
-        total = np.zeros(self.grid.sizes)
+        total = np.zeros(self.grid.half_shape)
         blocks = [(0.0, 2.0 ** -J)]
         blocks += [(2.0 ** (-j - 1), 2.0 ** -j) for j in range(J)]
         for a, b in blocks:
@@ -277,9 +380,12 @@ class OperatorContext:
         k = tuple(int(x) for x in k)
         mult = self._kernel_mult.get(k)
         if mult is None:
-            B = self._eval_poly(self.op.kernel_derivs)
-            mult = ((1.0 - self._chi_hat) * B * self.i_lambda_pow(k)
-                    * self.time_integral())
+            # B(i lambda) (i lambda)^k as one polynomial, so that its
+            # Hermitian part is that of the product
+            Bk = [(tuple(a + b for a, b in zip(kb, k)), c)
+                  for kb, c in self.op.kernel_derivs]
+            mult = _read_only((1.0 - self._chi_hat) * self._eval_poly(Bk)
+                              * self.time_integral())
             self._kernel_mult[k] = mult
         return mult
 
@@ -294,7 +400,9 @@ class OperatorContext:
     # mollification ------------------------------------------------------
 
     def mollify_multiplier(self, n: int):
-        return np.exp(-self.scaled_freq_sq() * (0.5 * 4.0 ** (-n)))
+        return self._cached(
+            self._mollify_mult, int(n),
+            lambda: np.exp(-self.scaled_freq_sq() * (0.5 * 4.0 ** (-n))))
 
     def mollify(self, f, n: int):
         """Convolve with the scale-2^(-n) Gaussian mollifier."""

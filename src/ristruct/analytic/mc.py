@@ -19,6 +19,10 @@ from .checks import qnorm_series
 MODES = ("qbar", "pointwise")
 
 
+class ConvergenceError(RuntimeError):
+    """A Monte Carlo estimate missed its standard-error threshold."""
+
+
 def _check_target(sector: Sector, tree: Tree) -> None:
     if tree not in set(sector.basis):
         raise ValueError("constant target must be a basis tree")
@@ -45,8 +49,9 @@ def constant_samples(sector: Sector, hopf: Hopf, ctx: OperatorContext,
         xi = ctx.mollify(white_noise(ctx.grid, seed, i), level)
         model = Model(sector, hopf, ctx, xi, eps=eps, prep=prep)
         if mode == "qbar":
-            field = ctx.heat_apply(model.pi_x(tree, origin, 0), 1.0)
-            out[i] = model.at(field, origin)
+            spec = ctx.grid.rfft(model.pi_x(tree, origin, 0))
+            out[i] = ctx.grid.point_value(spec * ctx.heat_multiplier(1.0),
+                                          origin)
         else:
             out[i] = float(np.mean(model.interp(tree)))
     return out
@@ -78,7 +83,7 @@ def solve_bphz_c(sector: Sector, hopf: Hopf, ctx: OperatorContext,
             sector, hopf, ctx, prep, t, level, n_samples, seed,
             mode=mode))
         if stderr_threshold is not None and stderr > stderr_threshold:
-            raise RuntimeError(
+            raise ConvergenceError(
                 f"estimate for {t!r} did not converge (stderr {stderr:.3e})")
         values[t] = Fraction(-mean).limit_denominator(10 ** 12)
         info[t] = {"mean": mean, "stderr": stderr}

@@ -45,7 +45,6 @@ class Model:
         self.xi = np.asarray(xi, dtype=float)
         self.h = (np.zeros(ctx.grid.sizes) if h is None
                   else np.asarray(h, dtype=float))
-        self._coords = ctx.grid.coords()
         self._axes = ctx.grid.axes()
         self._interp = {}
         self._ki = {}
@@ -71,8 +70,8 @@ class Model:
         xc = self.base_coord(x) if x is not None else None
         for j, kj in enumerate(k):
             if kj:
-                c = self._coords[j] - xc[j] if xc else self._coords[j]
-                out = out * c ** kj
+                c = self.ctx.coords()[j]
+                out = out * (c - xc[j] if xc else c) ** kj
         return out
 
     @staticmethod
@@ -181,17 +180,21 @@ class Model:
             elif lab == H:
                 out = self.at(self._dhfield(k), x)
             elif lab == K:
-                out = self.at(self._kernel_recentered(sub, k, x, invp), x)
+                out = self.ctx.grid.point_value(
+                    self._recentered_spectrum(sub, x, invp)
+                    * self.ctx.kernel_multiplier(k), x)
             else:
                 raise ValueError("noise edges have negative degree")
             self._f[key] = out
         return out
 
-    def _kernel_recentered(self, sub: Tree, k, x, invp):
-        key = (sub, tuple(k), tuple(x), Fraction(invp))
+    def _recentered_spectrum(self, sub: Tree, x, invp):
+        """Half spectrum of pi_x(sub), shared by the kernel reads of every
+        derivative order at x (the oracle route reads full fields)."""
+        key = (sub, tuple(x), Fraction(invp))
         out = self._kf1.get(key)
         if out is None:
-            out = self.ctx.kernel_apply(self.pi_x(sub, x, invp), k)
+            out = self.ctx.grid.rfft(self.pi_x(sub, x, invp))
             self._kf1[key] = out
         return out
 

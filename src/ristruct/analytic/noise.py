@@ -29,12 +29,11 @@ def random_fourier_series(grid: GridSpec, amplitude, seed: int,
     """Stationary Gaussian field with spectral amplitude profile.
 
     ``amplitude`` maps the array of Euclidean frequency magnitudes to
-    per-mode amplitudes; the sample is real by construction (spectral
-    shaping of a real white-noise field keeps conjugate symmetry)."""
+    per-mode amplitudes; the sample is real by construction: a real
+    white-noise field is shaped on its half spectrum."""
     base = white_noise(grid, seed, stream)
-    mag = np.sqrt(sum(a ** 2 for a in grid.freq_mesh()))
-    spec = np.fft.fftn(base) * amplitude(mag)
-    return np.fft.ifftn(spec).real
+    mag = np.sqrt(sum(a ** 2 for a in grid.half_mesh(grid.freqs())))
+    return grid.irfft(grid.rfft(base) * amplitude(mag))
 
 
 def smooth_field(grid: GridSpec, seed: int, stream: int = 0,
@@ -46,7 +45,6 @@ def smooth_field(grid: GridSpec, seed: int, stream: int = 0,
 
 def truncate_modes(grid: GridSpec, f: np.ndarray, n: int) -> np.ndarray:
     """Keep only the Fourier modes with integer index norm <= n."""
-    idx = np.meshgrid(*[np.fft.fftfreq(m) * m for m in grid.sizes],
-                      indexing="ij")
+    idx = grid.half_mesh([np.fft.fftfreq(m) * m for m in grid.sizes])
     keep = sum(a ** 2 for a in idx) <= float(n) ** 2
-    return np.fft.ifftn(np.fft.fftn(f) * keep).real
+    return grid.irfft(grid.rfft(f) * keep)

@@ -440,6 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _numeric_errors():
+    """The errors that mean numeric non-convergence; imported only once
+    something has been raised, so symbolic commands never load numpy."""
+    from .analytic.grid import QuadratureError
+    from .analytic.mc import ConvergenceError
+    return QuadratureError, ConvergenceError
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
@@ -452,7 +460,7 @@ def main(argv=None) -> int:
             KeyError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:
+    except _numeric_errors() as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ristruct.cli import EXIT_CONFIG, EXIT_VERIFY, main
+from ristruct import cli
+from ristruct.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_VERIFY, main
 
 
 def run(capsys, *argv):
@@ -201,3 +202,35 @@ def test_bad_config_exit(capsys, tmp_path):
     bad.write_text("{not json")
     code, _o, _e = run(capsys, "sector", "gen", str(bad))
     assert code == EXIT_CONFIG
+
+
+def test_quadrature_failure_exit(capsys, small_cfg, tmp_path):
+    cfg = json.loads(open(small_cfg).read())
+    cfg["quad"] = {"nodes_per_block": 2, "extra_depth": 0,
+                   "check_nodes": 3, "tol": 1e-12}
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(cfg))
+    code, _o, err = run(capsys, "model", "build", str(path))
+    assert code == EXIT_NUMERIC
+    assert "quadrature" in json.loads(err)["error"]
+
+
+def test_bphz_convergence_exit(capsys, tmp_path):
+    cfg = {"rule": "numeric2d", "grid": {"sizes": [32, 32]},
+           "noise": {"kind": "white", "mollify": 3}, "seed": 3,
+           "mollify": 3, "samples": 8, "stderrThreshold": 1e-12}
+    path = tmp_path / "bphz.json"
+    path.write_text(json.dumps(cfg))
+    code, _o, err = run(capsys, "bphz", "solve", str(path))
+    assert code == EXIT_NUMERIC
+    assert "did not converge" in json.loads(err)["error"]
+
+
+def test_internal_runtime_error_is_not_an_exit_code(capsys, monkeypatch):
+    """Only the numeric non-convergence errors exit 3; any other
+    RuntimeError is a bug and surfaces as a traceback."""
+    def broken(args):
+        raise RuntimeError("internal bug")
+    monkeypatch.setattr(cli, "cmd_sector_gen", broken)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        main(["sector", "gen", "pam3d"])

@@ -163,3 +163,160 @@ def test_truncate_modes(grid):
     spec = np.fft.fftn(g)
     assert abs(spec[5, 5]) < 1e-10 * max(abs(spec[1, 0]), 1.0)
     assert rel(truncate_modes(grid, g, 2), g) < 1e-13
+
+
+# the half-spectrum path against the full complex round trip -------------
+
+HALF_GRIDS = [(32, 32), (32, 16), (16, 32), (16, 16, 16)]
+
+
+def _grid(sizes):
+    return GridSpec(sizes, (2 * np.pi,) * len(sizes), (1.0,) * len(sizes))
+
+
+def _ctx(sizes):
+    d = len(sizes)
+    op = fourth_order_op(d) if d == 3 else second_order_op(d)
+    return OperatorContext(_grid(sizes), op, QuadratureSpec())
+
+
+def _full_poly(lam, entries):
+    """sum_k c_k (i lambda)^k on the full fftfreq mesh."""
+    out = np.zeros(lam[0].shape, dtype=complex)
+    for k, c in entries:
+        term = np.full(lam[0].shape, complex(c))
+        for l, kj in zip(lam, k):
+            term = term * (1j * l) ** kj
+        out = out + term
+    return out
+
+
+def _unfold_even(grid, half):
+    """The full-grid array of a symbol even in k, from its half spectrum."""
+    n = grid.sizes[-1]
+    full = np.empty(grid.sizes)
+    full[..., : n // 2 + 1] = half
+    mirror = half
+    for ax in range(grid.d - 1):        # k -> -k on the leading axes
+        mirror = np.roll(np.flip(mirror, ax), 1, ax)
+    full[..., n // 2 + 1:] = mirror[..., n - np.arange(n // 2 + 1, n)]
+    return full
+
+
+def _reference(f, mult):
+    """The complex round trip ifftn(fftn(f) m) on the full grid."""
+    return np.fft.ifftn(np.fft.fftn(f) * mult).real
+
+
+def _full_multipliers(ctx):
+    lam = ctx.grid.freq_mesh()
+    P = _full_poly(lam, ctx.op.symbol).real
+    sigma = ctx.op.cutoff_width * 2.0 * np.pi / max(ctx.grid.period)
+    chi = np.exp(-sum(np.abs(l) ** (2.0 / s)
+                      for l, s in zip(lam, ctx.grid.scaling))
+                 / (2.0 * sigma ** 2))
+    S = _unfold_even(ctx.grid, ctx.time_integral())
+
+    def ilam(k):
+        return _full_poly(lam, [(k, 1.0)])
+
+    def kernel(k):
+        return (1.0 - chi) * _full_poly(lam, ctx.op.kernel_derivs) \
+            * ilam(k) * S
+    return P, ilam, kernel
+
+
+def _orders(d):
+    return [(1,) + (0,) * (d - 1), (0,) * (d - 1) + (1,), (1,) * d,
+            (2,) + (0,) * (d - 2) + (1,), (0,) * (d - 1) + (3,),
+            (2,) + (0,) * (d - 1)]
+
+
+@pytest.mark.parametrize("sizes", HALF_GRIDS)
+def test_half_spectrum_matches_complex_round_trip(sizes):
+    """White noise populates every Nyquist mode, where the Hermitian part
+    of an odd symbol differs from the symbol."""
+    ctx = _ctx(sizes)
+    f = white_noise(ctx.grid, 17, 0)
+    P, ilam, kernel = _full_multipliers(ctx)
+    for k in _orders(ctx.grid.d):
+        assert rel(ctx.derivative(f, k), _reference(f, ilam(k))) \
+            < 1e-13
+        for t in (0.01, 0.3):
+            assert rel(ctx.heat_apply(f, t, k),
+                       _reference(f, np.exp(t * P) * ilam(k))) < 1e-13
+        assert rel(ctx.kernel_apply(f, k),
+                   _reference(f, kernel(k))) < 1e-13
+    zero = (0,) * ctx.grid.d
+    assert rel(ctx.heat_apply(f, 0.3), _reference(f, np.exp(0.3 * P))) \
+        < 1e-13
+    assert rel(ctx.kernel_apply(f), _reference(f, kernel(zero))) < 1e-13
+
+
+@pytest.mark.parametrize("sizes", HALF_GRIDS)
+def test_point_value_matches_full_field_read(sizes):
+    ctx = _ctx(sizes)
+    grid = ctx.grid
+    f = white_noise(grid, 23, 0)
+    spec = grid.rfft(f)
+    points = [(0,) * grid.d, tuple(n // 2 for n in grid.sizes),
+              tuple(n - 1 for n in grid.sizes),
+              tuple((5 * j + 3) % n for j, n in enumerate(grid.sizes))]
+    k = (1,) * grid.d
+    for mult in (ctx.heat_multiplier(0.05), ctx.heat_multiplier(0.05, k),
+                 ctx.kernel_multiplier(k), ctx.i_lambda_pow(k)):
+        field = ctx.apply_multiplier(f, mult)
+        scale = np.max(np.abs(field))
+        for x in points:
+            got = grid.point_value(spec * mult, x)
+            assert isinstance(got, float)
+            assert abs(got - field[x]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("sizes", HALF_GRIDS)
+def test_noise_matches_complex_formula(sizes):
+    grid = _grid(sizes)
+    base = white_noise(grid, 7, 0)
+    mag = np.sqrt(sum(a ** 2 for a in grid.freq_mesh()))
+    ref = np.fft.ifftn(np.fft.fftn(base) * np.exp(-mag)).real
+    assert rel(random_fourier_series(grid, lambda m: np.exp(-m), 7, 0),
+               ref) < 1e-13
+    idx = np.meshgrid(*[np.fft.fftfreq(m) * m for m in grid.sizes],
+                      indexing="ij")
+    keep = sum(a ** 2 for a in idx) <= 3.0 ** 2
+    ref = np.fft.ifftn(np.fft.fftn(base) * keep).real
+    assert rel(truncate_modes(grid, base, 3), ref) < 1e-13
+
+
+def test_multipliers_are_cached_and_bounded(ctx):
+    a = ctx.heat_multiplier(0.25)
+    assert ctx.heat_multiplier(0.25) is a
+    assert ctx.heat_multiplier(0.25, (1, 0)) is ctx.heat_multiplier(0.25,
+                                                                    (1, 0))
+    assert ctx.heat_multiplier(0.25, (0, 0)) is a
+    m = ctx.mollify_multiplier(3)
+    assert ctx.mollify_multiplier(3) is m
+    for arr in (a, m, ctx.kernel_multiplier((1, 0)), ctx.i_lambda_pow((1, 0))):
+        assert not arr.flags.writeable
+    # a sweep over many times evicts the oldest entries instead of growing
+    for j in range(1, 200):
+        ctx.heat_multiplier(j / 1000.0)
+    again = ctx.heat_multiplier(0.25)
+    assert again is not a and np.array_equal(again, a)
+
+
+def test_coords_built_once_read_only(ctx, grid):
+    c = ctx.coords()
+    assert ctx.coords() is c
+    for got, expect in zip(c, grid.coords()):
+        assert np.array_equal(got, expect)
+        assert not got.flags.writeable
+
+
+def test_symbol_must_be_even(grid):
+    """A real but odd symbol part has no half-spectrum heat semigroup
+    matching the complex round trip, so it is refused."""
+    odd = OperatorSpec(symbol=(((2, 0), 1.0), ((0, 2), 1.0),
+                               ((1, 0), 0.5j)), ell=2.0)
+    with pytest.raises(ValueError):
+        OperatorContext(grid, odd, QuadratureSpec())

@@ -81,7 +81,7 @@ def test_solve_bphz_self_consistency(setup):
 
 def test_solve_bphz_threshold(setup):
     sector, hopf, ctx = setup
-    with pytest.raises(RuntimeError):
+    with pytest.raises(mc.ConvergenceError):
         mc.solve_bphz_c(sector, hopf, ctx, level=3, n_samples=8, seed=1,
                         stderr_threshold=1e-12)
 

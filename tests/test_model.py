@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from ristruct.analytic import mc
 from ristruct.analytic.checks import (check_comparison,
                                       check_derivative_identity,
                                       check_recentering_consistency,
@@ -14,10 +15,11 @@ from ristruct.analytic.checks import (check_comparison,
 from ristruct.analytic.grid import (GridSpec, OperatorContext,
                                     QuadratureSpec, second_order_op)
 from ristruct.analytic.model import Model
-from ristruct.analytic.noise import smooth_field
+from ristruct.analytic.noise import smooth_field, white_noise
 from ristruct.config import numeric2d_sector
 from ristruct.hopf import Hopf
-from ristruct.trees import X, parse, plant_tree, unit
+from ristruct.renorm import IdentityMap
+from ristruct.trees import K, X, parse, plant_tree, unit
 
 EPS = F(1, 100)
 
@@ -145,3 +147,75 @@ def test_g_norm_coordinate(setup):
     offsets = [(1, 0), (0, 1), (2, 0), (1, 1)]
     val = g_norm(model, X((1, 0)), [X0, Y0], offsets, F(0))
     assert abs(val - 1.0) < 1e-12
+
+
+# spectral point reads against full inverse transforms --------------------
+
+def _heat_full(ctx, t):
+    """exp(t P) on the full fftfreq grid, for the complex round trip."""
+    return np.exp(-t * sum(l ** 2 for l in ctx.grid.freq_mesh()))
+
+
+def test_kernel_edge_reads_match_full_field(setup):
+    """f_x on a K edge reads one spectrum per (sub, x, 1/p) at every
+    derivative order; it equals the value of the full kernel field."""
+    _s, hopf, ctx, _xi, _hf, model = setup
+    sub = parse("(H())", dim=2)
+    invp = F(1, 20)
+    seen = 0
+    for x in (X0, Y0, (0, 0)):
+        field = model.pi_x(sub, x, invp)
+        for k in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            if hopf.planted_degree(K, k, sub, EPS, invp) <= 0:
+                continue
+            full = ctx.kernel_apply(field, k)
+            got = model.f_x(K, k, sub, x, invp)
+            assert abs(got - model.at(full, x)) \
+                <= 1e-13 * np.max(np.abs(full))
+            seen += 1
+    assert seen >= 3
+
+
+def test_oracle_route_reads_full_fields(setup, monkeypatch):
+    """The Taylor-subtraction route never uses the spectral point read,
+    so the route check compares two ways of reading point values."""
+    sector, hopf, ctx, xi, hf, _m = setup
+
+    def refuse(*_a):
+        raise AssertionError("pi_x_hat used the spectral point read")
+    monkeypatch.setattr(GridSpec, "point_value", refuse)
+    model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+    for t in sector.members():
+        model.pi_x_hat(t, X0, F(1, 20))
+
+
+def test_constant_samples_match_full_inverse(setup):
+    sector, hopf, ctx, _xi, _hf, _m = setup
+    tau2 = parse("(O() K(O()))", dim=2)
+    got = mc.constant_samples(sector, hopf, ctx, IdentityMap(), tau2, 3, 4,
+                              29)
+    heat = _heat_full(ctx, 1.0)
+    for i, value in enumerate(got):
+        xi = ctx.mollify(white_noise(ctx.grid, 29, i), 3)
+        model = Model(sector, hopf, ctx, xi, eps=0, prep=IdentityMap())
+        field = np.fft.ifftn(np.fft.fftn(model.pi_x(tau2, (0, 0), 0))
+                             * heat).real
+        assert abs(value - field[0, 0]) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_qnorm_series_matches_full_inverse(setup):
+    _s, _h, ctx, _xi, _hf, model = setup
+    ts = [2.0 ** (-j) for j in (6, 4, 2)]
+    points = [X0, Y0, (0, 0)]
+    for tree, invp, p in ((parse("(O() K(O()))", dim=2), F(0), None),
+                          (parse("(O() K(H()))", dim=2), F(1, 3), 3.0)):
+        raw, _w = qnorm_series(model, tree, points, ts, invp)
+        for tv, norm in zip(ts, raw):
+            vals = []
+            for x in points:
+                field = np.fft.ifftn(np.fft.fftn(model.pi_x(tree, x, invp))
+                                     * _heat_full(ctx, tv)).real
+                vals.append(abs(field[x]))
+            expect = (max(vals) if p is None
+                      else np.mean([v ** p for v in vals]) ** (1.0 / p))
+            assert abs(norm - expect) <= 1e-12 * expect

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..grading import degree, p_transition, to_invp
+from ..grading import p_transition, to_invp
 from ..hopf import Hopf
 from ..renorm import IdentityMap, PreparationMap
 from ..sector import Sector
@@ -175,7 +175,8 @@ class Model:
         key = (lab, tuple(k), sub, tuple(x), invp)
         out = self._f.get(key)
         if out is None:
-            if self.hopf.planted_degree(lab, k, sub, self.eps, invp) <= 0:
+            tr = self.hopf.truncation(self.eps, invp)
+            if self.hopf._planted_num(lab, k, sub, tr) <= 0:
                 out = 0.0
             elif lab == H:
                 out = self.at(self._dhfield(k), x)
@@ -276,9 +277,9 @@ class Model:
         construction is constant."""
         if not mu.is_planted():
             return 0.0
-        invp = Fraction(invp)
-        r_p = degree(mu, self.params, self.eps, invp)
-        r_2 = degree(mu, self.params, self.eps, Fraction(1, 2))
+        hopf = self.hopf
+        r_p = hopf.degree_num(mu, hopf.truncation(self.eps, invp))
+        r_2 = hopf.degree_num(mu, hopf.truncation(self.eps, Fraction(1, 2)))
         if not (r_p <= 0 < r_2):
             return 0.0
         p_mu = p_transition(mu, self.params, self.eps)

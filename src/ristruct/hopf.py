@@ -13,13 +13,14 @@ of them componentwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
 from math import lcm
 
 from .grading import GenericityError, Params, degree_consts
 from .trees import (H, K, OMEGA, LinComb, Tree, X, has_k_leaf, mi_abs,
                     mi_add, mi_binom, mi_factorial, mi_range, mi_sub,
-                    mi_zero, plant, plant_tree, tree_product, unit)
+                    mi_zero, plant_tree, tree_product, unit)
 
 
 def pair_product(x: LinComb, y: LinComb) -> LinComb:
@@ -98,22 +99,33 @@ class Hopf:
         self._lattices = {}
 
     def truncation(self, eps, invp) -> _Truncation:
-        key = (Fraction(eps), Fraction(invp))
-        tr = self._truncations.get(key)
+        """The _Truncation at (eps, 1/p), built on first use.
+
+        The arguments are tried as a key before they are converted, so
+        a repeated point costs one lookup.  Only the converted key is
+        stored: a 1/p outside [0, 1/2] is refused on every call."""
+        tr = self._truncations.get((eps, invp))
         if tr is None:
-            tr = self._truncations[key] = _Truncation(self.params, self._D,
-                                                      *key)
+            key = (Fraction(eps), Fraction(invp))
+            tr = self._truncations.get(key)
+            if tr is None:
+                tr = self._truncations[key] = _Truncation(
+                    self.params, self._D, *key)
         return tr
 
     def _dot(self, k) -> int:
         return sum(x * y for x, y in zip(k, self._w))
 
+    def degree_num(self, t: Tree, tr: _Truncation) -> int:
+        """M times the degree of t at the truncation tr, as an integer."""
+        omega, edges, h = t.stats()
+        return ((omega + h) * tr.r + (edges - omega - h) * tr.beta0
+                + h * tr.s_invp + tr.m * self._dot(t.net()))
+
     def _planted_num(self, lab: str, k, sub: Tree, tr: _Truncation) -> int:
         """M times the degree of the planted tree I_k^lab(sub)."""
-        omega, edges, h = sub.stats()
-        return ((omega + h) * tr.r + (edges - omega - h) * tr.beta0
-                + h * tr.s_invp + tr.label[lab]
-                + tr.m * (self._dot(sub.net()) - self._dot(k)))
+        return (self.degree_num(sub, tr) + tr.label[lab]
+                - tr.m * self._dot(k))
 
     def planted_degree(self, lab: str, k, sub: Tree, eps, invp) -> Fraction:
         """Degree of the planted tree I_k^lab(sub) at (eps, 1/p)."""
@@ -169,32 +181,36 @@ class Hopf:
 
     def coproduct(self, t: Tree, eps, invp) -> LinComb:
         """Delta_{eps,p} via the recursive formula (primary route)."""
-        return self._coproduct(t, eps, invp, False)
+        return self._coproduct(t, self.truncation(eps, invp))
 
-    def _coproduct(self, t: Tree, eps, invp, plus: bool) -> LinComb:
-        tr = self.truncation(eps, invp)
+    def _coproduct(self, t: Tree, tr: _Truncation, plus=False) -> LinComb:
+        """Delta (plus=False) or Delta+ (plus=True) of t at tr.
+
+        The polynomial factor is left out when t.n is zero, since its
+        coproduct is then the unit 1 (x) 1."""
         memo = tr.cop_plus if plus else tr.cop
         cached = memo.get(t)
         if cached is not None:
             return cached
-        out = self._poly_coproduct(t.n)
-        for lab, e, sub in t.children:
-            out = pair_product(out, self._coproduct_planted(
-                lab, e, sub, eps, invp, tr, plus))
-        memo[t] = out
+        factors = [self._coproduct_planted(lab, e, sub, tr, plus)
+                   for lab, e, sub in t.children]
+        if any(t.n) or not factors:
+            factors.insert(0, self._poly_coproduct(t.n))
+        out = memo[t] = reduce(pair_product, factors)
         return out
 
-    def _coproduct_planted(self, lab, k, sub, eps, invp, tr, plus: bool)\
-            -> LinComb:
+    def _coproduct_planted(self, lab, k, sub, tr, plus: bool) -> LinComb:
         """Delta (plus=False) or Delta+ (plus=True) of I_k^lab(sub).
 
         They differ only in the planted left factors: Delta+ keeps those
-        of positive degree."""
+        of positive degree.  A left factor planted along K on a bare
+        polynomial lies in the K-leaf ideal and is dropped."""
         out = LinComb()
-        for (sigma, forest), c in self.coproduct(sub, eps, invp):
-            for pt, pc in plant(lab, k, sigma):
-                if not plus or self._positive(lab, k, sigma, tr):
-                    out.add((pt, forest), c * pc)
+        for (sigma, forest), c in self._coproduct(sub, tr):
+            if lab == K and sigma.is_poly():
+                continue
+            if not plus or self._positive(lab, k, sigma, tr):
+                out.add((plant_tree(lab, k, sigma), forest), c)
         for l, inv_fact in self._decoration_candidates(lab, k, sub, tr):
             out.add((X(l), plant_tree(lab, mi_add(k, l), sub)), inv_fact)
         return out
@@ -267,35 +283,39 @@ class Hopf:
 
     def coproduct_plus(self, f: Tree, eps, invp) -> LinComb:
         """Delta+_{eps,p} on a forest in the P+ range."""
-        return self._coproduct(f, eps, invp, True)
+        return self._coproduct(f, self.truncation(eps, invp), True)
 
     # antipode -----------------------------------------------------------
 
     def antipode(self, f: Tree, eps, invp) -> LinComb:
         """S+_{eps,p} of a forest, as a LinComb of forests."""
-        tr = self.truncation(eps, invp)
+        return self._antipode(f, self.truncation(eps, invp))
+
+    def _antipode(self, f: Tree, tr: _Truncation) -> LinComb:
+        """S+ of f at tr, multiplicative over the factors of f; the
+        polynomial factor is left out when f.n is zero, as in Delta."""
         cached = tr.antipode.get(f)
         if cached is not None:
             return cached
-        out = LinComb.single(X(tuple(f.n)), (-1) ** mi_abs(f.n))
-        for lab, e, sub in f.children:
-            out = out.product(self._antipode_planted(lab, e, sub, eps, invp,
-                                                     tr))
-        tr.antipode[f] = out
+        factors = [self._antipode_planted(lab, e, sub, tr)
+                   for lab, e, sub in f.children]
+        if any(f.n) or not factors:
+            factors.insert(0, LinComb.single(X(f.n), (-1) ** mi_abs(f.n)))
+        out = tr.antipode[f] = reduce(LinComb.product, factors)
         return out
 
-    def _antipode_planted(self, lab, k, sub, eps, invp, tr) -> LinComb:
+    def _antipode_planted(self, lab, k, sub, tr: _Truncation) -> LinComb:
         key = (lab, k, sub)
         cached = tr.antipode_planted.get(key)
         if cached is not None:
             return cached
         out = LinComb()
-        for (sigma, forest), c in self.coproduct(sub, eps, invp):
+        for (sigma, forest), c in self._coproduct(sub, tr):
             s_forest = None
             for l, inv_fact in self._decoration_candidates(lab, k, sigma,
                                                            tr):
                 if s_forest is None:
-                    s_forest = self.antipode(forest, eps, invp)
+                    s_forest = self._antipode(forest, tr)
                 left = tree_product(X(l),
                                     plant_tree(lab, mi_add(k, l), sigma))
                 coeff = (inv_fact if mi_abs(l) % 2 else -inv_fact) * c
@@ -356,9 +376,10 @@ class Hopf:
 
     def convolution_check(self, f: Tree, eps, invp) -> bool:
         """M(S+ (x) id)Delta+ equals unit o counit on f."""
+        tr = self.truncation(eps, invp)
         out = LinComb()
-        for (f1, f2), c in self.coproduct_plus(f, eps, invp):
-            for g, cg in self.antipode(f1, eps, invp):
+        for (f1, f2), c in self._coproduct(f, tr, True):
+            for g, cg in self._antipode(f1, tr):
                 out.add(tree_product(g, f2), c * cg)
         expected = (LinComb.single(unit(self.d), 1) if self.counit(f)
                     else LinComb())

@@ -88,6 +88,7 @@ class RcMap(PreparationMap):
         self.strict_sector = strict_sector
         self._members = set(sector.members())
         self._memo = {}
+        self._tr = hopf.truncation(0, Fraction(1, 2))
 
     def apply(self, t: Tree) -> LinComb:
         cached = self._memo.get(t)
@@ -95,8 +96,7 @@ class RcMap(PreparationMap):
             return cached
         out = LinComb.single(t, 1)
         if not (t.is_poly() or t.is_planted()):
-            for (left, right), coeff in self.hopf.coproduct(
-                    t, 0, Fraction(1, 2)):
+            for (left, right), coeff in self.hopf._coproduct(t, self._tr):
                 cv = self.c(left)
                 if cv:
                     out.add(right, Fraction(cv) * coeff)
@@ -135,35 +135,37 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
     (a) polynomials and the two noises are fixed; (b) every non-leading
     term strictly gains degree at p in {2, inf} and loses Omega edges;
     (c) K-planted trees are fixed; (d) R commutes with Delta_{0,2};
-    (e) R commutes with the derivative map."""
+    (e) R commutes with the derivative map.  Degrees are compared as the
+    integers hopf.degree_num, so hopf must be built on s.params."""
     report = PrepReport()
-    params = s.params
     half = Fraction(1, 2)
 
     for t in s.polys:
         if R.apply(t) != LinComb.single(t, 1):
             report.fail("a", t, "polynomial not fixed")
-    d = params.d
+    d = s.params.d
     ocirc = plant_tree(OMEGA, mi_zero(d), unit(d))
     odot = plant_tree(H, mi_zero(d), unit(d))
     for t in (ocirc, odot):
         if R.apply(t) != LinComb.single(t, 1):
             report.fail("a", t, "noise not fixed")
 
+    truncations = [(invp, hopf.truncation(0, invp))
+                   for invp in (Fraction(0), half)]
     for t in s.members():
         rt = R.apply(t)
         lead = rt.terms.get(t, 0)
         if lead != 1:
             report.fail("b", t, f"leading coefficient {lead}")
+        t_nums = [hopf.degree_num(t, tr) for _invp, tr in truncations]
         for term, _c in rt:
             if term is t:
                 continue
             if term.omega_count() >= t.omega_count():
                 report.fail("b", t, f"term {term!r} does not drop the "
                             "Omega count")
-            for invp in (Fraction(0), half):
-                if not (degree(term, params, 0, invp)
-                        > degree(t, params, 0, invp)):
+            for (invp, tr), t_num in zip(truncations, t_nums):
+                if not hopf.degree_num(term, tr) > t_num:
                     report.fail("b", t, f"term {term!r} does not gain "
                                 f"degree at 1/p={invp}")
 

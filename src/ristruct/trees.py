@@ -200,10 +200,23 @@ def canonicalize(n: Iterable[int], children: Iterable[tuple]) -> Tree:
 
 
 def tree_product(a: Tree, b: Tree) -> Tree:
-    """Product by root identification; root decorations add."""
-    if a.dim != b.dim:
+    """Product by root identification; root decorations add.
+
+    A unit factor returns the other one.  Otherwise both child lists are
+    already in canonical order, so merging their encodings gives the
+    product's encoding, which is looked up in the interning table before
+    any child is sorted."""
+    if len(a.n) != len(b.n):
         raise ValueError("dimension mismatch")
-    return Tree(mi_add(a.n, b.n), a.children + b.children)
+    if not b.children and not any(b.n):
+        return a
+    if not a.children and not any(a.n):
+        return b
+    n = mi_add(a.n, b.n)
+    cached = Tree._intern.get((n, tuple(sorted(a._enc[1] + b._enc[1]))))
+    if cached is not None:
+        return cached
+    return Tree(n, a.children + b.children)
 
 
 class LinComb:
@@ -299,21 +312,21 @@ def plant(label: str, k: MultiIndex, t: Tree) -> LinComb:
     Returns the zero combination when planting a bare polynomial along a
     K edge: such trees lie in the ideal of K-labeled leaves.
     """
-    k = tuple(k)
-    if len(k) != t.dim:
-        raise ValueError("dimension mismatch")
     if label == K and t.is_poly():
+        if len(k) != t.dim:
+            raise ValueError("dimension mismatch")
         return LinComb()
-    return LinComb.single(Tree(mi_zero(t.dim), ((label, k, t),)))
+    return LinComb.single(plant_tree(label, k, t))
 
 
 def plant_tree(label: str, k: MultiIndex, t: Tree) -> Tree:
     """Planting that must not vanish; raises if it falls in the ideal."""
-    v = plant(label, k, t)
-    if not v:
+    k = tuple(k)
+    if len(k) != t.dim:
+        raise ValueError("dimension mismatch")
+    if label == K and t.is_poly():
         raise ValueError("planted tree lies in the K-leaf ideal")
-    (tree, _c), = v
-    return tree
+    return Tree(mi_zero(t.dim), ((label, k, t),))
 
 
 def quotient_by_K_leaves(v: LinComb) -> LinComb:

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from ristruct.config import pam3d_params, pam3d_sector
-from ristruct.grading import GenericityError
+from ristruct.grading import GenericityError, degree
 from ristruct.hopf import Character, Hopf, pair_product
+from ristruct.sector import generate_from_rule, pam_rule
 from ristruct.trees import (OMEGA, LinComb, Tree, X, dot_noise, format_tree,
                             noise, parse, plant_tree, unit)
 
@@ -107,6 +108,58 @@ def test_genericity_ties_with_fractional_scaling():
     # below the tie (3, 0) and (0, 1) join the decorations (0, 0)..(2, 0)
     assert len(h.coproduct(t, F(1, 20), 0)) \
         == len(h.coproduct(t, F(1, 5), 0)) + 2
+
+
+def _assert_integer_degrees(h, trees, points):
+    """Hopf.degree_num is M times grading.degree at each (eps, 1/p), and
+    the planted degree of a planted tree is its degree."""
+    for eps, invp in points:
+        tr = h.truncation(eps, invp)
+        for t in trees:
+            deg = degree(t, h.params, eps, invp)
+            assert F(h.degree_num(t, tr), tr.M) == deg
+            if t.is_planted():
+                (lab, k, sub), = t.children
+                assert h.planted_degree(lab, k, sub, eps, invp) == deg
+
+
+def test_integer_degree_matches_grading_pam3d_9_6():
+    params = pam3d_params()
+    s = generate_from_rule(pam_rule(3), max_omega=6, poly_bound=F(2),
+                           params=params, max_edges=9)
+    h = Hopf(params)
+    trees = set(s.members())
+    for invp in (F(0), F(1, 5)):
+        trees.update(s.w_plus_generators(F(1, 100), invp))
+    _assert_integer_degrees(h, trees, ((F(1, 100), F(0)),
+                                       (F(1, 100), F(1, 5)),
+                                       (F(0), F(1, 2))))
+
+
+def test_integer_degree_with_fractional_scaling():
+    h = _anisotropic()
+    trees = [parse(s, dim=2) for s in (
+        "(O())", "(H())", "(O() K(O()))", "(n=(1,0) O() K^(0,1)(O()))",
+        "(K^(3,0)(O()))", "(K^(0,1)(H^(1,1)() O()))",
+        "(n=(0,2) O() H() K^(1,1)(O() K^(2,0)(H())))")]
+    trees += [plant_tree("K", (0, 0), t) for t in trees]
+    _assert_integer_degrees(h, trees, ((F(1, 7), F(0)), (F(1, 10), F(0)),
+                                       (F(1, 20), F(1, 3)),
+                                       (F(0), F(1, 2))))
+
+
+def test_truncation_resolves_equal_points_to_one_memo(hopf):
+    t = parse("(O() K(H()))", dim=3)
+    cop = hopf.coproduct(t, 0, 0)
+    assert hopf.coproduct(t, F(0), F(0)) is cop
+    assert hopf.coproduct(t, "0", "0") is cop
+    assert hopf.truncation("0", "0") is hopf.truncation(0, 0)
+
+
+def test_out_of_range_invp_refused_on_every_call(hopf):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="1/p"):
+            hopf.coproduct(noise(3), 0, F(3, 5))
 
 
 def test_graphical_oracle_agreement(hopf, sector):

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from ristruct.trees import (H, K, OMEGA, LinComb, ParseError, Tree, X,
                             canonicalize, dot_noise, format_tree,
-                            has_k_leaf, mi_binom, mi_factorial, mi_range,
-                            mi_weight, noise, parse, plant, plant_tree,
-                            quotient_by_K_leaves, tree_product, unit)
+                            has_k_leaf, mi_add, mi_binom, mi_factorial,
+                            mi_range, mi_weight, noise, parse, plant,
+                            plant_tree, quotient_by_K_leaves, tree_product,
+                            unit)
 
 
 def test_interning_identity():
@@ -121,6 +122,42 @@ def test_roundtrip_property(t):
 def test_product_roundtrip(a, b):
     p = tree_product(a, b)
     assert parse(format_tree(p), dim=2) is p
+
+
+def test_tree_product_unit_returns_operand():
+    t = parse("(n=(1,0) O() K(O()))")
+    assert tree_product(t, unit(2)) is t
+    assert tree_product(unit(2), t) is t
+    assert tree_product(unit(2), unit(2)) is unit(2)
+    with pytest.raises(ValueError):
+        tree_product(t, unit(3))
+
+
+def test_tree_product_builds_a_new_tree_once(monkeypatch):
+    a = parse("(n=(7,3) O() K^(1,0)(O()))")
+    b = parse("(n=(0,5) O() H^(0,2)())")
+    size = len(Tree._intern)
+    p = tree_product(a, b)
+    assert len(Tree._intern) == size + 1
+    assert p is parse("(n=(7,8) O() O() H^(0,2)() K^(1,0)(O()))")
+
+    def refuse(cls, n, children):
+        raise AssertionError("an interned product was rebuilt")
+
+    # once interned, the product is found from the merged encodings
+    monkeypatch.setattr(Tree, "__new__", refuse)
+    assert tree_product(b, a) is p
+    assert tree_product(a, b) is p
+
+
+@given(trees(), trees())
+def test_tree_product_is_the_canonical_tree(a, b):
+    """The encoding merge finds the tree Tree() builds from the raw
+    children, both when the product is new and when it is interned."""
+    p = tree_product(a, b)
+    assert p is Tree(mi_add(a.n, b.n), a.children + b.children)
+    assert tree_product(a, b) is p
+    assert tree_product(b, a) is p
 
 
 def test_mi_helpers():

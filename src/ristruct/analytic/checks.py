@@ -75,7 +75,7 @@ def _derivative_weights(nodes):
 
 
 def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
-                              eps, prep=None) -> float:
+                              eps) -> float:
     """Noise derivative of the model against the derivative map.
 
     The perturbed interpretation is a polynomial of degree equal to the
@@ -90,10 +90,9 @@ def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
     for j, w in zip(nodes, weights):
         if w == 0:
             continue
-        pert = Model(sector, hopf, ctx, xi + float(j) * h, h=None,
-                     eps=eps, prep=prep)
+        pert = Model(sector, hopf, ctx, xi + float(j) * h, eps=eps)
         lhs = lhs + float(w) * pert.pi_x(t, x, 0)
-    base = Model(sector, hopf, ctx, xi, h=h, eps=eps, prep=prep)
+    base = Model(sector, hopf, ctx, xi, h=h, eps=eps)
     rhs = np.zeros(ctx.grid.sizes)
     for s, c in derive(t):
         rhs = rhs + float(c) * base.pi_x(s, x, 0)

@@ -139,22 +139,14 @@ class OperatorSpec:
     """Constant-coefficient operator P(d) = sum_k a_k d^k with its order.
 
     ``symbol`` lists (multi-index, coefficient) pairs of P(i*lambda);
-    ``kernel_derivs`` lists (multi-index, coefficient) pairs of the
-    derivative polynomial applied inside the integrated kernel;
     ``cutoff_width`` sets the low-frequency cutoff scale."""
 
     symbol: tuple
     ell: float
-    kernel_derivs: tuple = ()
     cutoff_width: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "symbol", _sym_from(self.symbol))
-        derivs = self.kernel_derivs
-        if not derivs:
-            d = len(self.symbol[0][0])
-            derivs = (((0,) * d, 1.0),)
-        object.__setattr__(self, "kernel_derivs", _sym_from(derivs))
         object.__setattr__(self, "ell", float(self.ell))
         if self.ell <= 0:
             raise ValueError("ell must be positive")
@@ -380,17 +372,16 @@ class OperatorContext:
         k = tuple(int(x) for x in k)
         mult = self._kernel_mult.get(k)
         if mult is None:
-            # B(i lambda) (i lambda)^k as one polynomial, so that its
-            # Hermitian part is that of the product
-            Bk = [(tuple(a + b for a, b in zip(kb, k)), c)
-                  for kb, c in self.op.kernel_derivs]
-            mult = _read_only((1.0 - self._chi_hat) * self._eval_poly(Bk)
+            # (i lambda)^k built afresh, not through i_lambda_pow, whose
+            # cache would hold a second array per k next to this product
+            mult = _read_only((1.0 - self._chi_hat)
+                              * self._eval_poly(((k, 1.0),))
                               * self.time_integral())
             self._kernel_mult[k] = mult
         return mult
 
     def kernel_apply(self, f, k=None):
-        """The integrated kernel: d^k int_0^1 (1-chi)(d) B(d) Q_t f dt.
+        """The integrated kernel: d^k int_0^1 (1-chi)(d) Q_t f dt.
 
         Annihilates the constant mode exactly."""
         if k is None:

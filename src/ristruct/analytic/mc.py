@@ -32,7 +32,7 @@ def _check_target(sector: Sector, tree: Tree) -> None:
 
 def constant_samples(sector: Sector, hopf: Hopf, ctx: OperatorContext,
                      prep, tree: Tree, level: int, n_samples: int,
-                     seed: int, eps=Fraction(0), mode: str = "qbar")\
+                     seed: int, mode: str = "qbar")\
         -> np.ndarray:
     """Per-sample estimates of the constant attached to a tree.
 
@@ -47,7 +47,7 @@ def constant_samples(sector: Sector, hopf: Hopf, ctx: OperatorContext,
     out = np.empty(n_samples)
     for i in range(n_samples):
         xi = ctx.mollify(white_noise(ctx.grid, seed, i), level)
-        model = Model(sector, hopf, ctx, xi, eps=eps, prep=prep)
+        model = Model(sector, hopf, ctx, xi, prep=prep)
         if mode == "qbar":
             spec = ctx.grid.rfft(model.pi_x(tree, origin, 0))
             out[i] = ctx.grid.point_value(spec * ctx.heat_multiplier(1.0),
@@ -92,20 +92,20 @@ def solve_bphz_c(sector: Sector, hopf: Hopf, ctx: OperatorContext,
 
 def scaling_ensemble(sector: Sector, hopf: Hopf, ctx: OperatorContext,
                      tree: Tree, level: int, n_samples: int, seed: int,
-                     t_values, base_points, invp=0, eps=Fraction(0),
-                     prep=None):
+                     t_values, base_points, invp=0, eps=Fraction(0)):
     """Per-sample heat-smoothed norm series for a tree."""
     series = []
     for i in range(n_samples):
         xi = ctx.mollify(white_noise(ctx.grid, seed, i), level)
-        model = Model(sector, hopf, ctx, xi, eps=eps, prep=prep)
+        model = Model(sector, hopf, ctx, xi, eps=eps)
         raw, _w = qnorm_series(model, tree, base_points, t_values, invp)
         series.append(raw)
     return series
 
 
-def scaling_fit(t_values, series, seed: int = 0, n_boot: int = 200):
-    """Log-log slope of the ensemble-averaged norms, with bootstrap CI."""
+def scaling_fit(t_values, series, seed: int = 0):
+    """Log-log slope of the ensemble-averaged norms, with a 95 % CI from
+    200 bootstrap resamples of the ensemble."""
     logt = np.log(np.asarray(t_values, dtype=float))
     logs = np.log(np.asarray(series, dtype=float))
     if logs.ndim == 1:
@@ -117,9 +117,9 @@ def scaling_fit(t_values, series, seed: int = 0, n_boot: int = 200):
         return float(np.polyfit(logt, mean, 1)[0])
 
     slope = fit(np.arange(n))
-    if n > 1 and n_boot > 0:
+    if n > 1:
         rng = generator(seed, 0xB007)
-        boots = [fit(rng.integers(0, n, size=n)) for _ in range(n_boot)]
+        boots = [fit(rng.integers(0, n, size=n)) for _ in range(200)]
         lo, hi = np.percentile(boots, [2.5, 97.5])
     else:
         lo = hi = slope

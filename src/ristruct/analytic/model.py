@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..grading import p_transition, to_invp
+from ..grading import p_transition, phase_points, to_invp
 from ..hopf import Hopf
 from ..renorm import IdentityMap, PreparationMap
 from ..sector import Sector
@@ -258,14 +258,9 @@ class Model:
     def phase_points(self):
         """Integrability exponents where some generator degree crosses 0."""
         if self._i_eps is None:
-            pts = set()
-            for mu in self.sector.w_plus_generators(self.eps,
-                                                    Fraction(1, 2)):
-                if mu.h_count() == 1:
-                    p = p_transition(mu, self.params, self.eps)
-                    if p is not None:
-                        pts.add(p)
-            self._i_eps = sorted(pts)
+            self._i_eps = phase_points(
+                self.sector.w_plus_generators(self.eps, Fraction(1, 2)),
+                self.params, self.eps)
         return self._i_eps
 
     def lambda_x(self, mu: Tree, x, invp) -> float:

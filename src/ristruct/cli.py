@@ -3,7 +3,7 @@
 Every command prints a single JSON document to stdout (keys sorted, so
 identical runs are byte-identical) and can also write it to a directory
 together with a run manifest.  Exit codes: 0 success, 1 configuration
-error, 2 verification failure, 3 numeric non-convergence.
+or usage error, 2 verification failure, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,10 +21,10 @@ from .config import builtin_rule_config
 from .grading import (GenericityError, INF, degree, from_invp, phase_sets,
                       to_invp)
 from .hopf import Hopf
-from .renorm import CounterTerms, RcMap, SectorEscape, verify_preparation
+from .renorm import CounterTerms, RcMap, verify_preparation
 from .sector import (check_differentiable, check_triangular, epsilon0,
                      key_of, load_sector)
-from .trees import ParseError, format_tree, parse
+from .trees import format_tree, parse
 
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
@@ -188,9 +189,7 @@ def cmd_verify_triangularity(args):
     r1 = check_differentiable(sector, hopf, eps, invp)
     r2 = check_triangular(sector, hopf, eps, invp)
     failures = [{"property": f["property"], "tree": format_tree(f["tree"]),
-                 "detail": f["detail"]} for f in r1.failures]
-    failures += [{"property": f["property"], "tree": format_tree(f["tree"]),
-                  "detail": f["detail"]} for f in r2.failures]
+                 "detail": f["detail"]} for f in r1.failures + r2.failures]
     _emit(args, {"ok": not failures, "failures": failures})
     return 0 if not failures else EXIT_VERIFY
 
@@ -225,6 +224,11 @@ def _numeric_setup(args, cfg: dict):
         op = second_order_op(params.d,
                              float(ocfg.get("cutoffWidth", 1.0)))
     qcfg = cfg.get("quad", {})
+    if not isinstance(qcfg, dict):
+        raise ValueError("quad must be a JSON object")
+    unknown = sorted(set(qcfg) - {f.name for f in fields(QuadratureSpec)})
+    if unknown:
+        raise ValueError(f"unknown quad key(s): {', '.join(unknown)}")
     ctx = OperatorContext(grid, op, QuadratureSpec(**qcfg))
     seed = args.seed = int(cfg.get("seed", 0))
     ncfg = cfg.get("noise", {"kind": "smooth"})
@@ -363,8 +367,17 @@ def cmd_scaling_fit(args):
 
 # argument parsing -------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_CONFIG; argparse's own code 2 would read as
+    a verification failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="ristruct",
         description="Decorated-tree Hopf algebra and periodic-grid "
                     "model pipelines")
@@ -456,8 +469,7 @@ def main(argv=None) -> int:
     args.inputs, args.seed = {}, None  # filled in by the loaders
     try:
         return args.func(args)
-    except (GenericityError, ParseError, SectorEscape, ValueError,
-            KeyError, OSError, json.JSONDecodeError) as exc:
+    except (GenericityError, ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     except _numeric_errors() as exc:

@@ -71,14 +71,6 @@ class DegreeForm:
     cInvP: int = 0
     cConst: Fraction = Fraction(0)
 
-    def __add__(self, other: "DegreeForm") -> "DegreeForm":
-        return DegreeForm(self.cR0 + other.cR0, self.cBeta0 + other.cBeta0,
-                          self.cInvP + other.cInvP, self.cConst + other.cConst)
-
-    def __sub__(self, other: "DegreeForm") -> "DegreeForm":
-        return DegreeForm(self.cR0 - other.cR0, self.cBeta0 - other.cBeta0,
-                          self.cInvP - other.cInvP, self.cConst - other.cConst)
-
 
 _LABEL_FORM = {
     OMEGA: DegreeForm(cR0=1),
@@ -180,6 +172,18 @@ def p_transition(mu: Tree, params: Params, eps):
     return params.abs_scaling / (-r_inf)
 
 
+def phase_points(generators, params: Params, eps) -> list:
+    """I_eps: the sorted p-crossings of the single-H generators whose
+    degree changes sign across [2, inf]."""
+    pts = set()
+    for mu in generators:
+        if mu.h_count() == 1:
+            p = p_transition(mu, params, eps)
+            if p is not None:
+                pts.add(p)
+    return sorted(pts)
+
+
 def phase_sets(generators, params: Params, eps, invp):
     """Phase-transition exponents I_eps, epsilons J_p, and the floor map.
 
@@ -187,23 +191,20 @@ def phase_sets(generators, params: Params, eps, invp):
     degree changes sign across [2, inf]; J_p collects, at the given p,
     the nonnegative eps values where a generator degree vanishes.
     Raises GenericityError if some generator degree is exactly zero at
-    the queried (eps, invp)."""
+    the queried (eps, invp).  generators is read twice, so pass a
+    sequence, not an iterator."""
     eps, invp = Fraction(eps), Fraction(invp)
-    i_eps, j_p = set(), set()
+    j_p = set()
     for mu in generators:
         form = degree_form(mu, params)
         if degree_eval(form, params, eps, invp) == 0 and not mu.is_unit():
             raise GenericityError(
                 f"degree of {mu!r} vanishes at eps={eps}, 1/p={invp}")
-        if mu.h_count() == 1:
-            p = p_transition(mu, params, eps)
-            if p is not None:
-                i_eps.add(p)
         if form.cR0 > 0:
             eps_star = degree_eval(form, params, 0, invp) / form.cR0
             if eps_star >= 0:
                 j_p.add(eps_star)
-    i_sorted = sorted(i_eps)
+    i_sorted = phase_points(generators, params, eps)
 
     def floor(p) -> Fraction:
         pv = None if p == INF else Fraction(p)

@@ -9,8 +9,8 @@ from fractions import Fraction
 from .grading import degree
 from .hopf import Hopf
 from .sector import Sector, derive
-from .trees import (H, K, OMEGA, LinComb, Tree, X, mi_zero, plant,
-                    plant_tree, unit)
+from .trees import (K, OMEGA, LinComb, Tree, X, dot_noise, mi_zero, noise,
+                    plant)
 
 
 def negative_basis(s: Sector):
@@ -52,9 +52,6 @@ class PreparationMap:
 
     def apply(self, t: Tree) -> LinComb:
         raise NotImplementedError
-
-    def apply_lincomb(self, v: LinComb) -> LinComb:
-        return v.map_trees(self.apply)
 
 
 class DictPreparationMap(PreparationMap):
@@ -112,11 +109,6 @@ class RcMap(PreparationMap):
         return out
 
 
-def make_Rc(c: CounterTerms, s: Sector, hopf: Hopf,
-            strict_sector: bool = True) -> RcMap:
-    return RcMap(c, hopf, s, strict_sector)
-
-
 @dataclass
 class PrepReport:
     ok: bool = True
@@ -144,9 +136,7 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
         if R.apply(t) != LinComb.single(t, 1):
             report.fail("a", t, "polynomial not fixed")
     d = s.params.d
-    ocirc = plant_tree(OMEGA, mi_zero(d), unit(d))
-    odot = plant_tree(H, mi_zero(d), unit(d))
-    for t in (ocirc, odot):
+    for t in (noise(d), dot_noise(d)):
         if R.apply(t) != LinComb.single(t, 1):
             report.fail("a", t, "noise not fixed")
 
@@ -203,9 +193,8 @@ class Renormalizer:
     """M^R = hat(M)^R R with hat(M)^R multiplicative and passing through
     K-planted factors after an inner application of R."""
 
-    def __init__(self, R: PreparationMap, hopf: Hopf):
+    def __init__(self, R: PreparationMap):
         self.R = R
-        self.hopf = hopf
         self._hat = {}
 
     def hat(self, t: Tree) -> LinComb:
@@ -229,7 +218,3 @@ class Renormalizer:
 
     def apply(self, t: Tree) -> LinComb:
         return self.R.apply(t).map_trees(self.hat)
-
-
-def renorm_map(R: PreparationMap, hopf: Hopf, t: Tree) -> LinComb:
-    return Renormalizer(R, hopf).apply(t)

@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .grading import Params, degree, degree_eval, label_form
 from .hopf import Hopf
-from .trees import (H, K, OMEGA, LinComb, Tree, X, mi_range, mi_weight,
-                    mi_zero, plant_tree, unit)
+from .trees import (H, K, OMEGA, LinComb, Tree, X, dot_noise, mi_range,
+                    mi_weight, mi_zero, noise, plant_tree, unit)
 
 PRECEDES = "precedes"
 EQUAL = "equal"
@@ -130,36 +130,17 @@ def _derive(t: Tree) -> LinComb:
 class Sector:
     """Ordered basis of noise trees with its derivative and filtration."""
 
-    def __init__(self, params: Params, basis_o, poly_bound, max_omega,
-                 rule: Rule | None = None):
+    def __init__(self, params: Params, basis_o, poly_bound):
         self.params = params
-        self.rule = rule
-        self.poly_bound = Fraction(poly_bound)
-        self.max_omega = max_omega
         self.basis_o = sorted(
             basis_o, key=lambda t: key_of(t, params) + (t._enc,))
-        self.polys = self._polys()
+        self.polys = sorted(X(k) for k in self._below(Fraction(poly_bound)))
         self.basis = self.polys + self.basis_o
         self.dot_basis_by_index = [
             sorted({s for s, _c in derive(tau)},
                    key=lambda t: key_of(t, params) + (t._enc,))
             for tau in self.basis_o]
         self.dot_basis = self.dot_prefix(len(self.basis_o))
-
-    def _polys(self):
-        d, L = self.params.d, self.poly_bound
-        out, frontier = [], [mi_zero(d)]
-        seen = set(frontier)
-        while frontier:
-            k = frontier.pop()
-            if mi_weight(k, self.params.scaling) < L:
-                out.append(X(k))
-                for j in range(d):
-                    k2 = tuple(k[i] + (i == j) for i in range(d))
-                    if k2 not in seen:
-                        seen.add(k2)
-                        frontier.append(k2)
-        return sorted(out, key=lambda t: t._enc)
 
     @property
     def mB(self) -> int:
@@ -216,8 +197,7 @@ class Sector:
         """W+ generators: coordinates, derivative noises and plantings."""
         h_bound = degree_eval(label_form(H), self.params, eps, invp)
         gens = self._coordinates() + [
-            plant_tree(H, k, unit(self.params.d))
-            for k in self._below(h_bound)]
+            dot_noise(self.params.d, k) for k in self._below(h_bound)]
         trees = (self.basis_o + self.dot_basis if i is None
                  else self.basis_o[:i] + self.dot_prefix(i))
         return gens + self._planted_generators(trees, eps, invp)
@@ -303,7 +283,7 @@ def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
         basis_o.append(t)
     if not basis_o:
         raise ValueError("rule generates no admissible noise trees")
-    return Sector(params, basis_o, poly_bound, max_omega, rule)
+    return Sector(params, basis_o, poly_bound)
 
 
 # differentiability report ------------------------------------------------
@@ -344,9 +324,7 @@ def check_differentiable(s: Sector, hopf: Hopf, eps, invp) -> SectorReport:
     node, (c) the coproduct of basis trees stays in V (x) V+, (d) the
     coproduct of derivative trees stays in W (x) W+."""
     report = SectorReport()
-    params = s.params
-    d = params.d
-    noise_tree = plant_tree(OMEGA, mi_zero(d), unit(d))
+    noise_tree = noise(s.params.d)
     if noise_tree not in set(s.basis_o):
         report.fail("a", noise_tree, "the noise tree is missing from the "
                     "basis")

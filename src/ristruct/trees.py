@@ -270,9 +270,6 @@ class LinComb:
     def __eq__(self, other):
         return isinstance(other, LinComb) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -387,9 +384,10 @@ class _Parser:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
-        if self.pos == start:
+        if self.pos == digits:
             raise ParseError("expected integer", start)
         return int(self.text[start:self.pos])
 

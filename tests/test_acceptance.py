@@ -22,7 +22,7 @@ from ristruct.analytic.noise import smooth_field
 from ristruct.config import (numeric2d_params, numeric2d_sector,
                              pam3d_params, pam3d_sector)
 from ristruct.hopf import Hopf
-from ristruct.renorm import (CounterTerms, RcMap, make_Rc, negative_basis,
+from ristruct.renorm import (CounterTerms, RcMap, negative_basis,
                              verify_preparation)
 from ristruct.sector import check_triangular, generate_from_rule, pam_rule
 from ristruct.trees import (OMEGA, Tree, dot_noise, noise, parse,
@@ -155,8 +155,8 @@ def test_criterion_06_preparation_axioms():
     for _ in range(20):
         values = {t: F(rng.randint(-50, 50), rng.randint(1, 20))
                   for t in negative_basis(sector)}
-        R = make_Rc(CounterTerms(values), sector, hopf,
-                    strict_sector=False)
+        R = RcMap(CounterTerms(values), hopf, sector,
+                  strict_sector=False)
         report = verify_preparation(R, sector, hopf)
         assert report.ok, report.failures
 
@@ -259,7 +259,7 @@ def test_criterion_11_route_equivalence(sector3, model3):
     xi = smooth_field(grid, 41, 0, 0.7)
     h = smooth_field(grid, 41, 1, 0.7)
     tau2 = parse("(O() K(O()))", dim=2)
-    prep = make_Rc(CounterTerms({tau2: F(-1, 3)}), sector2, hopf2)
+    prep = RcMap(CounterTerms({tau2: F(-1, 3)}), hopf2, sector2)
     model2 = Model(sector2, hopf2, ctx, xi, h, eps=EPS, prep=prep)
     worst = 0.0
     for t in sector2.members():

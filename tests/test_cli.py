@@ -204,6 +204,32 @@ def test_bad_config_exit(capsys, tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_usage_error_exit(capsys):
+    """Usage errors are configuration errors, not verification failures;
+    --help still exits 0."""
+    for argv in (["verify"], ["no-such-command"],
+                 ["coproduct", "(O())", "--p"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_unknown_quad_key_exit(capsys, small_cfg, tmp_path):
+    cfg = json.loads(open(small_cfg).read())
+    for quad, named in (({"nodes": 3}, "nodes"), ([1], "quad")):
+        cfg["quad"] = quad
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps(cfg))
+        code, _o, err = run(capsys, "model", "build", str(path))
+        assert code == EXIT_CONFIG
+        assert named in json.loads(err)["error"]
+
+
 def test_quadrature_failure_exit(capsys, small_cfg, tmp_path):
     cfg = json.loads(open(small_cfg).read())
     cfg["quad"] = {"nodes_per_block": 2, "extra_depth": 0,

@@ -221,8 +221,7 @@ def _full_multipliers(ctx):
         return _full_poly(lam, [(k, 1.0)])
 
     def kernel(k):
-        return (1.0 - chi) * _full_poly(lam, ctx.op.kernel_derivs) \
-            * ilam(k) * S
+        return (1.0 - chi) * ilam(k) * S
     return P, ilam, kernel
 
 

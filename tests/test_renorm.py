@@ -13,8 +13,8 @@ from ristruct.config import (numeric2d_params, numeric2d_sector,
                              pam3d_params, pam3d_sector)
 from ristruct.hopf import Hopf
 from ristruct.renorm import (CounterTerms, DictPreparationMap, IdentityMap,
-                             Renormalizer, SectorEscape, make_Rc,
-                             negative_basis, renorm_map, verify_preparation)
+                             RcMap, Renormalizer, SectorEscape,
+                             negative_basis, verify_preparation)
 from ristruct.sector import generate_from_rule, pam_rule
 from ristruct.trees import LinComb, format_tree, noise, parse, unit
 
@@ -52,13 +52,13 @@ def test_rc_on_smallest_negative_tree():
     sector = pam3d_sector()
     hopf = Hopf(pam3d_params())
     tau2 = parse("(O() K(O()))", dim=3)
-    R = make_Rc(CounterTerms({tau2: F(3, 7)}), sector, hopf)
+    R = RcMap(CounterTerms({tau2: F(3, 7)}), hopf, sector)
     assert R.apply(tau2).terms == {tau2: F(1), unit(3): F(3, 7)}
 
 
 def test_rc_fixes_polys_noises_and_plantings(sector2, hopf2):
     tau2 = parse("(O() K(O()))", dim=2)
-    R = make_Rc(CounterTerms({tau2: F(1)}), sector2, hopf2)
+    R = RcMap(CounterTerms({tau2: F(1)}), hopf2, sector2)
     for t in sector2.polys + [noise(2), parse("(H())", dim=2)]:
         assert R.apply(t).terms == {t: F(1)}
 
@@ -71,8 +71,8 @@ def test_rc_extraction_in_larger_trees(sector2, hopf2):
     wide = parse("(O() K(O()) K(O()))", dim=2)
     remainder = parse("(K(O()))", dim=2)
     c = F(3, 7)
-    R = make_Rc(CounterTerms({tau2: c}), sector2, hopf2,
-                strict_sector=False)
+    R = RcMap(CounterTerms({tau2: c}), hopf2, sector2,
+              strict_sector=False)
     assert R.apply(chain).terms == {chain: F(1), remainder: c}
     assert R.apply(wide).terms == {wide: F(1), remainder: 2 * c}
 
@@ -83,8 +83,8 @@ def test_verify_preparation_random_counterterms(sector2, hopf2):
     for _ in range(5):
         values = {t: F(rng.randint(-20, 20), rng.randint(1, 9))
                   for t in negative_basis(sector2)}
-        R = make_Rc(CounterTerms(values), sector2, hopf2,
-                    strict_sector=False)
+        R = RcMap(CounterTerms(values), hopf2, sector2,
+                  strict_sector=False)
         report = verify_preparation(R, sector2, hopf2)
         assert report.ok, report.failures
 
@@ -107,7 +107,7 @@ def test_verify_preparation_rejects_degree_losing_term(sector2, hopf2):
 
 
 def test_renormalizer_identity(sector2, hopf2):
-    M = Renormalizer(IdentityMap(), hopf2)
+    M = Renormalizer(IdentityMap())
     for t in sector2.members():
         assert M.apply(t).terms == {t: F(1)}
 
@@ -115,8 +115,8 @@ def test_renormalizer_identity(sector2, hopf2):
 def test_renormalizer_smallest_tree(sector2, hopf2):
     tau2 = parse("(O() K(O()))", dim=2)
     c = F(-2, 5)
-    R = make_Rc(CounterTerms({tau2: c}), sector2, hopf2)
-    assert renorm_map(R, hopf2, tau2).terms == {tau2: F(1), unit(2): c}
+    R = RcMap(CounterTerms({tau2: c}), hopf2, sector2)
+    assert Renormalizer(R).apply(tau2).terms == {tau2: F(1), unit(2): c}
 
 
 def test_renormalizer_passes_through_plantings(sector2, hopf2):
@@ -127,9 +127,9 @@ def test_renormalizer_passes_through_plantings(sector2, hopf2):
     chain = parse("(O() K(O() K(O())))", dim=2)
     remainder = parse("(K(O()))", dim=2)
     c = F(3, 7)
-    R = make_Rc(CounterTerms({tau2: c}), sector2, hopf2,
-                strict_sector=False)
-    out = renorm_map(R, hopf2, chain)
+    R = RcMap(CounterTerms({tau2: c}), hopf2, sector2,
+              strict_sector=False)
+    out = Renormalizer(R).apply(chain)
     assert out.terms == {chain: F(1), remainder: c}
 
 
@@ -137,7 +137,7 @@ def test_sector_escape():
     s2 = numeric2d_sector()  # three-edge bound: larger trees escape
     h2 = Hopf(s2.params)
     tau2 = parse("(O() K(O()))", dim=2)
-    R = make_Rc(CounterTerms({tau2: F(1)}), s2, h2)
+    R = RcMap(CounterTerms({tau2: F(1)}), h2, s2)
     with pytest.raises(SectorEscape):
         R.apply(parse("(O() K(O() K(O())))", dim=2))
 
@@ -151,4 +151,4 @@ def test_verify_preparation_genericity_pam3d_7_5():
     hopf = Hopf(params)
     with pytest.raises(GenericityError,
                        match=r"label K, k\+l=\(1, 0, 0\)"):
-        verify_preparation(make_Rc(CounterTerms({}), s, hopf), s, hopf)
+        verify_preparation(RcMap(CounterTerms({}), hopf, s), s, hopf)

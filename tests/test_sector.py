@@ -2,18 +2,19 @@
 checks."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from ristruct.config import (builtin_rule_config, numeric2d_params,
                              numeric2d_sector, pam3d_params, pam3d_sector)
-from ristruct.grading import GenericityError
+from ristruct.grading import GenericityError, Params
 from ristruct.hopf import Hopf
 from ristruct.sector import (EQUAL, FOLLOWS, PRECEDES, TIE, Rule, Sector,
                              check_differentiable, check_triangular, derive,
                              epsilon0, generate_from_rule, key_of,
                              load_rule_config, pam_rule, precede)
-from ristruct.trees import (OMEGA, Tree, format_tree, noise, parse,
+from ristruct.trees import (OMEGA, Tree, X, format_tree, noise, parse,
                             plant_tree, unit)
 
 
@@ -36,6 +37,18 @@ def test_generated_basis(sector):
     ]
     assert len(sector.polys) == 4  # 1, X_1, X_2, X_3
     assert sector.mB == 5
+
+
+@pytest.mark.parametrize("L", [F(2), F(7, 2)])
+def test_polys_match_brute_force_anisotropic(L):
+    """With scaling (1/2, 3/2) the polynomials are all X^k with
+    k_1/2 + 3k_2/2 < L, in canonical order."""
+    params = Params(d=2, scaling=(F(1, 2), F(3, 2)), r0=F(-2, 5),
+                    beta0=F(2), ell=F(4), ell1=F(1), s0=F(-1))
+    brute = sorted(X(k) for k in product(range(12), repeat=2)
+                   if k[0] * F(1, 2) + k[1] * F(3, 2) < L)
+    assert Sector(params, [noise(2)], L).polys == brute
+    assert len(brute) == (5 if L == 2 else 12)
 
 
 def test_generated_dot_basis(sector):
@@ -140,7 +153,7 @@ def test_check_differentiable_passes(sector, hopf):
 
 def test_check_differentiable_flags_missing_noise():
     params = pam3d_params()
-    bad = Sector(params, [parse("(O() K(O()))", dim=3)], F(2), 4)
+    bad = Sector(params, [parse("(O() K(O()))", dim=3)], F(2))
     report = check_differentiable(bad, Hopf(params), F(1, 100), F(0))
     assert not report.ok
     assert any(f["property"] == "a" for f in report.failures)
@@ -149,7 +162,7 @@ def test_check_differentiable_flags_missing_noise():
 def test_check_differentiable_flags_decorated_noise():
     params = pam3d_params()
     decorated = Tree((0, 0, 0), ((OMEGA, (1, 0, 0), unit(3)),))
-    bad = Sector(params, [noise(3), decorated], F(2), 4)
+    bad = Sector(params, [noise(3), decorated], F(2))
     report = check_differentiable(bad, Hopf(params), F(1, 100), F(0))
     assert any(f["property"] == "b" for f in report.failures)
 

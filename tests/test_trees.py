@@ -89,6 +89,10 @@ def test_parse_errors_carry_position():
         parse("(O())  x", dim=2)
     with pytest.raises(ParseError):
         parse("()")  # dimension undetermined
+    # a sign with no digits; a digit character int() does not read
+    for text in ("(n=(-) O())", "(O^(-) ())", "(n=(\u00b2) O())"):
+        with pytest.raises(ParseError, match="expected integer at byte 4"):
+            parse(text)
 
 
 def test_format_canonical_roundtrip():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -110,30 +109,20 @@ def qnorm_series(model: Model, t: Tree, base_points, t_values, invp):
     ell = model.params.ell
     p = INF if invp == 0 else 1 / invp
     ip = integrability(t, p)
+    t_values = [float(tv) for tv in t_values]
+    # one row per base point, one value per time
+    rows = [model.ctx.heat_points(model._recentered_spectrum(t, x, invp),
+                                  x, t_values) for x in base_points]
     raw, weighted = [], []
-    grid = model.ctx.grid
-    # recentered fields often coincide across base points (always for
-    # trees with trivial recentering); transform each distinct field once
-    groups = {}
-    for x in base_points:
-        f = model.pi_x(t, x, invp)
-        dig = hashlib.blake2b(f.tobytes(), digest_size=16).digest()
-        if dig not in groups:
-            groups[dig] = (grid.rfft(f), [])
-        groups[dig][1].append(x)
-    for tv in t_values:
-        mult = model.ctx.heat_multiplier(float(tv))
-        vals = []
-        for spec, xs in groups.values():
-            smoothed = spec * mult
-            vals.extend(abs(grid.point_value(smoothed, x)) for x in xs)
+    for tv, col in zip(t_values, zip(*rows)):
+        vals = [abs(v) for v in col]
         if ip == INF:
             norm = max(vals)
         else:
             pf = float(ip)
             norm = float(np.mean([v ** pf for v in vals]) ** (1.0 / pf))
         raw.append(norm)
-        weighted.append(norm * float(tv) ** float(-r / ell))
+        weighted.append(norm * tv ** float(-r / ell))
     return raw, weighted
 
 

@@ -21,6 +21,17 @@ A single grid value of a field given by its spectrum is read without an
 inverse transform (``GridSpec.point_value``): a weighted sum over the
 half spectrum, where last-axis bins 0 and n/2 count once and the others
 twice (for their conjugate mirrors), times the phase of the grid point.
+
+Heat-smoothed values exp(tP)f at a grid point are read without any
+transform, in one of two ways:
+
+- field against kernel (``OperatorContext.heat_point``): for a real
+  field f, one real dot product of f with the reflected heat kernel
+  y -> G_t(x - y), G_t = irfft(exp(tP)), cached per t;
+- spectrum against multiplier (``OperatorContext.heat_points``): for a
+  half spectrum, the real part of the spectrum times the weighted phase
+  of x is formed once, then each t costs one real multiply-and-sum
+  against the cached multiplier exp(tP).
 """
 
 from __future__ import annotations
@@ -114,17 +125,28 @@ class GridSpec:
         """The value of ``irfft(spec)`` at grid index x, by one weighted
         sum over the half spectrum instead of an inverse transform."""
         out = spec
-        for j, n in enumerate(self.sizes):
-            m = out.shape[0]
-            # reduce k x mod n first, so the phase angle stays small
-            phase = np.exp((2j * np.pi / n) * ((np.arange(m) * x[j]) % n))
-            if j == self.d - 1:
-                phase[1:-1] *= 2.0  # the conjugate mirror modes
+        for phase in _point_phases(self.sizes, tuple(x)):
             # contract the leading axis by multiply and sum: a BLAS
             # product is faster single-threaded, but its threads cost
             # more than the whole sum at these sizes
-            out = (out * phase.reshape((m,) + (1,) * (out.ndim - 1))).sum(0)
+            out = (out * phase.reshape((-1,) + (1,) * (out.ndim - 1))).sum(0)
         return float(out.real) / math.prod(self.sizes)
+
+
+@lru_cache(maxsize=64)
+def _point_phases(sizes, x):
+    """Per-axis phases exp(2 pi i k x_j / n_j) of grid index x over the
+    half spectrum; the last axis carries the mirror weights (bins 0 and
+    n/2 once, the others twice for their conjugate mirrors)."""
+    out = []
+    for j, (n, xj) in enumerate(zip(sizes, x)):
+        m = n // 2 + 1 if j == len(sizes) - 1 else n
+        # reduce k x mod n first, so the phase angle stays small
+        phase = np.exp((2j * np.pi / n) * ((np.arange(m) * xj) % n))
+        if j == len(sizes) - 1:
+            phase[1:-1] *= 2.0
+        out.append(_read_only(phase))
+    return tuple(out)
 
 
 def _sym_from(entries):
@@ -186,14 +208,21 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-# cached heat multipliers (one per time and derivative) and mollifiers
-# (one per level); a sweep over more times evicts the least recently used
+# cached heat multipliers (one per time and derivative), heat kernels
+# (one per time) and mollifiers (one per level); a sweep over more times
+# evicts the least recently used
 _MULT_CACHE_SIZE = 32
 
 
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _dot(a, b) -> float:
+    """The sum of a * b, without BLAS: its threaded dot product would
+    make the value depend on the thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 class OperatorContext:
@@ -226,6 +255,7 @@ class OperatorContext:
         self._S = None
         self._kernel_mult = {}
         self._heat_mult = {}
+        self._heat_kernel = {}
         self._mollify_mult = {}
         self._coords = None
 
@@ -323,6 +353,42 @@ class OperatorContext:
         if t <= 0:
             raise ValueError("heat time must be positive")
         return self.apply_multiplier(f, self.heat_multiplier(t, k))
+
+    def heat_kernel(self, t: float):
+        """The reflected heat kernel y -> G_t(-y), G_t = irfft(exp(tP)),
+        so that ``heat_apply(f, t)`` at the origin is its dot product
+        with f."""
+        axes = tuple(range(self.grid.d))
+        return self._cached(
+            self._heat_kernel, float(t),
+            lambda: np.roll(np.flip(self.grid.irfft(self.heat_multiplier(t)),
+                                    axes), 1, axes))
+
+    def heat_point(self, f, t: float, x) -> float:
+        """``heat_apply(f, t)`` at grid index x, read from the real field
+        f by one dot product with the shifted reflected heat kernel."""
+        if t <= 0:
+            raise ValueError("heat time must be positive")
+        kernel = self.heat_kernel(t)
+        if any(x):
+            kernel = np.roll(kernel, tuple(x), tuple(range(self.grid.d)))
+        return _dot(f, kernel)
+
+    def heat_points(self, spec, x, times) -> list:
+        """``heat_apply(irfft(spec), t)`` at grid index x for each t, read
+        from the half spectrum: the phased real part is formed once, then
+        each t is one real multiply-and-sum against exp(tP)."""
+        if any(t <= 0 for t in times):
+            raise ValueError("heat time must be positive")
+        # Re(spec times the weighted phase of x): summed against a real
+        # multiplier m and divided by the point count, it is
+        # point_value(spec * m, x)
+        sizes = self.grid.sizes
+        for j, phase in enumerate(_point_phases(sizes, tuple(x))):
+            spec = spec * phase.reshape((-1,) + (1,) * (len(sizes) - 1 - j))
+        re = np.ascontiguousarray(spec.real)
+        n = math.prod(sizes)
+        return [_dot(re, self.heat_multiplier(t)) / n for t in times]
 
     # time-integrated kernel ---------------------------------------------
 

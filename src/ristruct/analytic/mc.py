@@ -46,15 +46,22 @@ def constant_samples(sector: Sector, hopf: Hopf, ctx: OperatorContext,
     origin = (0,) * ctx.grid.d
     out = np.empty(n_samples)
     for i in range(n_samples):
-        xi = ctx.mollify(white_noise(ctx.grid, seed, i), level)
-        model = Model(sector, hopf, ctx, xi, prep=prep)
+        model = Model(sector, hopf, ctx, prep=prep,
+                      xi_hat=_noise_spectrum(ctx, level, seed, i))
         if mode == "qbar":
-            spec = ctx.grid.rfft(model.pi_x(tree, origin, 0))
-            out[i] = ctx.grid.point_value(spec * ctx.heat_multiplier(1.0),
-                                          origin)
+            out[i] = ctx.heat_point(model.pi_x(tree, origin, 0), 1.0, origin)
         else:
             out[i] = float(np.mean(model.interp(tree)))
     return out
+
+
+def _noise_spectrum(ctx: OperatorContext, level: int, seed: int, i: int):
+    """Half spectrum of sample i's white noise mollified at the level.
+
+    The noise is drawn through this module's ``white_noise``, first
+    thing in every sample."""
+    return (ctx.grid.rfft(white_noise(ctx.grid, seed, i))
+            * ctx.mollify_multiplier(level))
 
 
 def mean_stderr(samples: np.ndarray):
@@ -96,8 +103,8 @@ def scaling_ensemble(sector: Sector, hopf: Hopf, ctx: OperatorContext,
     """Per-sample heat-smoothed norm series for a tree."""
     series = []
     for i in range(n_samples):
-        xi = ctx.mollify(white_noise(ctx.grid, seed, i), level)
-        model = Model(sector, hopf, ctx, xi, eps=eps)
+        model = Model(sector, hopf, ctx, eps=eps,
+                      xi_hat=_noise_spectrum(ctx, level, seed, i))
         raw, _w = qnorm_series(model, tree, base_points, t_values, invp)
         series.append(raw)
     return series

@@ -19,7 +19,8 @@ from ..grading import p_transition, phase_points, to_invp
 from ..hopf import Hopf
 from ..renorm import IdentityMap, PreparationMap
 from ..sector import Sector
-from ..trees import H, K, OMEGA, Tree, mi_add, mi_factorial
+from ..trees import (H, K, OMEGA, Tree, mi_add, mi_factorial, noise,
+                     unit)
 from .grid import OperatorContext
 
 
@@ -27,26 +28,38 @@ class Model:
     """Interpretation of a sector on a grid, with recentering caches.
 
     ``xi`` interprets the noise, ``h`` its derivative direction; both
-    are real fields on the grid.  ``prep`` defaults to the identity
-    (no renormalization).  Base points are grid index tuples; the
-    integrability exponent enters as the exact rational 1/p."""
+    are real fields on the grid.  The noise may be given instead by its
+    ``rfftn`` half spectrum ``xi_hat`` (exactly one of the two); the
+    field is then built only when a real-space read needs it, and
+    kernel edges on the noise multiply that spectrum directly.
+    ``prep`` defaults to the identity (no renormalization).  Base points
+    are grid index tuples; the integrability exponent enters as the
+    exact rational 1/p."""
 
     def __init__(self, sector: Sector, hopf: Hopf, ctx: OperatorContext,
-                 xi: np.ndarray, h: np.ndarray | None = None,
-                 eps=Fraction(0), prep: PreparationMap | None = None):
+                 xi: np.ndarray | None = None, h: np.ndarray | None = None,
+                 eps=Fraction(0), prep: PreparationMap | None = None, *,
+                 xi_hat: np.ndarray | None = None):
         if ctx.grid.d != sector.params.d:
             raise ValueError("grid dimension does not match parameters")
+        if (xi is None) == (xi_hat is None):
+            raise ValueError("give exactly one of xi and xi_hat")
         self.sector = sector
         self.hopf = hopf
         self.ctx = ctx
         self.params = sector.params
         self.eps = Fraction(eps)
         self.prep = prep if prep is not None else IdentityMap()
-        self.xi = np.asarray(xi, dtype=float)
+        self._xi = None if xi is None else np.asarray(xi, dtype=float)
+        self._xi_hat = xi_hat
         self.h = (np.zeros(ctx.grid.sizes) if h is None
                   else np.asarray(h, dtype=float))
         self._axes = ctx.grid.axes()
+        self._noise = noise(ctx.grid.d)
+        self._unit = unit(ctx.grid.d)
+        self._prep_terms = {}
         self._interp = {}
+        self._spec = {}
         self._ki = {}
         self._dh = {}
         self._pi1 = {}
@@ -57,6 +70,13 @@ class Model:
         self._hat2_pl = {}
         self._kf2 = {}
         self._i_eps = None
+
+    @property
+    def xi(self) -> np.ndarray:
+        """The noise field (built from ``xi_hat`` on first use)."""
+        if self._xi is None:
+            self._xi = self.ctx.grid.irfft(self._xi_hat)
+        return self._xi
 
     # geometry -----------------------------------------------------------
 
@@ -88,21 +108,43 @@ class Model:
 
     # translation-invariant interpretation -------------------------------
 
+    def _prepared(self, t: Tree):
+        """The preparation map applied to t, once per tree."""
+        out = self._prep_terms.get(t)
+        if out is None:
+            out = self._prep_terms[t] = self.prep.apply(t)
+        return out
+
     def interp(self, t: Tree) -> np.ndarray:
         """The (renormalized) interpretation of a sector tree."""
         out = self._interp.get(t)
         if out is None:
             out = np.zeros(self.ctx.grid.sizes)
-            for s, c in self.prep.apply(t):
+            for s, c in self._prepared(t):
                 out = out + float(c) * self._interp_hat(s)
             self._interp[t] = out
+        return out
+
+    def spectrum(self, t: Tree) -> np.ndarray:
+        """Half spectrum of ``interp(t)``, transformed once per tree; for
+        the noise it is ``xi_hat`` itself when given and the preparation
+        map leaves the noise alone."""
+        out = self._spec.get(t)
+        if out is None:
+            if (t is self._noise and self._xi_hat is not None
+                    and self._prepared(t).terms == {t: 1}):
+                out = self._xi_hat
+            else:
+                out = self.ctx.grid.rfft(self.interp(t))
+            self._spec[t] = out
         return out
 
     def _kernel_invariant(self, sub: Tree, e):
         key = (sub, tuple(e))
         out = self._ki.get(key)
         if out is None:
-            out = self.ctx.kernel_apply(self.interp(sub), e)
+            out = self.ctx.grid.irfft(self.spectrum(sub)
+                                      * self.ctx.kernel_multiplier(e))
             self._ki[key] = out
         return out
 
@@ -191,11 +233,19 @@ class Model:
 
     def _recentered_spectrum(self, sub: Tree, x, invp):
         """Half spectrum of pi_x(sub), shared by the kernel reads of every
-        derivative order at x (the oracle route reads full fields)."""
-        key = (sub, tuple(x), Fraction(invp))
+        derivative order at x (the oracle route reads full fields).
+
+        When Delta(sub) = sub (x) 1, pi_x(sub) is interp(sub) bit for bit,
+        and the tree's own spectrum is reused."""
+        invp = Fraction(invp)
+        key = (sub, tuple(x), invp)
         out = self._kf1.get(key)
         if out is None:
-            out = self.ctx.grid.rfft(self.pi_x(sub, x, invp))
+            cop = self.hopf.coproduct(sub, self.eps, invp)
+            if cop.terms == {(sub, self._unit): 1}:
+                out = self.spectrum(sub)
+            else:
+                out = self.ctx.grid.rfft(self.pi_x(sub, x, invp))
             self._kf1[key] = out
         return out
 
@@ -206,7 +256,7 @@ class Model:
         invp = Fraction(invp)
         x = tuple(x)
         out = np.zeros(self.ctx.grid.sizes)
-        for s, c in self.prep.apply(t):
+        for s, c in self._prepared(t):
             out = out + float(c) * self._hat_x(s, x, invp)
         return out
 

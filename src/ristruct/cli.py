@@ -9,12 +9,13 @@ or usage error, 2 verification failure, 3 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .config import builtin_rule_config
@@ -196,55 +197,149 @@ def cmd_verify_triangularity(args):
 
 # numeric commands -------------------------------------------------------
 
-def _numeric_setup(args, cfg: dict):
+def _section(cfg: dict, name: str, keys) -> dict:
+    """A config sub-object, refusing keys outside ``keys``."""
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = sorted(set(sec) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return sec
+
+
+def _integer(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """A JSON integer in [low, high); booleans, floats and strings are
+    refused."""
+    if type(value) is not int or value < low or (
+            high is not None and value >= high):
+        bound = f"[{low}, {high})" if high is not None else f">= {low}"
+        raise ValueError(f"{name} must be an integer {bound}, not {value!r}")
+    return value
+
+
+def _positive(value, name: str) -> float:
+    """A finite positive JSON number."""
+    if type(value) not in (int, float) or not 0 < value < float("inf"):
+        raise ValueError(f"{name} must be a positive number, not {value!r}")
+    return float(value)
+
+
+def _array(value, name: str, length: int | None = None) -> list:
+    """A non-empty JSON array, of exactly ``length`` items if given."""
+    if not isinstance(value, (list, tuple)) or not value or (
+            length is not None and len(value) != length):
+        size = length if length is not None else "at least 1"
+        raise ValueError(f"{name} must be an array of {size} item(s), "
+                         f"not {value!r}")
+    return list(value)
+
+
+def _coefficient(value, name: str) -> complex:
+    """An operator coefficient: a JSON number, or a string such as
+    "0.5j" for a complex one."""
+    try:
+        c = complex(value) if type(value) in (int, float, str) else None
+    except ValueError:
+        c = None
+    if c is None or not cmath.isfinite(c):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    return c
+
+
+def _numeric_setup(args, cfg: dict, mollify: int = 4, samples: int = 64):
+    """Load a numeric config, converting and checking every field before
+    any numeric work; a bad value is a ValueError (exit 1).  ``mollify``
+    and ``samples`` are the command's defaults for the top-level keys of
+    those names.  The noise fields are built by ``_noise_fields``."""
     import numpy as np
 
     from .analytic.grid import (GridSpec, OperatorContext, OperatorSpec,
                                 QuadratureSpec, fourth_order_op,
                                 second_order_op)
-    from .analytic.noise import smooth_field, white_noise
 
-    sector, hopf = _load_sector(args, cfg.get("rule", "numeric2d"))
+    rule = cfg.get("rule", "numeric2d")
+    if not isinstance(rule, (str, dict)):
+        raise ValueError(f"rule must be a name, a path or a JSON object, "
+                         f"not {rule!r}")
+    sector, hopf = _load_sector(args, rule)
     params = sector.params
-    gcfg = cfg.get("grid", {})
-    sizes = tuple(gcfg.get("sizes", (32,) * params.d))
-    period = tuple(gcfg.get("period", (2.0 * float(np.pi),) * params.d))
-    grid = GridSpec(sizes, period,
-                    tuple(float(s) for s in params.scaling))
-    ocfg = cfg.get("operator", {})
-    if "symbol" in ocfg:
-        op = OperatorSpec(
-            symbol=tuple((tuple(k), c) for k, c in ocfg["symbol"]),
-            ell=float(ocfg.get("ell", params.ell)),
-            cutoff_width=float(ocfg.get("cutoffWidth", 1.0)))
-    elif params.ell == 4:
-        op = fourth_order_op(params.d,
-                             float(ocfg.get("cutoffWidth", 1.0)))
-    else:
-        op = second_order_op(params.d,
-                             float(ocfg.get("cutoffWidth", 1.0)))
-    qcfg = cfg.get("quad", {})
-    if not isinstance(qcfg, dict):
-        raise ValueError("quad must be a JSON object")
-    unknown = sorted(set(qcfg) - {f.name for f in fields(QuadratureSpec)})
-    if unknown:
-        raise ValueError(f"unknown quad key(s): {', '.join(unknown)}")
-    ctx = OperatorContext(grid, op, QuadratureSpec(**qcfg))
-    seed = args.seed = int(cfg.get("seed", 0))
-    ncfg = cfg.get("noise", {"kind": "smooth"})
-    if ncfg.get("kind", "smooth") == "smooth":
-        scale = float(ncfg.get("scale", 0.7))
-        xi = smooth_field(grid, seed, 0, scale)
-        h = smooth_field(grid, seed, 1, scale)
-    else:
-        level = int(ncfg.get("mollify", 4))
-        xi = ctx.mollify(white_noise(grid, seed, 0), level)
-        h = ctx.mollify(white_noise(grid, seed, 1), level)
-    base_points = [tuple(x) for x in cfg.get(
-        "basePoints", [tuple(n // 3 for n in sizes)])]
+    d = params.d
+    gcfg = _section(cfg, "grid", ("sizes", "period"))
+    sizes = tuple(_integer(n, "grid.sizes entry") for n in _array(
+        gcfg.get("sizes", [32] * d), "grid.sizes", d))
+    period = tuple(_positive(p, "grid.period entry") for p in _array(
+        gcfg.get("period", [2.0 * np.pi] * d), "grid.period", d))
+    ocfg = _section(cfg, "operator", ("symbol", "ell", "cutoffWidth"))
+    width = _positive(ocfg.get("cutoffWidth", 1.0), "operator.cutoffWidth")
+    least = {"nodes_per_block": 1, "extra_depth": 0, "check_nodes": 1}
+    qcfg = _section(cfg, "quad", tuple(least) + ("tol",))
+    quad = QuadratureSpec(**{
+        key: (_positive(v, "quad.tol") if key == "tol"
+              else _integer(v, f"quad.{key}", least[key]))
+        for key, v in qcfg.items()})
+    ncfg = _section(cfg, "noise", ("kind", "scale", "mollify"))
+    kind = ncfg.get("kind", "smooth")
+    if kind not in ("smooth", "white"):
+        raise ValueError(f"unknown noise kind {kind!r} "
+                         "(expected \"smooth\" or \"white\")")
+    scale = _positive(ncfg.get("scale", 0.7), "noise.scale")
+    level = _integer(ncfg.get("mollify", 4), "noise.mollify")
+    seed = args.seed = _integer(cfg.get("seed", 0), "seed", 0, 2 ** 64)
+    points = [tuple(_integer(xj, "basePoints entry", 0, n)
+                    for xj, n in zip(_array(x, "base point", d), sizes))
+              for x in _array(cfg.get("basePoints",
+                                      [[n // 3 for n in sizes]]),
+                              "basePoints")]
+    t_grid = [_positive(v, "tGrid entry") for v in _array(
+        cfg.get("tGrid", [2.0 ** (-j) for j in range(10, 1, -1)]),
+        "tGrid")]
+    if len(set(t_grid)) < 2:
+        raise ValueError("tGrid needs two distinct times for a slope")
+    mollify = _integer(cfg.get("mollify", mollify), "mollify")
+    samples = _integer(cfg.get("samples", samples), "samples", 1)
+    tol = _positive(cfg.get("tolerance", 1e-9), "tolerance")
+    threshold = cfg.get("stderrThreshold")
+    if threshold is not None:
+        threshold = _positive(threshold, "stderrThreshold")
     eps = Fraction(str(cfg.get("eps", "1/100")))
     invp = _parse_p(str(cfg.get("p", "inf")))
-    return sector, hopf, ctx, xi, h, base_points, eps, invp, seed
+
+    grid = GridSpec(sizes, period, tuple(float(s) for s in params.scaling))
+    if "symbol" in ocfg:
+        symbol = tuple(
+            (tuple(_integer(kj, "operator.symbol index")
+                   for kj in _array(k, "operator.symbol index", d)),
+             _coefficient(c, "operator.symbol coefficient"))
+            for k, c in (_array(term, "operator.symbol term", 2)
+                         for term in _array(ocfg["symbol"],
+                                            "operator.symbol")))
+        op = OperatorSpec(symbol=symbol,
+                          ell=_positive(ocfg.get("ell", params.ell),
+                                        "operator.ell"),
+                          cutoff_width=width)
+    elif "ell" in ocfg:
+        raise ValueError("operator.ell needs operator.symbol")
+    else:
+        op = (fourth_order_op if params.ell == 4 else second_order_op)(
+            d, width)
+    return SimpleNamespace(
+        sector=sector, hopf=hopf, ctx=OperatorContext(grid, op, quad),
+        noise=(kind, scale, level), seed=seed, points=points,
+        t_grid=t_grid, mollify=mollify, samples=samples, tol=tol,
+        threshold=threshold, eps=eps, invp=invp)
+
+
+def _noise_fields(num):
+    """The noise field xi and its derivative direction h of a config."""
+    from .analytic.noise import smooth_field, white_noise
+
+    kind, scale, level = num.noise
+    grid = num.ctx.grid
+    if kind == "smooth":
+        return tuple(smooth_field(grid, num.seed, i, scale) for i in (0, 1))
+    return tuple(num.ctx.mollify(white_noise(grid, num.seed, i), level)
+                 for i in (0, 1))
 
 
 def _load_cfg(args) -> dict:
@@ -257,15 +352,15 @@ def cmd_model_build(args):
     from .analytic.checks import check_route_equivalence
     from .analytic.model import Model
 
-    cfg = _load_cfg(args)
-    sector, hopf, ctx, xi, h, pts, eps, invp, _seed = \
-        _numeric_setup(args, cfg)
-    model = Model(sector, hopf, ctx, xi, h, eps=eps)
+    num = _numeric_setup(args, _load_cfg(args))
+    invp = num.invp
+    model = Model(num.sector, num.hopf, num.ctx, *_noise_fields(num),
+                  eps=num.eps)
     trees = {}
     worst = 0.0
-    for t in sector.members():
+    for t in num.sector.members():
         per_point = {}
-        for x in pts:
+        for x in num.points:
             f = model.pi_x(t, x, invp)
             per_point[str(x)] = {
                 "min": float(f.min()), "max": float(f.max()),
@@ -273,7 +368,7 @@ def cmd_model_build(args):
             worst = max(worst, check_route_equivalence(model, t, x, invp))
         trees[format_tree(t)] = per_point
     _emit(args, {"trees": trees, "route_equivalence_error": worst,
-                 "eps": _frac_str(eps), "p": str(from_invp(invp))})
+                 "eps": _frac_str(num.eps), "p": str(from_invp(invp))})
     return 0
 
 
@@ -281,59 +376,51 @@ def cmd_verify_comparison(args):
     from .analytic.model import Model
     from .analytic.checks import check_comparison
 
-    cfg = _load_cfg(args)
-    sector, hopf, ctx, xi, h, pts, eps, _invp, _seed = \
-        _numeric_setup(args, cfg)
-    model = Model(sector, hopf, ctx, xi, h, eps=eps)
+    num = _numeric_setup(args, _load_cfg(args))
+    model = Model(num.sector, num.hopf, num.ctx, *_noise_fields(num),
+                  eps=num.eps)
     bounds = [Fraction(1, 2)] + sorted(
         (to_invp(p) for p in model.phase_points()), reverse=True) \
         + [Fraction(0)]
     cells = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
-    tol = float(cfg.get("tolerance", 1e-9))
     worst, results = 0.0, []
-    for t in sector.dot_basis:
+    for t in num.sector.dot_basis:
         for invp in cells:
-            for x in pts:
+            for x in num.points:
                 err = check_comparison(model, t, x, invp)
                 worst = max(worst, err)
                 results.append({"tree": format_tree(t),
                                 "p": str(from_invp(invp)), "error": err})
-    doc = {"ok": worst <= tol, "max_error": worst, "results": results}
+    doc = {"ok": worst <= num.tol, "max_error": worst, "results": results}
     _emit(args, doc)
-    return 0 if worst <= tol else EXIT_VERIFY
+    return 0 if worst <= num.tol else EXIT_VERIFY
 
 
 def cmd_verify_dpidd(args):
     from .analytic.checks import check_derivative_identity
 
-    cfg = _load_cfg(args)
-    sector, hopf, ctx, xi, h, pts, eps, _invp, _seed = \
-        _numeric_setup(args, cfg)
-    tol = float(cfg.get("tolerance", 1e-9))
+    num = _numeric_setup(args, _load_cfg(args))
+    xi, h = _noise_fields(num)
     worst, results = 0.0, []
-    for t in sector.basis_o:
-        err = check_derivative_identity(sector, hopf, ctx, xi, h, t,
-                                        pts[0], eps)
+    for t in num.sector.basis_o:
+        err = check_derivative_identity(num.sector, num.hopf, num.ctx, xi,
+                                        h, t, num.points[0], num.eps)
         worst = max(worst, err)
         results.append({"tree": format_tree(t), "error": err})
-    _emit(args, {"ok": worst <= tol, "max_error": worst,
+    _emit(args, {"ok": worst <= num.tol, "max_error": worst,
                  "results": results})
-    return 0 if worst <= tol else EXIT_VERIFY
+    return 0 if worst <= num.tol else EXIT_VERIFY
 
 
 def cmd_bphz_solve(args):
     from .analytic import mc
 
-    cfg = _load_cfg(args)
-    sector, hopf, ctx, _xi, _h, _pts, _eps, _invp, seed = \
-        _numeric_setup(args, cfg)
-    level = int(cfg.get("mollify", 4))
-    samples = int(cfg.get("samples", 64))
-    threshold = cfg.get("stderrThreshold")
+    num = _numeric_setup(args, _load_cfg(args), mollify=4, samples=64)
     c, info = mc.solve_bphz_c(
-        sector, hopf, ctx, level, samples, seed, mode=args.mode,
-        stderr_threshold=(float(threshold) if threshold else None))
-    doc = {"mode": args.mode, "mollify": level, "samples": samples,
+        num.sector, num.hopf, num.ctx, num.mollify, num.samples, num.seed,
+        mode=args.mode, stderr_threshold=num.threshold)
+    doc = {"mode": args.mode, "mollify": num.mollify,
+           "samples": num.samples,
            "counterterms": {format_tree(t): float(v)
                             for t, v in c.values.items()},
            "estimates": {format_tree(t): v for t, v in info.items()}}
@@ -344,21 +431,18 @@ def cmd_bphz_solve(args):
 def cmd_scaling_fit(args):
     from .analytic import mc
 
-    cfg = _load_cfg(args)
-    sector, hopf, ctx, _xi, _h, pts, eps, invp, seed = \
-        _numeric_setup(args, cfg)
-    t = parse(args.tree, dim=sector.params.d)
-    level = int(cfg.get("mollify", 8))
-    samples = int(cfg.get("samples", 16))
-    t_values = [float(v) for v in cfg.get(
-        "tGrid", [2.0 ** (-j) for j in range(10, 1, -1)])]
-    series = mc.scaling_ensemble(sector, hopf, ctx, t, level, samples,
-                                 seed, t_values, pts, invp=invp, eps=eps)
-    slope, lo, hi = mc.scaling_fit(t_values, series, seed=seed)
-    r = degree(t, sector.params, eps, invp)
+    num = _numeric_setup(args, _load_cfg(args), mollify=8, samples=16)
+    params = num.sector.params
+    t = parse(args.tree, dim=params.d)
+    series = mc.scaling_ensemble(num.sector, num.hopf, num.ctx, t,
+                                 num.mollify, num.samples, num.seed,
+                                 num.t_grid, num.points, invp=num.invp,
+                                 eps=num.eps)
+    slope, lo, hi = mc.scaling_fit(num.t_grid, series, seed=num.seed)
+    r = degree(t, params, num.eps, num.invp)
     doc = {"tree": format_tree(t), "slope": slope, "ci": [lo, hi],
-           "expected": float(r / sector.params.ell),
-           "tGrid": t_values,
+           "expected": float(r / params.ell),
+           "tGrid": num.t_grid,
            "series_mean": [float(sum(col) / len(col))
                            for col in zip(*series)]}
     _emit(args, doc)

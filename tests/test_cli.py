@@ -1,6 +1,7 @@
 """Command-line front end: outputs, exit codes and reproducibility."""
 
 import json
+import math
 
 import pytest
 
@@ -228,6 +229,63 @@ def test_unknown_quad_key_exit(capsys, small_cfg, tmp_path):
         code, _o, err = run(capsys, "model", "build", str(path))
         assert code == EXIT_CONFIG
         assert named in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"noise": {"kind": "blue"}}, "noise kind"),
+    ({"basePoints": [[40, 1]]}, "basePoints"),
+    ({"grid": {"sizes": ["32", "32"]}}, "grid.sizes"),
+    ({"quad": {"tol": "1e-10"}}, "quad.tol"),
+    ({"basePoints": [[1, 2, 3]]}, "base point"),
+    ({"grid": {"sizes": [32, 32], "period": [6.28, -1.0]}}, "grid.period"),
+    ({"grid": {"size": [32, 32]}}, "size"),
+    ({"operator": {"cutoffWidth": "1"}}, "cutoffWidth"),
+    ({"operator": {"symbol": [[[2, 0], "x"]]}}, "coefficient"),
+    ({"noise": {"kind": "smooth", "scale": 0}}, "noise.scale"),
+    ({"noise": {"kind": "white", "mollify": 2.5}}, "noise.mollify"),
+    ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"samples": 0}, "samples"),
+    ({"mollify": "4"}, "mollify"),
+    ({"tGrid": [0.25]}, "tGrid"),
+    ({"tGrid": [0.25, 0.25]}, "tGrid"),
+    ({"rule": 5}, "rule"),
+    ({"tolerance": "1e-9"}, "tolerance"),
+    ({"stderrThreshold": 0}, "stderrThreshold"),
+])
+def test_bad_numeric_config_exit(capsys, small_cfg, tmp_path, change, named):
+    """Every numeric config field is converted and checked before any
+    numeric work: a bad value exits 1 with a JSON error naming it."""
+    cfg = json.loads(open(small_cfg).read())
+    cfg.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "model", "build", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert named in json.loads(err)["error"]
+
+
+def test_explicit_numeric_config_matches_defaults(capsys, small_cfg,
+                                                 tmp_path):
+    """Spelling out the defaults, the operator symbol included, gives
+    the same document as leaving them out."""
+    code, base, _e = run(capsys, "model", "build", small_cfg)
+    assert code == 0
+    cfg = json.loads(open(small_cfg).read())
+    cfg.update({
+        "grid": {"sizes": [32, 32], "period": [2 * math.pi] * 2},
+        "operator": {"symbol": [[[2, 0], 1], [[0, 2], "1"]], "ell": 2,
+                     "cutoffWidth": 1.0},
+        "quad": {"nodes_per_block": 12, "extra_depth": 2,
+                 "check_nodes": 18, "tol": 1e-10},
+        "p": "inf", "mollify": 4, "samples": 64,
+        "tGrid": [2.0 ** (-j) for j in range(10, 1, -1)]})
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _e = run(capsys, "model", "build", str(path))
+    assert code == 0
+    assert out == base
 
 
 def test_quadrature_failure_exit(capsys, small_cfg, tmp_path):

@@ -272,6 +272,36 @@ def test_point_value_matches_full_field_read(sizes):
             assert abs(got - field[x]) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("sizes", [(32, 32), (32, 16), (16, 16, 16)])
+def test_heat_reads_match_complex_round_trip(sizes):
+    """heat_point reads the field against the reflected heat kernel,
+    heat_points the spectrum against the heat multipliers; both give the
+    complex round trip ifftn(fftn(f) exp(tP)) at and off the origin."""
+    ctx = _ctx(sizes)
+    grid = ctx.grid
+    f = white_noise(grid, 31, 0)
+    P, _ilam, _kernel = _full_multipliers(ctx)
+    times = (0.01, 0.3, 1.0)
+    fields = [_reference(f, np.exp(t * P)) for t in times]
+    for x in ((0,) * grid.d,
+              tuple((5 * j + 3) % n for j, n in enumerate(grid.sizes))):
+        got = ctx.heat_points(grid.rfft(f), x, times)
+        assert len(got) == len(times)
+        for t, value, field in zip(times, got, fields):
+            scale = np.max(np.abs(field))
+            assert isinstance(value, float)
+            assert abs(value - field[x]) <= 1e-13 * scale
+            assert abs(ctx.heat_point(f, t, x) - field[x]) <= 1e-13 * scale
+
+
+def test_heat_reads_refuse_nonpositive_times(ctx, grid):
+    f = white_noise(grid, 3, 0)
+    with pytest.raises(ValueError):
+        ctx.heat_point(f, 0.0, (0, 0))
+    with pytest.raises(ValueError):
+        ctx.heat_points(grid.rfft(f), (0, 0), [0.5, -1.0])
+
+
 @pytest.mark.parametrize("sizes", HALF_GRIDS)
 def test_noise_matches_complex_formula(sizes):
     grid = _grid(sizes)
@@ -295,13 +325,20 @@ def test_multipliers_are_cached_and_bounded(ctx):
     assert ctx.heat_multiplier(0.25, (0, 0)) is a
     m = ctx.mollify_multiplier(3)
     assert ctx.mollify_multiplier(3) is m
-    for arr in (a, m, ctx.kernel_multiplier((1, 0)), ctx.i_lambda_pow((1, 0))):
+    g = ctx.heat_kernel(0.25)
+    assert ctx.heat_kernel(0.25) is g
+    for arr in (a, m, g, ctx.kernel_multiplier((1, 0)),
+                ctx.i_lambda_pow((1, 0))):
         assert not arr.flags.writeable
     # a sweep over many times evicts the oldest entries instead of growing
     for j in range(1, 200):
         ctx.heat_multiplier(j / 1000.0)
     again = ctx.heat_multiplier(0.25)
     assert again is not a and np.array_equal(again, a)
+    for j in range(1, 40):
+        ctx.heat_kernel(j / 1000.0)
+    assert len(ctx._heat_kernel) <= 32
+    assert ctx.heat_kernel(0.25) is not g
 
 
 def test_coords_built_once_read_only(ctx, grid):

@@ -103,3 +103,35 @@ def test_scaling_ensemble_deterministic(setup):
                             t_values, [(0, 0)])
     assert a == b
     assert len(a) == 2 and len(a[0]) == 2
+
+
+def test_one_forward_transform_per_sample(setup, monkeypatch):
+    """With the multipliers cached, a qbar sample of (O() K(O())) costs
+    one forward and two inverse transforms (noise in; the noise field and
+    its kernel field out), and a scaling sample of (O()) only the
+    forward transform of its noise."""
+    sector, hopf, ctx = setup
+    tau2 = parse("(O() K(O()))", dim=2)
+    t_values = [0.25, 0.5]
+
+    def qbar(n):
+        mc.constant_samples(sector, hopf, ctx, IdentityMap(), tau2, 3, n, 4)
+
+    def scaling(n):
+        mc.scaling_ensemble(sector, hopf, ctx, noise(2), 3, n, 4, t_values,
+                            [(0, 0), (5, 9)])
+    qbar(1)  # warm the multiplier and heat-kernel caches
+    scaling(1)
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*a, _f=original, _name=name, **k):
+            calls.append(_name)
+            return _f(*a, **k)
+        monkeypatch.setattr(np.fft, name, counted)
+    qbar(4)
+    assert sorted(calls) == ["irfftn"] * 8 + ["rfftn"] * 4
+    calls.clear()
+    scaling(4)
+    assert calls == ["rfftn"] * 4

@@ -18,8 +18,8 @@ from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field, white_noise
 from ristruct.config import numeric2d_sector
 from ristruct.hopf import Hopf
-from ristruct.renorm import IdentityMap
-from ristruct.trees import K, X, parse, plant_tree, unit
+from ristruct.renorm import DictPreparationMap, IdentityMap
+from ristruct.trees import K, LinComb, X, noise, parse, plant_tree, unit
 
 EPS = F(1, 100)
 
@@ -132,6 +132,47 @@ def test_derivative_identity(setup):
         err = check_derivative_identity(sector, hopf, ctx, xi, hf, t,
                                         X0, EPS)
         assert err < 1e-12
+
+
+def test_model_from_spectrum_matches_field(setup):
+    """A model handed the noise spectrum agrees with one handed the field
+    it stands for, on both recentering routes."""
+    sector, hopf, ctx, _xi, hf, _m = setup
+    xi_hat = ctx.grid.rfft(white_noise(ctx.grid, 33, 0)) \
+        * ctx.mollify_multiplier(3)
+    spec = Model(sector, hopf, ctx, h=hf, eps=EPS, xi_hat=xi_hat)
+    field = Model(sector, hopf, ctx, ctx.grid.irfft(xi_hat), hf, eps=EPS)
+    for t in sector.members():
+        for x in (X0, (0, 0)):
+            for invp in (F(0), F(1, 10)):
+                assert relative_error(spec.pi_x(t, x, invp),
+                                      field.pi_x(t, x, invp)) <= 1e-13
+                assert relative_error(spec.pi_x_hat(t, x, invp),
+                                      field.pi_x_hat(t, x, invp)) <= 1e-13
+    assert spec.spectrum(noise(2)) is xi_hat
+
+
+def test_noise_spectrum_follows_the_preparation_map(setup):
+    """The given spectrum stands for the noise only while the preparation
+    map leaves the noise alone; a map that rescales it is honoured."""
+    sector, hopf, ctx, _xi, _hf, _m = setup
+    xi_hat = ctx.grid.rfft(white_noise(ctx.grid, 34, 0)) \
+        * ctx.mollify_multiplier(3)
+    prep = DictPreparationMap({noise(2): LinComb.single(noise(2), 3)})
+    spec = Model(sector, hopf, ctx, xi_hat=xi_hat, prep=prep)
+    field = Model(sector, hopf, ctx, ctx.grid.irfft(xi_hat), prep=prep)
+    tau2 = parse("(O() K(O()))", dim=2)
+    assert relative_error(spec.pi_x(tau2, X0, F(0)),
+                          field.pi_x(tau2, X0, F(0))) <= 1e-13
+    assert spec.spectrum(noise(2)) is not xi_hat
+
+
+def test_model_takes_exactly_one_noise(setup):
+    sector, hopf, ctx, xi, _hf, _m = setup
+    with pytest.raises(ValueError):
+        Model(sector, hopf, ctx, xi, xi_hat=ctx.grid.rfft(xi))
+    with pytest.raises(ValueError):
+        Model(sector, hopf, ctx)
 
 
 def test_qnorm_series_unit(setup):

@@ -247,11 +247,10 @@ def _coefficient(value, name: str) -> complex:
     return c
 
 
-def _numeric_setup(args, cfg: dict, mollify: int = 4, samples: int = 64):
-    """Load a numeric config, converting and checking every field before
-    any numeric work; a bad value is a ValueError (exit 1).  ``mollify``
-    and ``samples`` are the command's defaults for the top-level keys of
-    those names.  The noise fields are built by ``_noise_fields``."""
+def _numeric_setup(args, cfg: dict):
+    """Load the fields every numeric command shares, converting and
+    checking each before any numeric work; a bad value is a ValueError
+    (exit 1).  The noise fields are built by ``_noise_fields``."""
     import numpy as np
 
     from .analytic.grid import (GridSpec, OperatorContext, OperatorSpec,
@@ -291,17 +290,7 @@ def _numeric_setup(args, cfg: dict, mollify: int = 4, samples: int = 64):
               for x in _array(cfg.get("basePoints",
                                       [[n // 3 for n in sizes]]),
                               "basePoints")]
-    t_grid = [_positive(v, "tGrid entry") for v in _array(
-        cfg.get("tGrid", [2.0 ** (-j) for j in range(10, 1, -1)]),
-        "tGrid")]
-    if len(set(t_grid)) < 2:
-        raise ValueError("tGrid needs two distinct times for a slope")
-    mollify = _integer(cfg.get("mollify", mollify), "mollify")
-    samples = _integer(cfg.get("samples", samples), "samples", 1)
     tol = _positive(cfg.get("tolerance", 1e-9), "tolerance")
-    threshold = cfg.get("stderrThreshold")
-    if threshold is not None:
-        threshold = _positive(threshold, "stderrThreshold")
     eps = Fraction(str(cfg.get("eps", "1/100")))
     invp = _parse_p(str(cfg.get("p", "inf")))
 
@@ -314,10 +303,9 @@ def _numeric_setup(args, cfg: dict, mollify: int = 4, samples: int = 64):
             for k, c in (_array(term, "operator.symbol term", 2)
                          for term in _array(ocfg["symbol"],
                                             "operator.symbol")))
-        op = OperatorSpec(symbol=symbol,
-                          ell=_positive(ocfg.get("ell", params.ell),
-                                        "operator.ell"),
-                          cutoff_width=width)
+        ell = (_positive(ocfg["ell"], "operator.ell") if "ell" in ocfg
+               else float(params.ell))
+        op = OperatorSpec(symbol=symbol, ell=ell, cutoff_width=width)
     elif "ell" in ocfg:
         raise ValueError("operator.ell needs operator.symbol")
     else:
@@ -325,9 +313,8 @@ def _numeric_setup(args, cfg: dict, mollify: int = 4, samples: int = 64):
             d, width)
     return SimpleNamespace(
         sector=sector, hopf=hopf, ctx=OperatorContext(grid, op, quad),
-        noise=(kind, scale, level), seed=seed, points=points,
-        t_grid=t_grid, mollify=mollify, samples=samples, tol=tol,
-        threshold=threshold, eps=eps, invp=invp)
+        noise=(kind, scale, level), seed=seed, points=points, tol=tol,
+        eps=eps, invp=invp)
 
 
 def _noise_fields(num):
@@ -415,12 +402,17 @@ def cmd_verify_dpidd(args):
 def cmd_bphz_solve(args):
     from .analytic import mc
 
-    num = _numeric_setup(args, _load_cfg(args), mollify=4, samples=64)
+    cfg = _load_cfg(args)
+    num = _numeric_setup(args, cfg)
+    level = _integer(cfg.get("mollify", 4), "mollify")
+    samples = _integer(cfg.get("samples", 64), "samples", 1)
+    threshold = cfg.get("stderrThreshold")
+    if threshold is not None:
+        threshold = _positive(threshold, "stderrThreshold")
     c, info = mc.solve_bphz_c(
-        num.sector, num.hopf, num.ctx, num.mollify, num.samples, num.seed,
-        mode=args.mode, stderr_threshold=num.threshold)
-    doc = {"mode": args.mode, "mollify": num.mollify,
-           "samples": num.samples,
+        num.sector, num.hopf, num.ctx, level, samples, num.seed,
+        mode=args.mode, stderr_threshold=threshold)
+    doc = {"mode": args.mode, "mollify": level, "samples": samples,
            "counterterms": {format_tree(t): float(v)
                             for t, v in c.values.items()},
            "estimates": {format_tree(t): v for t, v in info.items()}}
@@ -431,18 +423,25 @@ def cmd_bphz_solve(args):
 def cmd_scaling_fit(args):
     from .analytic import mc
 
-    num = _numeric_setup(args, _load_cfg(args), mollify=8, samples=16)
+    cfg = _load_cfg(args)
+    num = _numeric_setup(args, cfg)
+    level = _integer(cfg.get("mollify", 8), "mollify")
+    samples = _integer(cfg.get("samples", 16), "samples", 1)
+    t_grid = [_positive(v, "tGrid entry") for v in _array(
+        cfg.get("tGrid", [2.0 ** (-j) for j in range(10, 1, -1)]),
+        "tGrid")]
+    if len(set(t_grid)) < 2:
+        raise ValueError("tGrid needs two distinct times for a slope")
     params = num.sector.params
     t = parse(args.tree, dim=params.d)
-    series = mc.scaling_ensemble(num.sector, num.hopf, num.ctx, t,
-                                 num.mollify, num.samples, num.seed,
-                                 num.t_grid, num.points, invp=num.invp,
-                                 eps=num.eps)
-    slope, lo, hi = mc.scaling_fit(num.t_grid, series, seed=num.seed)
+    series = mc.scaling_ensemble(num.sector, num.hopf, num.ctx, t, level,
+                                 samples, num.seed, t_grid, num.points,
+                                 invp=num.invp, eps=num.eps)
+    slope, lo, hi = mc.scaling_fit(t_grid, series, seed=num.seed)
     r = degree(t, params, num.eps, num.invp)
     doc = {"tree": format_tree(t), "slope": slope, "ci": [lo, hi],
            "expected": float(r / params.ell),
-           "tGrid": num.t_grid,
+           "tGrid": t_grid,
            "series_mean": [float(sum(col) / len(col))
                            for col in zip(*series)]}
     _emit(args, doc)

@@ -231,36 +231,44 @@ def test_unknown_quad_key_exit(capsys, small_cfg, tmp_path):
         assert named in json.loads(err)["error"]
 
 
-@pytest.mark.parametrize("change, named", [
-    ({"noise": {"kind": "blue"}}, "noise kind"),
-    ({"basePoints": [[40, 1]]}, "basePoints"),
-    ({"grid": {"sizes": ["32", "32"]}}, "grid.sizes"),
-    ({"quad": {"tol": "1e-10"}}, "quad.tol"),
-    ({"basePoints": [[1, 2, 3]]}, "base point"),
-    ({"grid": {"sizes": [32, 32], "period": [6.28, -1.0]}}, "grid.period"),
-    ({"grid": {"size": [32, 32]}}, "size"),
-    ({"operator": {"cutoffWidth": "1"}}, "cutoffWidth"),
-    ({"operator": {"symbol": [[[2, 0], "x"]]}}, "coefficient"),
-    ({"noise": {"kind": "smooth", "scale": 0}}, "noise.scale"),
-    ({"noise": {"kind": "white", "mollify": 2.5}}, "noise.mollify"),
-    ({"seed": -1}, "seed"),
-    ({"seed": True}, "seed"),
-    ({"samples": 0}, "samples"),
-    ({"mollify": "4"}, "mollify"),
-    ({"tGrid": [0.25]}, "tGrid"),
-    ({"tGrid": [0.25, 0.25]}, "tGrid"),
-    ({"rule": 5}, "rule"),
-    ({"tolerance": "1e-9"}, "tolerance"),
-    ({"stderrThreshold": 0}, "stderrThreshold"),
+@pytest.mark.parametrize("change, named, command", [
+    ({"noise": {"kind": "blue"}}, "noise kind", "model"),
+    ({"basePoints": [[40, 1]]}, "basePoints", "model"),
+    ({"grid": {"sizes": ["32", "32"]}}, "grid.sizes", "model"),
+    ({"quad": {"tol": "1e-10"}}, "quad.tol", "model"),
+    ({"basePoints": [[1, 2, 3]]}, "base point", "model"),
+    ({"grid": {"sizes": [32, 32], "period": [6.28, -1.0]}}, "grid.period",
+     "model"),
+    ({"grid": {"size": [32, 32]}}, "size", "model"),
+    ({"operator": {"cutoffWidth": "1"}}, "cutoffWidth", "model"),
+    ({"operator": {"symbol": [[[2, 0], "x"]]}}, "coefficient", "model"),
+    ({"noise": {"kind": "smooth", "scale": 0}}, "noise.scale", "model"),
+    ({"noise": {"kind": "white", "mollify": 2.5}}, "noise.mollify",
+     "model"),
+    ({"seed": -1}, "seed", "model"),
+    ({"seed": True}, "seed", "model"),
+    ({"rule": 5}, "rule", "model"),
+    ({"tolerance": "1e-9"}, "tolerance", "model"),
+    ({"samples": 0}, "samples", "bphz"),
+    ({"mollify": "4"}, "mollify", "bphz"),
+    ({"stderrThreshold": 0}, "stderrThreshold", "bphz"),
+    ({"samples": 0}, "samples", "scaling"),
+    ({"mollify": "4"}, "mollify", "scaling"),
+    ({"tGrid": [0.25]}, "tGrid", "scaling"),
+    ({"tGrid": [0.25, 0.25]}, "tGrid", "scaling"),
 ])
-def test_bad_numeric_config_exit(capsys, small_cfg, tmp_path, change, named):
+def test_bad_numeric_config_exit(capsys, small_cfg, tmp_path, change, named,
+                                 command):
     """Every numeric config field is converted and checked before any
     numeric work: a bad value exits 1 with a JSON error naming it."""
     cfg = json.loads(open(small_cfg).read())
     cfg.update(change)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    code, out, err = run(capsys, "model", "build", str(path))
+    argv = {"model": ("model", "build", str(path)),
+            "bphz": ("bphz", "solve", str(path)),
+            "scaling": ("scaling", "fit", str(path), "(O())")}[command]
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
     assert named in json.loads(err)["error"]
@@ -279,9 +287,23 @@ def test_explicit_numeric_config_matches_defaults(capsys, small_cfg,
                      "cutoffWidth": 1.0},
         "quad": {"nodes_per_block": 12, "extra_depth": 2,
                  "check_nodes": 18, "tol": 1e-10},
-        "p": "inf", "mollify": 4, "samples": 64,
-        "tGrid": [2.0 ** (-j) for j in range(10, 1, -1)]})
+        "p": "inf"})
     path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _e = run(capsys, "model", "build", str(path))
+    assert code == 0
+    assert out == base
+
+
+def test_operator_symbol_takes_ell_from_rule(capsys, small_cfg, tmp_path):
+    """An operator symbol without ``ell`` takes the rule's order, and a
+    command ignores the fields only other commands read."""
+    code, base, _e = run(capsys, "model", "build", small_cfg)
+    assert code == 0
+    cfg = json.loads(open(small_cfg).read())
+    cfg.update({"operator": {"symbol": [[[2, 0], 1], [[0, 2], 1]]},
+                "tGrid": [0.25], "samples": 0})
+    path = tmp_path / "symbol.json"
     path.write_text(json.dumps(cfg))
     code, out, _e = run(capsys, "model", "build", str(path))
     assert code == 0

@@ -164,12 +164,13 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
             if R.apply(planted) != LinComb.single(planted, 1):
                 report.fail("c", planted, "planted tree not fixed")
 
+    half_tr = truncations[-1][1]
     for t in s.members():
-        lhs = _tensor_apply_left(R, hopf.coproduct(t, 0, half))
+        lhs = _tensor_apply_left(R, hopf._coproduct(t, half_tr))
         rhs = LinComb()
         for term, c in R.apply(t):
-            for (a, b), c2 in hopf.coproduct(term, 0, half):
-                rhs.add((a, b), c * c2)
+            for (a, b), c2 in hopf._coproduct(term, half_tr):
+                rhs.add((a, b), c2 if c == 1 else c * c2)
         if lhs != rhs:
             report.fail("d", t, "coproduct commutation fails")
 
@@ -185,7 +186,7 @@ def _tensor_apply_left(R: PreparationMap, ts):
     out = LinComb()
     for (a, b), c in ts:
         for a2, c2 in R.apply(a):
-            out.add((a2, b), c * c2)
+            out.add((a2, b), c2 if c == 1 else c * c2)
     return out
 
 

@@ -16,8 +16,9 @@ from itertools import combinations
 
 from .grading import Params, degree, degree_eval, label_form
 from .hopf import Hopf
-from .trees import (H, K, OMEGA, LinComb, Tree, X, dot_noise, mi_range,
-                    mi_weight, mi_zero, noise, plant_tree, unit)
+from .trees import (H, K, OMEGA, LinComb, Tree, X, dot_noise,
+                    integer_weights, mi_range, mi_zero, noise, plant_tree,
+                    unit)
 
 PRECEDES = "precedes"
 EQUAL = "equal"
@@ -170,10 +171,16 @@ class Sector:
     # generator sets -----------------------------------------------------
 
     def _below(self, bound):
-        """All multi-indices k with |k|_s < bound, in mi_range order."""
-        scaling = self.params.scaling
-        caps = tuple(int(bound / s) + 1 for s in scaling)
-        return [k for k in mi_range(caps) if mi_weight(k, scaling) < bound]
+        """All multi-indices k with |k|_s < bound, in mi_range order.
+
+        With w the scaling times its common denominator D and bound =
+        num / den, |k|_s < bound exactly when den * (w.k) < num * D, so
+        the test runs in integers."""
+        D, w = integer_weights(self.params.scaling)
+        den, lim = bound.denominator, bound.numerator * D
+        caps = tuple((lim - 1) // (den * x) for x in w)  # k_j alone
+        return [k for k in mi_range(caps)
+                if den * sum(x * y for x, y in zip(w, k)) < lim]
 
     def _coordinates(self):
         d = self.params.d

@@ -5,11 +5,14 @@ label together with an edge decoration on every edge.  Trees are
 non-planar: children are kept sorted by a canonical total order, so two
 planar presentations of the same tree compare equal and hash equal.
 Canonical trees are hash-consed through a module-level interning table.
+Coefficients are exact rationals (``int`` when integral, otherwise
+``Fraction``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 OMEGA = "O"
@@ -36,6 +39,12 @@ def mi_abs(a: MultiIndex) -> int:
 def mi_weight(a: MultiIndex, scaling) -> Fraction:
     """|k|_s = sum_j s_j k_j with exact rationals."""
     return sum((Fraction(s) * k for s, k in zip(scaling, a)), Fraction(0))
+
+def integer_weights(scaling) -> tuple:
+    """(D, w): the least common denominator D of the scaling and the
+    integer weights w = D * scaling, so that |k|_s = (w . k) / D."""
+    D = lcm(*(s.denominator for s in scaling))
+    return D, tuple(int(s * D) for s in scaling)
 
 def mi_factorial(a: MultiIndex) -> int:
     out = 1
@@ -220,7 +229,12 @@ def tree_product(a: Tree, b: Tree) -> Tree:
 
 
 class LinComb:
-    """Finite formal sum with Fraction coefficients.
+    """Finite formal sum with exact rational coefficients.
+
+    A coefficient is stored as an ``int`` when it is integral and as a
+    ``Fraction`` otherwise; both compare, hash and print alike, so the
+    choice is invisible outside, but products of integral coefficients
+    stay in integer arithmetic.
 
     Terms are canonical trees, or tuples of trees for tensors: a
     coproduct is a LinComb keyed by (left, right) pairs.  ``map_trees``
@@ -241,11 +255,16 @@ class LinComb:
         return v
 
     def add(self, t, c) -> None:
-        if type(c) is not Fraction:
-            c = Fraction(c)
+        if type(c) is not int:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
         old = self.terms.get(t)
         if old is not None:
             c += old
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
         if c:
             self.terms[t] = c
         else:

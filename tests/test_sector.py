@@ -14,8 +14,8 @@ from ristruct.sector import (EQUAL, FOLLOWS, PRECEDES, TIE, Rule, Sector,
                              check_differentiable, check_triangular, derive,
                              epsilon0, generate_from_rule, key_of,
                              load_rule_config, pam_rule, precede)
-from ristruct.trees import (OMEGA, Tree, X, format_tree, noise, parse,
-                            plant_tree, unit)
+from ristruct.trees import (OMEGA, Tree, X, format_tree, mi_range,
+                            mi_weight, noise, parse, plant_tree, unit)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,42 @@ def test_polys_match_brute_force_anisotropic(L):
                    if k[0] * F(1, 2) + k[1] * F(3, 2) < L)
     assert Sector(params, [noise(2)], L).polys == brute
     assert len(brute) == (5 if L == 2 else 12)
+
+
+def _below_brute_force(scaling, bound):
+    """Every k in a box wide enough for the bound with |k|_s < bound,
+    through mi_weight, in mi_range order."""
+    box = tuple(12 for _s in scaling)
+    return [k for k in mi_range(box) if mi_weight(k, scaling) < bound]
+
+
+@pytest.mark.parametrize("scaling,bounds", [
+    ((F(1), F(1), F(1)), [F(2), F(5, 2), F(7, 3)]),
+    ((F(1, 2), F(3, 2)), [F(2), F(7, 2), F(9, 4)]),
+])
+def test_below_matches_weight_brute_force(scaling, bounds):
+    params = Params(d=len(scaling), scaling=scaling, r0=F(-5, 2),
+                    beta0=F(2), ell=F(4), ell1=F(1), s0=F(-1))
+    sector = Sector(params, [noise(len(scaling))], 0)
+    for bound in bounds:
+        assert sector._below(bound) == _below_brute_force(scaling, bound)
+
+
+def test_below_excludes_a_bound_on_a_lattice_weight():
+    """|k|_s < bound is strict: k with weight exactly the bound is out."""
+    params = Params(d=2, scaling=(F(1, 2), F(3, 2)), r0=F(-2, 5),
+                    beta0=F(2), ell=F(4), ell1=F(1), s0=F(-1))
+    sector = Sector(params, [noise(2)], 0)
+    bound = F(3, 2)  # the weight of (3, 0), (1, 1) and (0, 1)
+    below = sector._below(bound)
+    assert below == _below_brute_force(params.scaling, bound)
+    assert not {(3, 0), (1, 1), (0, 1)} & set(below)
+    assert (2, 0) in below
+
+
+@pytest.mark.parametrize("bound", [F(0), F(-1, 3), F(-5)])
+def test_below_non_positive_bound_is_empty(sector, bound):
+    assert sector._below(bound) == []
 
 
 def test_generated_dot_basis(sector):

@@ -172,6 +172,31 @@ def test_mi_helpers():
     assert sorted(mi_range((1, 1))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+_TERMS = (unit(2), noise(2), X((1, 0)), (noise(2), unit(2)))
+_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@given(st.lists(st.tuples(st.sampled_from(_TERMS), _COEFFS), max_size=12))
+def test_lincomb_stores_integral_coefficients_as_int(adds):
+    """Whatever mix of int and Fraction goes in, a stored coefficient is
+    an int exactly when it is integral and a Fraction otherwise, and the
+    sum, its zero terms and its repr are those of the all-Fraction sum."""
+    v = LinComb()
+    ref = {}
+    for t, c in adds:
+        v.add(t, c)
+        ref[t] = ref.get(t, Fraction(0)) + Fraction(c)
+    ref = {t: c for t, c in ref.items() if c}
+    for c in v.terms.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+    assert v.terms == ref
+    as_fractions = LinComb()
+    as_fractions.terms = ref
+    assert repr(v) == repr(as_fractions)
+
+
 def test_lincomb_algebra():
     a = LinComb.single(noise(2), Fraction(1, 2))
     b = LinComb.single(noise(2), Fraction(-1, 2))

@@ -178,7 +178,8 @@ class Sector:
         the test runs in integers."""
         D, w = integer_weights(self.params.scaling)
         den, lim = bound.denominator, bound.numerator * D
-        caps = tuple((lim - 1) // (den * x) for x in w)  # k_j alone
+        # the largest k_j with k_j * s_j < bound, the other entries zero
+        caps = tuple((lim - 1) // (den * x) for x in w)
         return [k for k in mi_range(caps)
                 if den * sum(x * y for x, y in zip(w, k)) < lim]
 

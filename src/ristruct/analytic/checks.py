@@ -111,8 +111,8 @@ def qnorm_series(model: Model, t: Tree, base_points, t_values, invp):
     ip = integrability(t, p)
     t_values = [float(tv) for tv in t_values]
     # one row per base point, one value per time
-    rows = [model.ctx.heat_points(model._recentered_spectrum(t, x, invp),
-                                  x, t_values) for x in base_points]
+    rows = [model.ctx.heat_points(model.phased_spectrum(t, x, invp),
+                                  t_values) for x in base_points]
     raw, weighted = [], []
     for tv, col in zip(t_values, zip(*rows)):
         vals = [abs(v) for v in col]

@@ -17,21 +17,29 @@ it differs from m only at Nyquist modes, and only for symbols odd there.
 Even real symbols (the operator, the cutoff, the time integral, the heat
 kernel, the mollifier) are evaluated on the half grid directly.
 
-A single grid value of a field given by its spectrum is read without an
-inverse transform (``GridSpec.point_value``): a weighted sum over the
-half spectrum, where last-axis bins 0 and n/2 count once and the others
-twice (for their conjugate mirrors), times the phase of the grid point.
+A single grid value of a field under a multiplier is read without any
+transform, by one of two point-read primitives:
 
-Heat-smoothed values exp(tP)f at a grid point are read without any
-transform, in one of two ways:
+- field against reflected kernel (``OperatorContext.kernel_point``,
+  ``heat_point``): for a real field f and a real-space kernel
+  G = irfft(m), cached per multiplier, one real dot product of f with
+  the reflected kernel y -> G(x - y);
+- phased spectrum against multiplier (``OperatorContext.phased`` and
+  ``phased_point``): for a half spectrum, Re and Im of the spectrum
+  times the weighted phase of x are formed once (last-axis bins 0 and
+  n/2 count once, the others twice for their conjugate mirrors), then
+  each multiplier m costs one or two real multiply-and-sums,
+  Re . Re(m) - Im . Im(m), divided by the point count.
 
-- field against kernel (``OperatorContext.heat_point``): for a real
-  field f, one real dot product of f with the reflected heat kernel
-  y -> G_t(x - y), G_t = irfft(exp(tP)), cached per t;
-- spectrum against multiplier (``OperatorContext.heat_points``): for a
-  half spectrum, the real part of the spectrum times the weighted phase
-  of x is formed once, then each t costs one real multiply-and-sum
-  against the cached multiplier exp(tP).
+The two recentering routes of ``Model`` read kernel values d^k K(f)(x)
+in different ways, so that their comparison checks one read against
+the other: the Taylor-subtraction route (oracle) reads its real field
+against the reflected kernel, the coproduct route (primary) its phased
+spectrum against the kernel multiplier.  Heat-smoothed values
+exp(tP)f(x) are read either way: ``heat_point`` (field against the
+reflected heat kernel, for the Monte Carlo constants) and
+``heat_points`` (phased spectrum against exp(tP), for the norms of
+``checks.qnorm_series``).
 """
 
 from __future__ import annotations
@@ -120,17 +128,6 @@ class GridSpec:
     def irfft(self, spec):
         """The real field with the given half spectrum."""
         return np.fft.irfftn(spec, s=self.sizes, axes=tuple(range(self.d)))
-
-    def point_value(self, spec, x) -> float:
-        """The value of ``irfft(spec)`` at grid index x, by one weighted
-        sum over the half spectrum instead of an inverse transform."""
-        out = spec
-        for phase in _point_phases(self.sizes, tuple(x)):
-            # contract the leading axis by multiply and sum: a BLAS
-            # product is faster single-threaded, but its threads cost
-            # more than the whole sum at these sizes
-            out = (out * phase.reshape((-1,) + (1,) * (out.ndim - 1))).sum(0)
-        return float(out.real) / math.prod(self.sizes)
 
 
 @lru_cache(maxsize=64)
@@ -254,6 +251,8 @@ class OperatorContext:
         self._chi_hat = self._make_chi_hat()
         self._S = None
         self._kernel_mult = {}
+        self._kernel_parts = {}
+        self._kernel_field = {}
         self._heat_mult = {}
         self._heat_kernel = {}
         self._mollify_mult = {}
@@ -354,41 +353,61 @@ class OperatorContext:
             raise ValueError("heat time must be positive")
         return self.apply_multiplier(f, self.heat_multiplier(t, k))
 
+    def _reflected(self, field):
+        """The field y -> field(-y)."""
+        axes = tuple(range(self.grid.d))
+        return np.roll(np.flip(field, axes), 1, axes)
+
+    def _field_point(self, f, reflected, x) -> float:
+        """sum_y f(y) G(x - y) for the reflected kernel y -> G(-y): the
+        value at grid index x of f under the multiplier rfft(G)."""
+        if any(x):
+            reflected = np.roll(reflected, tuple(x),
+                                tuple(range(self.grid.d)))
+        return _dot(f, reflected)
+
     def heat_kernel(self, t: float):
         """The reflected heat kernel y -> G_t(-y), G_t = irfft(exp(tP)),
         so that ``heat_apply(f, t)`` at the origin is its dot product
         with f."""
-        axes = tuple(range(self.grid.d))
         return self._cached(
             self._heat_kernel, float(t),
-            lambda: np.roll(np.flip(self.grid.irfft(self.heat_multiplier(t)),
-                                    axes), 1, axes))
+            lambda: self._reflected(self.grid.irfft(self.heat_multiplier(t))))
 
     def heat_point(self, f, t: float, x) -> float:
         """``heat_apply(f, t)`` at grid index x, read from the real field
         f by one dot product with the shifted reflected heat kernel."""
         if t <= 0:
             raise ValueError("heat time must be positive")
-        kernel = self.heat_kernel(t)
-        if any(x):
-            kernel = np.roll(kernel, tuple(x), tuple(range(self.grid.d)))
-        return _dot(f, kernel)
+        return self._field_point(f, self.heat_kernel(t), x)
 
-    def heat_points(self, spec, x, times) -> list:
-        """``heat_apply(irfft(spec), t)`` at grid index x for each t, read
-        from the half spectrum: the phased real part is formed once, then
-        each t is one real multiply-and-sum against exp(tP)."""
-        if any(t <= 0 for t in times):
-            raise ValueError("heat time must be positive")
-        # Re(spec times the weighted phase of x): summed against a real
-        # multiplier m and divided by the point count, it is
-        # point_value(spec * m, x)
+    def phased(self, spec, x):
+        """Re and Im of the half spectrum times the weighted phase of grid
+        index x, as contiguous real arrays (see ``phased_point``)."""
         sizes = self.grid.sizes
         for j, phase in enumerate(_point_phases(sizes, tuple(x))):
             spec = spec * phase.reshape((-1,) + (1,) * (len(sizes) - 1 - j))
-        re = np.ascontiguousarray(spec.real)
-        n = math.prod(sizes)
-        return [_dot(re, self.heat_multiplier(t)) / n for t in times]
+        return (_read_only(np.ascontiguousarray(spec.real)),
+                _read_only(np.ascontiguousarray(spec.imag)))
+
+    def phased_point(self, phased, re_mult, im_mult=None) -> float:
+        """The value of ``irfft(spec * m)`` at x, for phased = phased(spec,
+        x) and m = re_mult + i im_mult (a part given as None is zero):
+        Re . Re(m) - Im . Im(m), divided by the point count."""
+        re, im = phased
+        out = 0.0 if re_mult is None else _dot(re, re_mult)
+        if im_mult is not None:
+            out -= _dot(im, im_mult)
+        return out / math.prod(self.grid.sizes)
+
+    def heat_points(self, phased, times) -> list:
+        """``heat_apply(irfft(spec), t)`` at x for each t, read from
+        phased = phased(spec, x): one real multiply-and-sum against
+        exp(tP) per t."""
+        if any(t <= 0 for t in times):
+            raise ValueError("heat time must be positive")
+        return [self.phased_point(phased, self.heat_multiplier(t))
+                for t in times]
 
     # time-integrated kernel ---------------------------------------------
 
@@ -453,6 +472,39 @@ class OperatorContext:
         if k is None:
             k = (0,) * self.grid.d
         return self.apply_multiplier(f, self.kernel_multiplier(k))
+
+    def kernel_parts(self, k):
+        """Re and Im of ``kernel_multiplier(k)`` as contiguous real arrays
+        for ``phased_point``, each None where it vanishes: the multiplier
+        is real for even |k| and imaginary for odd |k|."""
+        k = tuple(int(x) for x in k)
+        out = self._kernel_parts.get(k)
+        if out is None:
+            mult = self.kernel_multiplier(k)
+            if not np.iscomplexobj(mult):
+                out = (mult, None)
+            else:
+                out = tuple(_read_only(np.ascontiguousarray(part))
+                            if part.any() else None
+                            for part in (mult.real, mult.imag))
+            self._kernel_parts[k] = out
+        return out
+
+    def kernel_field(self, k):
+        """The reflected kernel y -> G_k(-y), G_k = irfft(kernel_multiplier
+        (k)), cached per k."""
+        k = tuple(int(x) for x in k)
+        out = self._kernel_field.get(k)
+        if out is None:
+            out = _read_only(self._reflected(
+                self.grid.irfft(self.kernel_multiplier(k))))
+            self._kernel_field[k] = out
+        return out
+
+    def kernel_point(self, f, k, x) -> float:
+        """``kernel_apply(f, k)`` at grid index x, read from the real field
+        f by one dot product with the shifted reflected kernel."""
+        return self._field_point(f, self.kernel_field(k), x)
 
     # mollification ------------------------------------------------------
 

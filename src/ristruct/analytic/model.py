@@ -24,6 +24,18 @@ from ..trees import (H, K, OMEGA, Tree, mi_add, mi_factorial, noise,
 from .grid import OperatorContext
 
 
+def _product(factors, sizes) -> np.ndarray:
+    """The pointwise product of the fields, left to right; all ones when
+    there are none.  A leading all-ones factor would change no bit, so
+    callers leave it out."""
+    if not factors:
+        return np.ones(sizes)
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
 class Model:
     """Interpretation of a sector on a grid, with recentering caches.
 
@@ -121,7 +133,7 @@ class Model:
         if out is None:
             out = np.zeros(self.ctx.grid.sizes)
             for s, c in self._prepared(t):
-                out = out + float(c) * self._interp_hat(s)
+                out += float(c) * self._interp_hat(s)
             self._interp[t] = out
         return out
 
@@ -149,15 +161,15 @@ class Model:
         return out
 
     def _interp_hat(self, t: Tree) -> np.ndarray:
-        field = self.poly_field(t.n)
+        factors = [self.poly_field(t.n)] if any(t.n) else []
         for lab, e, sub in t.children:
             if lab == OMEGA:
-                field = field * self.xi
+                factors.append(self.xi)
             elif lab == H:
-                field = field * self._dhfield(e)
+                factors.append(self._dhfield(e))
             else:
-                field = field * self._kernel_invariant(sub, e)
-        return field
+                factors.append(self._kernel_invariant(sub, e))
+        return _product(factors, self.ctx.grid.sizes)
 
     # recentering, coproduct route ---------------------------------------
 
@@ -173,7 +185,7 @@ class Model:
                                                           invp):
                 g = self.g_inv(forest, x, invp)
                 if g:
-                    out = out + (float(c) * g) * self.interp(sigma)
+                    out += (float(c) * g) * self.interp(sigma)
             self._pi1[key] = out
         return out
 
@@ -223,30 +235,33 @@ class Model:
             elif lab == H:
                 out = self.at(self._dhfield(k), x)
             elif lab == K:
-                out = self.ctx.grid.point_value(
-                    self._recentered_spectrum(sub, x, invp)
-                    * self.ctx.kernel_multiplier(k), x)
+                out = self.ctx.phased_point(
+                    self.phased_spectrum(sub, x, invp),
+                    *self.ctx.kernel_parts(k))
             else:
                 raise ValueError("noise edges have negative degree")
             self._f[key] = out
         return out
 
-    def _recentered_spectrum(self, sub: Tree, x, invp):
-        """Half spectrum of pi_x(sub), shared by the kernel reads of every
-        derivative order at x (the oracle route reads full fields).
+    def phased_spectrum(self, sub: Tree, x, invp):
+        """The half spectrum of pi_x(sub) phased at x (see
+        ``OperatorContext.phased``), formed once per (sub, x, 1/p) and
+        shared by the kernel reads of every derivative order at x and by
+        the heat reads of ``qnorm_series``; the oracle route reads real
+        fields against reflected kernels instead.
 
         When Delta(sub) = sub (x) 1, pi_x(sub) is interp(sub) bit for bit,
-        and the tree's own spectrum is reused."""
+        and the tree's own spectrum is phased."""
         invp = Fraction(invp)
         key = (sub, tuple(x), invp)
         out = self._kf1.get(key)
         if out is None:
             cop = self.hopf.coproduct(sub, self.eps, invp)
             if cop.terms == {(sub, self._unit): 1}:
-                out = self.spectrum(sub)
+                spec = self.spectrum(sub)
             else:
-                out = self.ctx.grid.rfft(self.pi_x(sub, x, invp))
-            self._kf1[key] = out
+                spec = self.ctx.grid.rfft(self.pi_x(sub, x, invp))
+            out = self._kf1[key] = self.ctx.phased(spec, x)
         return out
 
     # recentering, multiplicative route ----------------------------------
@@ -257,17 +272,17 @@ class Model:
         x = tuple(x)
         out = np.zeros(self.ctx.grid.sizes)
         for s, c in self._prepared(t):
-            out = out + float(c) * self._hat_x(s, x, invp)
+            out += float(c) * self._hat_x(s, x, invp)
         return out
 
     def _hat_x(self, t: Tree, x, invp) -> np.ndarray:
         key = (t, x, invp)
         out = self._hat2.get(key)
         if out is None:
-            out = self.poly_field(t.n, x)
-            for lab, e, sub in t.children:
-                out = out * self._hat_x_planted(lab, e, sub, x, invp)
-            self._hat2[key] = out
+            factors = [self.poly_field(t.n, x)] if any(t.n) else []
+            factors += [self._hat_x_planted(lab, e, sub, x, invp)
+                        for lab, e, sub in t.children]
+            out = self._hat2[key] = _product(factors, self.ctx.grid.sizes)
         return out
 
     def _hat_x_planted(self, lab, e, sub, x, invp) -> np.ndarray:
@@ -292,9 +307,8 @@ class Model:
                     kk = (sub, k, x, invp)
                     f = self._kf2.get(kk)
                     if f is None:
-                        f = self.ctx.kernel_apply(src, k)
-                        self._kf2[kk] = f
-                    return self.at(f, x)
+                        f = self._kf2[kk] = self.ctx.kernel_point(src, k, x)
+                    return f
             out = base
             for l, _c in self.hopf._decoration_candidates(
                     lab, e, sub, self.hopf.truncation(self.eps, invp)):

@@ -371,9 +371,11 @@ class Hopf:
         lhs, rhs = LinComb(), LinComb()
         for (a, b), c in self._coproduct(t, tr, plus):
             for (a1, a2), c2 in self._coproduct(a, tr, plus):
-                lhs.add((a1, a2, b), c * c2)
+                lhs.add((a1, a2, b),
+                        c2 if c == 1 else c if c2 == 1 else c * c2)
             for (b1, b2), c2 in self._coproduct(b, tr, True):
-                rhs.add((a, b1, b2), c * c2)
+                rhs.add((a, b1, b2),
+                        c2 if c == 1 else c if c2 == 1 else c * c2)
         return lhs == rhs
 
     def convolution_check(self, f: Tree, eps, invp) -> bool:
@@ -382,7 +384,8 @@ class Hopf:
         out = LinComb()
         for (f1, f2), c in self._coproduct(f, tr, True):
             for g, cg in self._antipode(f1, tr):
-                out.add(tree_product(g, f2), c * cg)
+                out.add(tree_product(g, f2),
+                        cg if c == 1 else c if cg == 1 else c * cg)
         expected = (LinComb.single(unit(self.d), 1) if self.counit(f)
                     else LinComb())
         return out == expected

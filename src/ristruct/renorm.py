@@ -96,7 +96,10 @@ class RcMap(PreparationMap):
             for (left, right), coeff in self.hopf._coproduct(t, self._tr):
                 cv = self.c(left)
                 if cv:
-                    out.add(right, Fraction(cv) * coeff)
+                    if type(cv) is not int and type(cv) is not Fraction:
+                        cv = Fraction(cv)
+                    out.add(right, cv if coeff == 1 else
+                            coeff if cv == 1 else cv * coeff)
         if self.strict_sector:
             # the formula extends beyond the basis, so the input itself
             # may sit outside; only extraction remainders must stay in
@@ -170,7 +173,7 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
         rhs = LinComb()
         for term, c in R.apply(t):
             for (a, b), c2 in hopf._coproduct(term, half_tr):
-                rhs.add((a, b), c2 if c == 1 else c * c2)
+                rhs.add((a, b), c2 if c == 1 else c if c2 == 1 else c * c2)
         if lhs != rhs:
             report.fail("d", t, "coproduct commutation fails")
 
@@ -186,7 +189,7 @@ def _tensor_apply_left(R: PreparationMap, ts):
     out = LinComb()
     for (a, b), c in ts:
         for a2, c2 in R.apply(a):
-            out.add((a2, b), c2 if c == 1 else c * c2)
+            out.add((a2, b), c2 if c == 1 else c if c2 == 1 else c * c2)
     return out
 
 

@@ -252,24 +252,79 @@ def test_half_spectrum_matches_complex_round_trip(sizes):
     assert rel(ctx.kernel_apply(f), _reference(f, kernel(zero))) < 1e-13
 
 
+def _points(grid):
+    """The origin, the Nyquist index, the last index and an off-axis
+    point."""
+    return [(0,) * grid.d, tuple(n // 2 for n in grid.sizes),
+            tuple(n - 1 for n in grid.sizes),
+            tuple((5 * j + 3) % n for j, n in enumerate(grid.sizes))]
+
+
+def _parts(mult):
+    """Re and Im of a multiplier as contiguous arrays, for phased_point."""
+    if not np.iscomplexobj(mult):
+        return mult, None
+    return np.ascontiguousarray(mult.real), np.ascontiguousarray(mult.imag)
+
+
 @pytest.mark.parametrize("sizes", HALF_GRIDS)
 def test_point_value_matches_full_field_read(sizes):
+    """The phased read of a spectrum against a multiplier gives the value
+    of the full field at the point."""
     ctx = _ctx(sizes)
     grid = ctx.grid
     f = white_noise(grid, 23, 0)
     spec = grid.rfft(f)
-    points = [(0,) * grid.d, tuple(n // 2 for n in grid.sizes),
-              tuple(n - 1 for n in grid.sizes),
-              tuple((5 * j + 3) % n for j, n in enumerate(grid.sizes))]
+    points = _points(grid)
+    phased = [ctx.phased(spec, x) for x in points]
     k = (1,) * grid.d
     for mult in (ctx.heat_multiplier(0.05), ctx.heat_multiplier(0.05, k),
                  ctx.kernel_multiplier(k), ctx.i_lambda_pow(k)):
         field = ctx.apply_multiplier(f, mult)
         scale = np.max(np.abs(field))
-        for x in points:
-            got = grid.point_value(spec * mult, x)
+        for x, ph in zip(points, phased):
+            got = ctx.phased_point(ph, *_parts(mult))
             assert isinstance(got, float)
             assert abs(got - field[x]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("sizes", [(32, 32), (32, 16), (16, 16, 16)])
+def test_kernel_reads_match_full_field(sizes):
+    """kernel_point reads the field against the reflected kernel, the
+    phased read the spectrum against the kernel multiplier; both give
+    kernel_apply(f, k) at the point, for even, odd and mixed k."""
+    ctx = _ctx(sizes)
+    grid = ctx.grid
+    f = white_noise(grid, 37, 0)
+    points = _points(grid)
+    phased = [ctx.phased(grid.rfft(f), x) for x in points]
+    d = grid.d
+    for k in [(0,) * d, (1,) + (0,) * (d - 1), (0,) * (d - 1) + (3,),
+              (1, 1) + (0,) * (d - 2), (1,) * d]:
+        field = ctx.apply_multiplier(f, ctx.kernel_multiplier(k))
+        scale = np.max(np.abs(field))
+        re, im = ctx.kernel_parts(k)
+        # real for even |k|, imaginary for odd |k|
+        assert (re is None) == (sum(k) % 2 == 1)
+        assert (im is None) == (sum(k) % 2 == 0)
+        for x, ph in zip(points, phased):
+            for got in (ctx.kernel_point(f, k, x),
+                        ctx.phased_point(ph, re, im)):
+                assert isinstance(got, float)
+                assert abs(got - field[x]) <= 1e-13 * scale
+
+
+def test_kernel_reads_are_cached_read_only(ctx):
+    g = ctx.kernel_field((1, 0))
+    parts = ctx.kernel_parts((1, 0))
+    assert ctx.kernel_field((1, 0)) is g
+    assert ctx.kernel_parts((1, 0)) is parts
+    re, im = ctx.kernel_parts((1, 1))
+    assert re is ctx.kernel_multiplier((1, 1)) and im is None
+    phased = ctx.phased(ctx.grid.rfft(white_noise(ctx.grid, 3, 0)), (5, 9))
+    for arr in (g, parts[1]) + phased:
+        assert not arr.flags.writeable
+        assert arr.flags.c_contiguous
 
 
 @pytest.mark.parametrize("sizes", [(32, 32), (32, 16), (16, 16, 16)])
@@ -285,7 +340,7 @@ def test_heat_reads_match_complex_round_trip(sizes):
     fields = [_reference(f, np.exp(t * P)) for t in times]
     for x in ((0,) * grid.d,
               tuple((5 * j + 3) % n for j, n in enumerate(grid.sizes))):
-        got = ctx.heat_points(grid.rfft(f), x, times)
+        got = ctx.heat_points(ctx.phased(grid.rfft(f), x), times)
         assert len(got) == len(times)
         for t, value, field in zip(times, got, fields):
             scale = np.max(np.abs(field))
@@ -299,7 +354,7 @@ def test_heat_reads_refuse_nonpositive_times(ctx, grid):
     with pytest.raises(ValueError):
         ctx.heat_point(f, 0.0, (0, 0))
     with pytest.raises(ValueError):
-        ctx.heat_points(grid.rfft(f), (0, 0), [0.5, -1.0])
+        ctx.heat_points(ctx.phased(grid.rfft(f), (0, 0)), [0.5, -1.0])
 
 
 @pytest.mark.parametrize("sizes", HALF_GRIDS)

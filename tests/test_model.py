@@ -13,10 +13,11 @@ from ristruct.analytic.checks import (check_comparison,
                                       check_route_equivalence, g_norm,
                                       qnorm_series, relative_error)
 from ristruct.analytic.grid import (GridSpec, OperatorContext,
-                                    QuadratureSpec, second_order_op)
+                                    QuadratureSpec, fourth_order_op,
+                                    second_order_op)
 from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field, white_noise
-from ristruct.config import numeric2d_sector
+from ristruct.config import numeric2d_sector, pam3d_params, pam3d_sector
 from ristruct.hopf import Hopf
 from ristruct.renorm import DictPreparationMap, IdentityMap
 from ristruct.trees import K, LinComb, X, noise, parse, plant_tree, unit
@@ -218,16 +219,65 @@ def test_kernel_edge_reads_match_full_field(setup):
 
 
 def test_oracle_route_reads_full_fields(setup, monkeypatch):
-    """The Taylor-subtraction route never uses the spectral point read,
+    """The Taylor-subtraction route never uses the phased spectral read,
     so the route check compares two ways of reading point values."""
     sector, hopf, ctx, xi, hf, _m = setup
 
     def refuse(*_a):
-        raise AssertionError("pi_x_hat used the spectral point read")
-    monkeypatch.setattr(GridSpec, "point_value", refuse)
+        raise AssertionError("pi_x_hat used the phased read")
+    for name in ("phased", "phased_point"):
+        monkeypatch.setattr(OperatorContext, name, refuse)
     model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
     for t in sector.members():
-        model.pi_x_hat(t, X0, F(1, 20))
+        for invp in (F(0), F(1, 20), F(1, 2)):
+            model.pi_x_hat(t, X0, invp)
+    assert model._kf2
+
+
+def test_primary_route_reads_spectra(setup, monkeypatch):
+    """The coproduct route never reads a field against a reflected
+    kernel: that read belongs to the oracle."""
+    sector, hopf, ctx, xi, hf, _m = setup
+
+    def refuse(*_a):
+        raise AssertionError("pi_x used the reflected-kernel read")
+    for name in ("kernel_point", "kernel_field"):
+        monkeypatch.setattr(OperatorContext, name, refuse)
+    model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+    for t in sector.members():
+        for invp in (F(0), F(1, 20), F(1, 2)):
+            model.pi_x(t, X0, invp)
+    assert model._kf1
+
+
+def test_taylor_coefficients_cost_no_transform(monkeypatch):
+    """On a warm pam3d model, pi_x_hat at a new base point transforms
+    only for the base kernel field of each K edge (one round trip each);
+    its Taylor coefficients are dot products, cached as floats."""
+    sector = pam3d_sector()
+    hopf = Hopf(pam3d_params())
+    grid = GridSpec((16, 16, 16), (2 * np.pi,) * 3, (1.0,) * 3)
+    ctx = OperatorContext(grid, fourth_order_op(3), QuadratureSpec())
+    model = Model(sector, hopf, ctx, smooth_field(grid, 5, 0, 0.7),
+                  smooth_field(grid, 5, 1, 0.7), eps=EPS)
+    invp = F(1, 5)
+    for t in sector.members():  # warm the kernel fields
+        model.pi_x_hat(t, (1, 2, 3), invp)
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*a, _f=original, _name=name, **k):
+            calls.append(_name)
+            return _f(*a, **k)
+        monkeypatch.setattr(np.fft, name, counted)
+    before_pl, before_kf = len(model._hat2_pl), len(model._kf2)
+    for t in sector.members():
+        model.pi_x_hat(t, (9, 4, 14), invp)
+    k_edges = sum(key[0] == K for key in list(model._hat2_pl)[before_pl:])
+    assert len(model._kf2) > before_kf  # Taylor coefficients were read
+    assert sorted(calls) == ["irfftn"] * k_edges + ["rfftn"] * k_edges
+    assert all(type(v) is float for v in model._kf2.values())
 
 
 def test_constant_samples_match_full_inverse(setup):

@@ -25,11 +25,11 @@ transform, by one of two point-read primitives:
   G = irfft(m), cached per multiplier, one real dot product of f with
   the reflected kernel y -> G(x - y);
 - phased spectrum against multiplier (``OperatorContext.phased`` and
-  ``phased_point``): for a half spectrum, Re and Im of the spectrum
-  times the weighted phase of x are formed once (last-axis bins 0 and
-  n/2 count once, the others twice for their conjugate mirrors), then
-  each multiplier m costs one or two real multiply-and-sums,
-  Re . Re(m) - Im . Im(m), divided by the point count.
+  ``phased_point``): for a half spectrum, the spectrum times the
+  weighted phase of x is formed once (last-axis bins 0 and n/2 count
+  once, the others twice for their conjugate mirrors), then each
+  multiplier m costs one or two real multiply-and-sums of its real and
+  imaginary parts, Re . Re(m) - Im . Im(m), divided by the point count.
 
 The two recentering routes of ``Model`` read kernel values d^k K(f)(x)
 in different ways, so that their comparison checks one read against
@@ -382,22 +382,21 @@ class OperatorContext:
         return self._field_point(f, self.heat_kernel(t), x)
 
     def phased(self, spec, x):
-        """Re and Im of the half spectrum times the weighted phase of grid
-        index x, as contiguous real arrays (see ``phased_point``)."""
+        """The half spectrum times the weighted phase of grid index x, the
+        read-only form that ``phased_point`` and ``heat_points`` read."""
         sizes = self.grid.sizes
         for j, phase in enumerate(_point_phases(sizes, tuple(x))):
             spec = spec * phase.reshape((-1,) + (1,) * (len(sizes) - 1 - j))
-        return (_read_only(np.ascontiguousarray(spec.real)),
-                _read_only(np.ascontiguousarray(spec.imag)))
+        return _read_only(spec)
 
     def phased_point(self, phased, re_mult, im_mult=None) -> float:
         """The value of ``irfft(spec * m)`` at x, for phased = phased(spec,
         x) and m = re_mult + i im_mult (a part given as None is zero):
-        Re . Re(m) - Im . Im(m), divided by the point count."""
-        re, im = phased
-        out = 0.0 if re_mult is None else _dot(re, re_mult)
+        Re . Re(m) - Im . Im(m), divided by the point count.  When m is
+        real, the real part of the phased spectrum may stand for it."""
+        out = 0.0 if re_mult is None else _dot(phased.real, re_mult)
         if im_mult is not None:
-            out -= _dot(im, im_mult)
+            out -= _dot(phased.imag, im_mult)
         return out / math.prod(self.grid.sizes)
 
     def heat_points(self, phased, times) -> list:
@@ -406,7 +405,9 @@ class OperatorContext:
         exp(tP) per t."""
         if any(t <= 0 for t in times):
             raise ValueError("heat time must be positive")
-        return [self.phased_point(phased, self.heat_multiplier(t))
+        # one contiguous copy of the real part serves every t
+        re = np.ascontiguousarray(phased.real)
+        return [self.phased_point(re, self.heat_multiplier(t))
                 for t in times]
 
     # time-integrated kernel ---------------------------------------------

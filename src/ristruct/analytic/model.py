@@ -6,7 +6,10 @@ fields and kernel edges to the integrated-kernel operator; the
 renormalized version routes every tree through the preparation map
 first.  Recentering at a base point is computed along two independent
 routes: pairing the coproduct with the inverse character (primary), and
-the multiplicative Taylor-subtraction recursion (oracle).
+the multiplicative Taylor-subtraction recursion (oracle).  The two read
+kernel values at the base point in different ways: the primary route
+its phased spectrum against the kernel multiplier, the oracle its real
+field against the reflected kernel (see ``grid``).
 """
 
 from __future__ import annotations

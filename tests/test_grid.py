@@ -322,7 +322,7 @@ def test_kernel_reads_are_cached_read_only(ctx):
     re, im = ctx.kernel_parts((1, 1))
     assert re is ctx.kernel_multiplier((1, 1)) and im is None
     phased = ctx.phased(ctx.grid.rfft(white_noise(ctx.grid, 3, 0)), (5, 9))
-    for arr in (g, parts[1]) + phased:
+    for arr in (g, parts[1], phased):
         assert not arr.flags.writeable
         assert arr.flags.c_contiguous
 

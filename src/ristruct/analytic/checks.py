@@ -29,7 +29,7 @@ def check_comparison(model: Model, t: Tree, x, invp) -> float:
     invp = Fraction(invp)
     half = Fraction(1, 2)
     lhs = model.pi_x(t, x, invp)
-    rhs = model.pi_x(t, x, half).copy()
+    rhs = model.pi_x(t, x, half)
     for (sigma, forest), c in model.hopf.coproduct(t, model.eps, half):
         if forest.is_planted():
             lam = model.lambda_x(forest, x, invp)

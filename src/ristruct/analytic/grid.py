@@ -308,7 +308,6 @@ class OperatorContext:
             raise ValueError(
                 f"ellipticity fails on the frequency lattice (max ratio "
                 f"{worst:.3e} >= 0)")
-        self.ellipticity_delta = -worst
 
     def _make_chi_hat(self):
         sigma = self.op.cutoff_width * 2.0 * np.pi / max(self.grid.period)

@@ -49,7 +49,16 @@ class Model:
     kernel edges on the noise multiply that spectrum directly.
     ``prep`` defaults to the identity (no renormalization).  Base points
     are grid index tuples; the integrability exponent enters as the
-    exact rational 1/p."""
+    exact rational 1/p.
+
+    The model caches only what is costly to rebuild: results of a
+    transform (``interp``, ``spectrum``, the kernel fields, the
+    derivatives of h, the recentered planted fields of the oracle route
+    and the phased spectra), and exact or scalar values (the characters
+    f_x and g_x^-1 on planted trees, the oracle's Taylor coefficients).
+    A weighted sum or product of cached fields is formed afresh on each
+    call, so ``pi_x`` and ``pi_x_hat`` return new arrays the caller may
+    change."""
 
     def __init__(self, sector: Sector, hopf: Hopf, ctx: OperatorContext,
                  xi: np.ndarray | None = None, h: np.ndarray | None = None,
@@ -72,16 +81,13 @@ class Model:
         self._axes = ctx.grid.axes()
         self._noise = noise(ctx.grid.d)
         self._unit = unit(ctx.grid.d)
-        self._prep_terms = {}
         self._interp = {}
         self._spec = {}
         self._ki = {}
         self._dh = {}
-        self._pi1 = {}
         self._f = {}
         self._ginv_pl = {}
         self._kf1 = {}
-        self._hat2 = {}
         self._hat2_pl = {}
         self._kf2 = {}
         self._i_eps = None
@@ -123,19 +129,12 @@ class Model:
 
     # translation-invariant interpretation -------------------------------
 
-    def _prepared(self, t: Tree):
-        """The preparation map applied to t, once per tree."""
-        out = self._prep_terms.get(t)
-        if out is None:
-            out = self._prep_terms[t] = self.prep.apply(t)
-        return out
-
     def interp(self, t: Tree) -> np.ndarray:
         """The (renormalized) interpretation of a sector tree."""
         out = self._interp.get(t)
         if out is None:
             out = np.zeros(self.ctx.grid.sizes)
-            for s, c in self._prepared(t):
+            for s, c in self.prep.apply(t):
                 out += float(c) * self._interp_hat(s)
             self._interp[t] = out
         return out
@@ -147,7 +146,7 @@ class Model:
         out = self._spec.get(t)
         if out is None:
             if (t is self._noise and self._xi_hat is not None
-                    and self._prepared(t).terms == {t: 1}):
+                    and self.prep.apply(t).terms == {t: 1}):
                 out = self._xi_hat
             else:
                 out = self.ctx.grid.rfft(self.interp(t))
@@ -180,16 +179,11 @@ class Model:
         """Recentered interpretation via (interp x g_x^-1) o coproduct."""
         invp = Fraction(invp)
         x = tuple(x)
-        key = (t, x, invp)
-        out = self._pi1.get(key)
-        if out is None:
-            out = np.zeros(self.ctx.grid.sizes)
-            for (sigma, forest), c in self.hopf.coproduct(t, self.eps,
-                                                          invp):
-                g = self.g_inv(forest, x, invp)
-                if g:
-                    out += (float(c) * g) * self.interp(sigma)
-            self._pi1[key] = out
+        out = np.zeros(self.ctx.grid.sizes)
+        for (sigma, forest), c in self.hopf.coproduct(t, self.eps, invp):
+            g = self.g_inv(forest, x, invp)
+            if g:
+                out += (float(c) * g) * self.interp(sigma)
         return out
 
     def g_inv(self, forest: Tree, x, invp) -> float:
@@ -274,19 +268,15 @@ class Model:
         invp = Fraction(invp)
         x = tuple(x)
         out = np.zeros(self.ctx.grid.sizes)
-        for s, c in self._prepared(t):
+        for s, c in self.prep.apply(t):
             out += float(c) * self._hat_x(s, x, invp)
         return out
 
     def _hat_x(self, t: Tree, x, invp) -> np.ndarray:
-        key = (t, x, invp)
-        out = self._hat2.get(key)
-        if out is None:
-            factors = [self.poly_field(t.n, x)] if any(t.n) else []
-            factors += [self._hat_x_planted(lab, e, sub, x, invp)
-                        for lab, e, sub in t.children]
-            out = self._hat2[key] = _product(factors, self.ctx.grid.sizes)
-        return out
+        factors = [self.poly_field(t.n, x)] if any(t.n) else []
+        factors += [self._hat_x_planted(lab, e, sub, x, invp)
+                    for lab, e, sub in t.children]
+        return _product(factors, self.ctx.grid.sizes)
 
     def _hat_x_planted(self, lab, e, sub, x, invp) -> np.ndarray:
         key = (lab, tuple(e), sub, x, invp)

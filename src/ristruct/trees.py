@@ -18,7 +18,6 @@ from typing import Iterable, Iterator
 OMEGA = "O"
 H = "H"
 K = "K"
-LABELS = (OMEGA, H, K)
 _LABEL_RANK = {OMEGA: 0, H: 1, K: 2}
 
 MultiIndex = tuple

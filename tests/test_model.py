@@ -59,6 +59,18 @@ def test_route_equivalence_all_members(setup):
             assert check_route_equivalence(model, t, X0, invp) < 1e-12
 
 
+def test_recentered_fields_are_fresh(setup):
+    """Changing a returned recentered field changes no later result."""
+    sector, hopf, ctx, xi, hf, _m = setup
+    model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+    t = parse("(O() K(H()))", dim=2)
+    for route in (model.pi_x, model.pi_x_hat):
+        f = route(t, X0, F(1, 10))
+        first = f.copy()
+        f[...] = 0
+        assert np.array_equal(route(t, X0, F(1, 10)), first)
+
+
 def test_single_h_display_above_transition(setup):
     """Above the crossing the single-H tree recenters by a plain
     kernel-value subtraction."""

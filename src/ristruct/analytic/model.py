@@ -24,7 +24,7 @@ from ..renorm import IdentityMap, PreparationMap
 from ..sector import Sector
 from ..trees import (H, K, OMEGA, Tree, mi_add, mi_factorial, noise,
                      unit)
-from .grid import OperatorContext
+from .grid import OperatorContext, _read_only
 
 
 def _product(factors, sizes) -> np.ndarray:
@@ -58,7 +58,9 @@ class Model:
     f_x and g_x^-1 on planted trees, the oracle's Taylor coefficients).
     A weighted sum or product of cached fields is formed afresh on each
     call, so ``pi_x`` and ``pi_x_hat`` return new arrays the caller may
-    change."""
+    change.  ``interp`` and ``spectrum`` hand out their cached arrays,
+    which are read-only: a write into one raises ValueError instead of
+    changing every later result built from it."""
 
     def __init__(self, sector: Sector, hopf: Hopf, ctx: OperatorContext,
                  xi: np.ndarray | None = None, h: np.ndarray | None = None,
@@ -136,21 +138,21 @@ class Model:
             out = np.zeros(self.ctx.grid.sizes)
             for s, c in self.prep.apply(t):
                 out += float(c) * self._interp_hat(s)
-            self._interp[t] = out
+            self._interp[t] = out = _read_only(out)
         return out
 
     def spectrum(self, t: Tree) -> np.ndarray:
         """Half spectrum of ``interp(t)``, transformed once per tree; for
-        the noise it is ``xi_hat`` itself when given and the preparation
-        map leaves the noise alone."""
+        the noise it is a read-only view of ``xi_hat`` when that is given
+        and the preparation map leaves the noise alone."""
         out = self._spec.get(t)
         if out is None:
             if (t is self._noise and self._xi_hat is not None
                     and self.prep.apply(t).terms == {t: 1}):
-                out = self._xi_hat
+                out = self._xi_hat.view()
             else:
                 out = self.ctx.grid.rfft(self.interp(t))
-            self._spec[t] = out
+            self._spec[t] = out = _read_only(out)
         return out
 
     def _kernel_invariant(self, sub: Tree, e):

@@ -29,7 +29,8 @@ def pair_product(x: LinComb, y: LinComb) -> LinComb:
     out = LinComb()
     for (a1, b1), c1 in x:
         for (a2, b2), c2 in y:
-            out.add((tree_product(a1, a2), tree_product(b1, b2)), c1 * c2)
+            out.add((tree_product(a1, a2), tree_product(b1, b2)),
+                    c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
     return out
 
 
@@ -68,10 +69,11 @@ class _Truncation:
     denominator is D, with m = M / D): M times the degree of a tree is
     an integer, so sign tests and decoration bounds need no Fraction.
     ``label`` maps an edge label to M times its degree form.  The memos
-    of Delta, Delta+ and S+ at this point are keyed by tree alone."""
+    of M times the degree and of Delta, Delta+ and S+ at this point are
+    keyed by tree alone."""
 
-    __slots__ = ("M", "m", "r", "beta0", "s_invp", "label", "cop",
-                 "cop_plus", "antipode", "antipode_planted")
+    __slots__ = ("M", "m", "r", "beta0", "s_invp", "label", "degree",
+                 "cop", "cop_plus", "antipode", "antipode_planted")
 
     def __init__(self, params: Params, D: int, eps, invp):
         consts = degree_consts(params, eps, invp)
@@ -80,7 +82,7 @@ class _Truncation:
         self.r, self.beta0, self.s_invp = (int(c * self.M) for c in consts)
         self.label = {OMEGA: self.r, H: self.r + self.s_invp,
                       K: self.beta0}
-        self.cop, self.cop_plus = {}, {}
+        self.degree, self.cop, self.cop_plus = {}, {}, {}
         self.antipode, self.antipode_planted = {}, {}
 
 
@@ -118,9 +120,13 @@ class Hopf:
 
     def degree_num(self, t: Tree, tr: _Truncation) -> int:
         """M times the degree of t at the truncation tr, as an integer."""
-        omega, edges, h = t.stats()
-        return ((omega + h) * tr.r + (edges - omega - h) * tr.beta0
+        out = tr.degree.get(t)
+        if out is None:
+            omega, edges, h = t.stats()
+            out = tr.degree[t] = (
+                (omega + h) * tr.r + (edges - omega - h) * tr.beta0
                 + h * tr.s_invp + tr.m * self._dot(t.net()))
+        return out
 
     def _planted_num(self, lab: str, k, sub: Tree, tr: _Truncation) -> int:
         """M times the degree of the planted tree I_k^lab(sub)."""
@@ -319,9 +325,12 @@ class Hopf:
                     s_forest = self._antipode(forest, tr)
                 left = tree_product(X(l),
                                     plant_tree(lab, mi_add(k, l), sigma))
-                coeff = (inv_fact if mi_abs(l) % 2 else -inv_fact) * c
+                sign = inv_fact if mi_abs(l) % 2 else -inv_fact
+                coeff = c if sign == 1 else sign if c == 1 else sign * c
                 for g, cg in s_forest:
-                    out.add(tree_product(left, g), coeff * cg)
+                    out.add(tree_product(left, g),
+                            cg if coeff == 1 else coeff if cg == 1
+                            else coeff * cg)
         tr.antipode_planted[key] = out
         return out
 

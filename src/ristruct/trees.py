@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator
 
 OMEGA = "O"
@@ -27,7 +28,7 @@ def mi_zero(d: int) -> MultiIndex:
     return (0,) * d
 
 def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x - y for x, y in zip(a, b))
@@ -36,14 +37,15 @@ def mi_abs(a: MultiIndex) -> int:
     return sum(a)
 
 def mi_weight(a: MultiIndex, scaling) -> Fraction:
-    """|k|_s = sum_j s_j k_j with exact rationals."""
-    return sum((Fraction(s) * k for s, k in zip(scaling, a)), Fraction(0))
+    """|k|_s = sum_j s_j k_j with exact rationals, as (w . k) / D."""
+    D, w = integer_weights(scaling)
+    return Fraction(sum(map(mul, w, a)), D)
 
 def integer_weights(scaling) -> tuple:
     """(D, w): the least common denominator D of the scaling and the
     integer weights w = D * scaling, so that |k|_s = (w . k) / D."""
     D = lcm(*(s.denominator for s in scaling))
-    return D, tuple(int(s * D) for s in scaling)
+    return D, tuple(s.numerator * (D // s.denominator) for s in scaling)
 
 def mi_factorial(a: MultiIndex) -> int:
     out = 1
@@ -80,6 +82,16 @@ class Tree:
     ``(label, edge_decoration, subtree)`` triples sorted canonically.
     Instances are interned: equality is identity.
 
+    There are two constructors.  ``Tree(n, children)`` takes the
+    children in any order, sorts them and builds the encoding.
+    ``Tree._presorted(n, children, enc)`` interns a node whose encoding
+    ``enc`` is already built, and relies on ``children`` being in
+    encoding order already: the i-th child is the one whose entry
+    ``(label rank, edge decoration, subtree encoding)`` is the i-th of
+    ``enc[1]``, which is the sort key ``Tree()`` uses.  It neither sorts
+    nor checks, so only builders that know the order (``tree_product``,
+    ``plant_tree``, ``X``) call it.
+
     Two summaries are computed on first use and cached on the instance,
     since an interned tree never changes: ``stats()`` (the Omega, edge
     and H counts) and ``net()`` (node decorations minus edge
@@ -99,11 +111,17 @@ class Tree:
         enc = (tuple(n), tuple(
             (_LABEL_RANK[lab], tuple(e), sub._enc)
             for lab, e, sub in children))
+        return cls._presorted(enc[0], children, enc)
+
+    @classmethod
+    def _presorted(cls, n: MultiIndex, children: tuple, enc: tuple):
+        """The interned tree with encoding ``enc``; on a miss it is built
+        from ``n`` and ``children`` as given (see the class docstring)."""
         cached = cls._intern.get(enc)
         if cached is not None:
             return cached
         self = object.__new__(cls)
-        self.n = tuple(n)
+        self.n = n
         self.children = children
         self._enc = enc
         self._hash = hash(enc)
@@ -174,7 +192,8 @@ class Tree:
 
 
 def X(k: MultiIndex) -> Tree:
-    return Tree(tuple(k), ())
+    k = tuple(k)
+    return Tree._presorted(k, (), (k, ()))
 
 def unit(d: int) -> Tree:
     return X(mi_zero(d))
@@ -212,19 +231,23 @@ def tree_product(a: Tree, b: Tree) -> Tree:
 
     A unit factor returns the other one.  Otherwise both child lists are
     already in canonical order, so merging their encodings gives the
-    product's encoding, which is looked up in the interning table before
-    any child is sorted."""
+    product's encoding, which is looked up in the interning table.  A
+    new product is built from that encoding, with the children put in
+    the same order, without going through Tree()."""
     if len(a.n) != len(b.n):
         raise ValueError("dimension mismatch")
     if not b.children and not any(b.n):
         return a
     if not a.children and not any(a.n):
         return b
-    n = mi_add(a.n, b.n)
-    cached = Tree._intern.get((n, tuple(sorted(a._enc[1] + b._enc[1]))))
+    enc = (mi_add(a.n, b.n), tuple(sorted(a._enc[1] + b._enc[1])))
+    cached = Tree._intern.get(enc)
     if cached is not None:
         return cached
-    return Tree(n, a.children + b.children)
+    # a stable sort by the encoding entry, the key Tree() sorts by
+    merged = sorted(zip(a._enc[1] + b._enc[1], a.children + b.children),
+                    key=itemgetter(0))
+    return Tree._presorted(enc[0], tuple(c for _e, c in merged), enc)
 
 
 class LinComb:
@@ -259,15 +282,20 @@ class LinComb:
                 c = Fraction(c)
             if c.denominator == 1:
                 c = c.numerator
-        old = self.terms.get(t)
-        if old is not None:
-            c += old
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
+        terms = self.terms
+        size = len(terms)
+        old = terms.setdefault(t, c)
+        if len(terms) != size:  # a new term, stored as c
+            if not c:
+                del terms[t]
+            return
+        c += old
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
         if c:
-            self.terms[t] = c
+            terms[t] = c
         else:
-            self.terms.pop(t, None)
+            del terms[t]
 
     def __add__(self, other: "LinComb") -> "LinComb":
         out = LinComb(dict(self.terms))
@@ -310,7 +338,7 @@ class LinComb:
         out = LinComb()
         for t, c in self.terms.items():
             for s, c2 in f(t):
-                out.add(s, c * c2)
+                out.add(s, c2 if c == 1 else c if c2 == 1 else c * c2)
         return out
 
     def product(self, other: "LinComb") -> "LinComb":
@@ -341,7 +369,9 @@ def plant_tree(label: str, k: MultiIndex, t: Tree) -> Tree:
         raise ValueError("dimension mismatch")
     if label == K and t.is_poly():
         raise ValueError("planted tree lies in the K-leaf ideal")
-    return Tree(mi_zero(t.dim), ((label, k, t),))
+    root = mi_zero(t.dim)
+    return Tree._presorted(root, ((label, k, t),),
+                           (root, ((_LABEL_RANK[label], k, t._enc),)))
 
 
 def quotient_by_K_leaves(v: LinComb) -> LinComb:

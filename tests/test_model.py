@@ -71,6 +71,24 @@ def test_recentered_fields_are_fresh(setup):
         assert np.array_equal(route(t, X0, F(1, 10)), first)
 
 
+def test_cached_fields_are_read_only(setup):
+    """interp and spectrum hand out their cached arrays read-only, so a
+    write raises instead of changing later results; the caller's noise
+    spectrum stays writable."""
+    sector, hopf, ctx, xi, hf, _m = setup
+    xi_hat = ctx.grid.rfft(xi)
+    t = parse("(O() K(O()))", dim=2)
+    for model in (Model(sector, hopf, ctx, xi, hf, eps=EPS),
+                  Model(sector, hopf, ctx, h=hf, eps=EPS, xi_hat=xi_hat)):
+        before = model.pi_x(t, X0, 0)
+        for cached in (model.interp(t), model.spectrum(t),
+                       model.interp(noise(2)), model.spectrum(noise(2))):
+            with pytest.raises(ValueError):
+                cached[...] = 0
+        assert np.array_equal(model.pi_x(t, X0, 0), before)
+    assert xi_hat.flags.writeable and xi.flags.writeable
+
+
 def test_single_h_display_above_transition(setup):
     """Above the crossing the single-H tree recenters by a plain
     kernel-value subtraction."""
@@ -162,7 +180,11 @@ def test_model_from_spectrum_matches_field(setup):
                                       field.pi_x(t, x, invp)) <= 1e-13
                 assert relative_error(spec.pi_x_hat(t, x, invp),
                                       field.pi_x_hat(t, x, invp)) <= 1e-13
-    assert spec.spectrum(noise(2)) is xi_hat
+    # the noise spectrum is xi_hat itself, seen through a read-only view
+    # that leaves the caller's own array writable
+    view = spec.spectrum(noise(2))
+    assert view.base is xi_hat and np.array_equal(view, xi_hat)
+    assert not view.flags.writeable and xi_hat.flags.writeable
 
 
 def test_noise_spectrum_follows_the_preparation_map(setup):

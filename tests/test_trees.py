@@ -1,6 +1,8 @@
 """Canonical trees, parsing, products and the ideal quotient."""
 
 from fractions import Fraction
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,31 @@ from ristruct.trees import (H, K, OMEGA, LinComb, ParseError, Tree, X,
                             mi_range, mi_weight, noise, parse, plant,
                             plant_tree, quotient_by_K_leaves, tree_product,
                             unit)
+from ristruct.trees import _LABEL_RANK
+
+
+def _tree_order(child):
+    """The key Tree() sorts children by."""
+    lab, e, sub = child
+    return (_LABEL_RANK[lab], e, sub._enc)
+
+
+def assert_canonical_node(t, n, raw_children):
+    """t is the node n over raw_children exactly as Tree() would build it:
+    children in Tree()'s sort order, the encoding entry i belonging to
+    child i, and the format of the sorted node built without interning.
+    Identity alone would not show this, since the intern table is looked
+    up by encoding."""
+    assert t.n == tuple(n)
+    assert list(t.children) == sorted(t.children, key=_tree_order)
+    assert t._enc == (t.n, tuple(map(_tree_order, t.children)))
+    rebuilt = SimpleNamespace(n=tuple(n),
+                              children=sorted(raw_children, key=_tree_order))
+    assert format_tree(t) == format_tree(rebuilt)
+    assert t is Tree(n, tuple(raw_children))
+
+
+_FRESH = count(10 ** 6, 10)  # decorations no other tree carries
 
 
 def test_interning_identity():
@@ -148,20 +175,64 @@ def test_tree_product_builds_a_new_tree_once(monkeypatch):
     def refuse(cls, n, children):
         raise AssertionError("an interned product was rebuilt")
 
+    c = canonicalize((1, 1), [(K, (0, 0), a), (H, (0, 1), unit(2)),
+                              (OMEGA, (0, 0), unit(2))])
+
     # once interned, the product is found from the merged encodings
     monkeypatch.setattr(Tree, "__new__", refuse)
     assert tree_product(b, a) is p
     assert tree_product(a, b) is p
 
+    # a new product, planting and polynomial are built without Tree()
+    size = len(Tree._intern)
+    q = tree_product(b, c)
+    r = plant_tree(K, (4, 4), c)
+    x = X((9, 9))
+    assert len(Tree._intern) == size + 3
+    monkeypatch.undo()
+    assert_canonical_node(q, (1, 6), b.children + c.children)
+    assert_canonical_node(r, (0, 0), [(K, (4, 4), c)])
+    assert_canonical_node(x, (9, 9), [])
+
 
 @given(trees(), trees())
 def test_tree_product_is_the_canonical_tree(a, b):
     """The encoding merge finds the tree Tree() builds from the raw
-    children, both when the product is new and when it is interned."""
+    children, both when the product is new and when it is interned, and
+    a new product keeps its children in Tree()'s order."""
     p = tree_product(a, b)
-    assert p is Tree(mi_add(a.n, b.n), a.children + b.children)
+    if p is not a and p is not b:
+        assert_canonical_node(p, mi_add(a.n, b.n), a.children + b.children)
     assert tree_product(a, b) is p
     assert tree_product(b, a) is p
+    # a product with a root decoration no earlier tree has is a miss
+    fresh = canonicalize((next(_FRESH), 0), a.children)
+    if not b.is_unit():
+        size = len(Tree._intern)
+        q = tree_product(b, fresh)
+        assert len(Tree._intern) == size + 1
+        assert_canonical_node(q, mi_add(fresh.n, b.n),
+                              fresh.children + b.children)
+        assert tree_product(fresh, b) is q
+
+
+@given(trees(), st.sampled_from([OMEGA, H, K]))
+def test_plantings_and_polynomials_are_canonical(t, lab):
+    """plant_tree and X build through the presorted constructor; the
+    result is the tree Tree() builds, new or interned."""
+    k = (next(_FRESH), 1)
+    if lab == K and t.is_poly():
+        with pytest.raises(ValueError):
+            plant_tree(lab, k, t)
+    else:
+        size = len(Tree._intern)
+        p = plant_tree(lab, k, t)
+        assert len(Tree._intern) == size + 1
+        assert_canonical_node(p, (0, 0), [(lab, k, t)])
+        assert plant_tree(lab, list(k), t) is p
+    x = X(k)
+    assert_canonical_node(x, k, [])
+    assert X(list(k)) is x and not x.children
 
 
 def test_mi_helpers():

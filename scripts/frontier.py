@@ -3,9 +3,12 @@
     python3 scripts/frontier.py --max-edges 13 --max-omega 8
 
 Generates the pam3d rule sector at the given maxEdges/maxOmega and runs
-the four checks of ``ristruct verify hopf`` on it at (eps, p): the
-coproduct oracle and the comodule identity on every member, Delta+
-coassociativity and the antipode convolution on every W+ generator.
+the four checks of ``ristruct verify hopf`` on it at eps = 1/100 and
+p = inf: the coproduct oracle and the comodule identity on every
+member, Delta+ coassociativity and the antipode convolution on every W+
+generator.  ``run`` times each check on its own, so it repeats the
+checks of ``cli.cmd_verify_hopf`` instead of calling it; a change to
+one must be made in the other.
 Run it once per size and per measurement: the intern table and the
 memos only grow, so only a fresh process measures one size alone.  It
 imports the package from this checkout's ``src/``.
@@ -35,12 +38,13 @@ from ristruct.sector import load_sector  # noqa: E402
 from ristruct.trees import Tree  # noqa: E402
 
 CHECKS = ("oracle", "comodule", "coassociativity", "antipode")
+EPS, P = Fraction(1, 100), "inf"
 
 
-def run(max_edges: int, max_omega: int, eps: Fraction, p) -> dict:
+def run(max_edges: int, max_omega: int) -> dict:
     cfg = builtin_rule_config("pam3d")
     cfg.update(maxEdges=max_edges, maxOmega=max_omega)
-    invp = to_invp(p)
+    eps, invp = EPS, to_invp(P)
     wall, ok = {}, {}  # every tree is checked, even after a failure
 
     def stage(name, f):
@@ -65,7 +69,7 @@ def run(max_edges: int, max_omega: int, eps: Fraction, p) -> dict:
         hopf.convolution_check(g, eps, invp) for g in gens]))
     wall["four_checks"] = sum(wall[c] for c in CHECKS)
     return {"maxEdges": max_edges, "maxOmega": max_omega,
-            "eps": str(eps), "p": str(p), "members": len(members),
+            "eps": str(EPS), "p": P, "members": len(members),
             "w_plus_gens": len(gens), "wall_s": wall, "ok": ok,
             "interned_trees": len(Tree._intern),
             # ru_maxrss is in KiB on Linux
@@ -77,10 +81,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--max-edges", type=int, required=True)
     ap.add_argument("--max-omega", type=int, required=True)
-    ap.add_argument("--eps", type=Fraction, default=Fraction(1, 100))
-    ap.add_argument("--p", default="inf", help="2 <= p, or inf")
     args = ap.parse_args(argv)
-    out = run(args.max_edges, args.max_omega, args.eps, args.p)
+    out = run(args.max_edges, args.max_omega)
     print(json.dumps(out, sort_keys=True))
     return 0 if all(out["ok"].values()) else 2
 

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from math import lcm
 
 from .grading import GenericityError, Params, degree_consts
-from .trees import (H, K, OMEGA, LinComb, Tree, X, has_k_leaf,
+from .trees import (H, K, OMEGA, LinComb, Tree, X, coeff_mul, has_k_leaf,
                     integer_weights, mi_abs, mi_add, mi_binom, mi_factorial,
                     mi_range, mi_sub, mi_zero, plant_tree, tree_product,
                     unit)
@@ -30,7 +30,7 @@ def pair_product(x: LinComb, y: LinComb) -> LinComb:
     for (a1, b1), c1 in x:
         for (a2, b2), c2 in y:
             out.add((tree_product(a1, a2), tree_product(b1, b2)),
-                    c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
+                    coeff_mul(c1, c2))
     return out
 
 
@@ -325,12 +325,10 @@ class Hopf:
                     s_forest = self._antipode(forest, tr)
                 left = tree_product(X(l),
                                     plant_tree(lab, mi_add(k, l), sigma))
-                sign = inv_fact if mi_abs(l) % 2 else -inv_fact
-                coeff = c if sign == 1 else sign if c == 1 else sign * c
+                coeff = coeff_mul(
+                    inv_fact if mi_abs(l) % 2 else -inv_fact, c)
                 for g, cg in s_forest:
-                    out.add(tree_product(left, g),
-                            cg if coeff == 1 else coeff if cg == 1
-                            else coeff * cg)
+                    out.add(tree_product(left, g), coeff_mul(coeff, cg))
         tr.antipode_planted[key] = out
         return out
 
@@ -380,11 +378,9 @@ class Hopf:
         lhs, rhs = LinComb(), LinComb()
         for (a, b), c in self._coproduct(t, tr, plus):
             for (a1, a2), c2 in self._coproduct(a, tr, plus):
-                lhs.add((a1, a2, b),
-                        c2 if c == 1 else c if c2 == 1 else c * c2)
+                lhs.add((a1, a2, b), coeff_mul(c, c2))
             for (b1, b2), c2 in self._coproduct(b, tr, True):
-                rhs.add((a, b1, b2),
-                        c2 if c == 1 else c if c2 == 1 else c * c2)
+                rhs.add((a, b1, b2), coeff_mul(c, c2))
         return lhs == rhs
 
     def convolution_check(self, f: Tree, eps, invp) -> bool:
@@ -393,8 +389,7 @@ class Hopf:
         out = LinComb()
         for (f1, f2), c in self._coproduct(f, tr, True):
             for g, cg in self._antipode(f1, tr):
-                out.add(tree_product(g, f2),
-                        cg if c == 1 else c if cg == 1 else c * cg)
+                out.add(tree_product(g, f2), coeff_mul(c, cg))
         expected = (LinComb.single(unit(self.d), 1) if self.counit(f)
                     else LinComb())
         return out == expected

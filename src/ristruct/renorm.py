@@ -9,8 +9,8 @@ from fractions import Fraction
 from .grading import degree
 from .hopf import Hopf
 from .sector import Sector, derive
-from .trees import (K, OMEGA, LinComb, Tree, X, dot_noise, mi_zero, noise,
-                    plant)
+from .trees import (K, OMEGA, LinComb, Tree, X, coeff_mul, dot_noise,
+                    mi_zero, noise, plant)
 
 
 def negative_basis(s: Sector):
@@ -98,8 +98,7 @@ class RcMap(PreparationMap):
                 if cv:
                     if type(cv) is not int and type(cv) is not Fraction:
                         cv = Fraction(cv)
-                    out.add(right, cv if coeff == 1 else
-                            coeff if cv == 1 else cv * coeff)
+                    out.add(right, coeff_mul(cv, coeff))
         if self.strict_sector:
             # the formula extends beyond the basis, so the input itself
             # may sit outside; only extraction remainders must stay in
@@ -173,7 +172,7 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
         rhs = LinComb()
         for term, c in R.apply(t):
             for (a, b), c2 in hopf._coproduct(term, half_tr):
-                rhs.add((a, b), c2 if c == 1 else c if c2 == 1 else c * c2)
+                rhs.add((a, b), coeff_mul(c, c2))
         if lhs != rhs:
             report.fail("d", t, "coproduct commutation fails")
 
@@ -189,7 +188,7 @@ def _tensor_apply_left(R: PreparationMap, ts):
     out = LinComb()
     for (a, b), c in ts:
         for a2, c2 in R.apply(a):
-            out.add((a2, b), c2 if c == 1 else c if c2 == 1 else c * c2)
+            out.add((a2, b), coeff_mul(c, c2))
     return out
 
 

@@ -250,6 +250,13 @@ def tree_product(a: Tree, b: Tree) -> Tree:
     return Tree._presorted(enc[0], tuple(c for _e, c in merged), enc)
 
 
+def coeff_mul(a, b):
+    """a * b for coefficients, passing a unit factor through unchanged:
+    1 * Fraction(...) would build a new Fraction for the same value.
+    The exact hot paths multiply every coefficient through here."""
+    return b if a == 1 else a if b == 1 else a * b
+
+
 class LinComb:
     """Finite formal sum with exact rational coefficients.
 
@@ -338,7 +345,7 @@ class LinComb:
         out = LinComb()
         for t, c in self.terms.items():
             for s, c2 in f(t):
-                out.add(s, c2 if c == 1 else c if c2 == 1 else c * c2)
+                out.add(s, coeff_mul(c, c2))
         return out
 
     def product(self, other: "LinComb") -> "LinComb":

@@ -106,8 +106,15 @@ def degree_consts(params: Params, eps, invp) -> tuple:
 
 
 def degree_eval(f: DegreeForm, params: Params, eps, invp) -> Fraction:
-    r, beta0, s_invp = degree_consts(params, eps, invp)
-    return f.cR0 * r + f.cBeta0 * beta0 + f.cInvP * s_invp + f.cConst
+    """The value of f at (eps, 1/p).  The integer coefficients are mostly
+    0 or 1, so a zero term is skipped and a unit one adds its constant
+    without a Fraction product; the value is the same exact rational."""
+    out = f.cConst
+    for c, v in zip((f.cR0, f.cBeta0, f.cInvP),
+                    degree_consts(params, eps, invp)):
+        if c:
+            out += v if c == 1 else c * v
+    return out
 
 
 def degree(t: Tree, params: Params, eps, invp) -> Fraction:

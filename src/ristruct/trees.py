@@ -3,8 +3,9 @@
 A tree carries a node decoration (a multi-index) at every node and a
 label together with an edge decoration on every edge.  Trees are
 non-planar: children are kept sorted by a canonical total order, so two
-planar presentations of the same tree compare equal and hash equal.
-Canonical trees are hash-consed through a module-level interning table.
+planar presentations of the same tree are the same tree.  Canonical
+trees are hash-consed through a module-level interning table: equal
+trees are one object, so trees hash and compare equal by identity.
 Coefficients are exact rationals (``int`` when integral, otherwise
 ``Fraction``).
 """
@@ -80,17 +81,26 @@ class Tree:
 
     ``n`` is the root decoration; ``children`` is a tuple of
     ``(label, edge_decoration, subtree)`` triples sorted canonically.
-    Instances are interned: equality is identity.
+    Instances are interned: equality is identity, and hashing and
+    ``==`` are the identity defaults of ``object``.  Iterating a set of
+    trees therefore follows memory addresses, which differ between
+    runs, so a set of trees is sorted before it is iterated.
+
+    The encoding ``_enc`` is ``(n, entries)`` with one entry
+    ``(label rank, edge decoration, subtree)`` per child, holding the
+    interned subtree itself.  An intern lookup thus hashes one level of
+    the tree, not the whole tree.  Trees are ordered by their encodings
+    (``__lt__``); since equal subtrees are one object, this is the
+    lexicographic order of the fully nested encodings.
 
     There are two constructors.  ``Tree(n, children)`` takes the
     children in any order, sorts them and builds the encoding.
     ``Tree._presorted(n, children, enc)`` interns a node whose encoding
     ``enc`` is already built, and relies on ``children`` being in
-    encoding order already: the i-th child is the one whose entry
-    ``(label rank, edge decoration, subtree encoding)`` is the i-th of
-    ``enc[1]``, which is the sort key ``Tree()`` uses.  It neither sorts
-    nor checks, so only builders that know the order (``tree_product``,
-    ``plant_tree``, ``X``) call it.
+    encoding order already: the i-th child is the one whose entry is
+    the i-th of ``enc[1]``, which is the sort key ``Tree()`` uses.  It
+    neither sorts nor checks, so only builders that know the order
+    (``tree_product``, ``plant_tree``, ``X``) call it.
 
     Two summaries are computed on first use and cached on the instance,
     since an interned tree never changes: ``stats()`` (the Omega, edge
@@ -100,17 +110,15 @@ class Tree:
     ``grading.degree_form``), so neither depends on params.
     """
 
-    __slots__ = ("n", "children", "_enc", "_hash", "_stats", "_net")
+    __slots__ = ("n", "children", "_enc", "_stats", "_net")
 
     _intern: dict = {}
 
     def __new__(cls, n: MultiIndex, children: tuple):
         children = tuple(sorted(
-            children,
-            key=lambda c: (_LABEL_RANK[c[0]], c[1], c[2]._enc)))
+            children, key=lambda c: (_LABEL_RANK[c[0]], c[1], c[2])))
         enc = (tuple(n), tuple(
-            (_LABEL_RANK[lab], tuple(e), sub._enc)
-            for lab, e, sub in children))
+            (_LABEL_RANK[lab], tuple(e), sub) for lab, e, sub in children))
         return cls._presorted(enc[0], children, enc)
 
     @classmethod
@@ -124,7 +132,6 @@ class Tree:
         self.n = n
         self.children = children
         self._enc = enc
-        self._hash = hash(enc)
         self._stats = None
         self._net = None
         cls._intern[enc] = self
@@ -133,12 +140,6 @@ class Tree:
     @property
     def dim(self) -> int:
         return len(self.n)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
 
     def __lt__(self, other):
         return self._enc < other._enc
@@ -378,7 +379,7 @@ def plant_tree(label: str, k: MultiIndex, t: Tree) -> Tree:
         raise ValueError("planted tree lies in the K-leaf ideal")
     root = mi_zero(t.dim)
     return Tree._presorted(root, ((label, k, t),),
-                           (root, ((_LABEL_RANK[label], k, t._enc),)))
+                           (root, ((_LABEL_RANK[label], k, t),)))
 
 
 def quotient_by_K_leaves(v: LinComb) -> LinComb:

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ristruct import cli
 from ristruct.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_VERIFY, main
+from ristruct.config import builtin_rule_config
 
 
 def run(capsys, *argv):
@@ -159,6 +164,49 @@ def test_repeated_runs_identical(capsys, small_cfg):
     _c, out1, _e = run(capsys, "verify", "comparison", small_cfg)
     _c, out2, _e = run(capsys, "verify", "comparison", small_cfg)
     assert out1 == out2
+
+
+# Trees hash by identity, so a set of trees iterates in address order.
+# The second interpreter first keeps a number of objects of the sizes
+# that trees and their tuples take, so that later objects sit elsewhere.
+_FRESH_RUN = """
+import sys
+junk = [(i,) * (i % 8) for i in range(int(sys.argv[1]))]
+junk += [object() for _ in range(int(sys.argv[1]) // 3)]
+from ristruct.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _fresh_run(junk: int, *argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, str(junk), *argv],
+        capture_output=True, env=env, timeout=300)
+    return done.returncode, done.stdout
+
+
+def test_output_does_not_depend_on_addresses(tmp_path):
+    """The symbolic commands print the same bytes and exit alike in two
+    fresh interpreters whose trees lie at different addresses."""
+    cfg = builtin_rule_config("pam3d")
+    cfg.update(maxEdges=7, maxOmega=5)
+    rule = tmp_path / "pam3d_7_5.json"
+    rule.write_text(json.dumps(cfg))
+    runs = {"gen": (("sector", "gen", str(rule)), 0),
+            "tri": (("verify", "triangularity", str(rule)), EXIT_VERIFY),
+            "cop": (("coproduct", "(O() K(O() K(O())))", "--eps", "1/100"),
+                    0)}
+    docs = {}
+    for name, (argv, want) in runs.items():
+        code, out = _fresh_run(0, *argv)
+        assert code == want, name
+        assert _fresh_run(10007, *argv) == (code, out), name
+        docs[name] = json.loads(out)
+    assert docs["gen"]["basis"] and docs["gen"]["dot_basis"]
+    assert docs["tri"]["failures"]
+    assert docs["cop"]["terms"]
 
 
 def test_out_manifest(capsys, small_cfg, tmp_path):

@@ -15,8 +15,8 @@ from ristruct.hopf import Hopf
 from ristruct.renorm import (CounterTerms, DictPreparationMap, IdentityMap,
                              RcMap, Renormalizer, SectorEscape,
                              negative_basis, verify_preparation)
-from ristruct.sector import generate_from_rule, pam_rule
-from ristruct.trees import LinComb, format_tree, noise, parse, unit
+from ristruct.sector import Sector, generate_from_rule, pam_rule
+from ristruct.trees import LinComb, X, format_tree, noise, parse, unit
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,28 @@ def test_counterterm_support(sector2):
     CounterTerms({tau2: F(3, 7)}).check_support(sector2)
     with pytest.raises(ValueError):
         CounterTerms({noise(2): F(1)}).check_support(sector2)
+
+
+def _refused(t, s):
+    with pytest.raises(ValueError) as err:
+        CounterTerms({t: F(2)}).check_support(s)
+    assert str(err.value) == f"counterterm outside B_-: {t!r}"
+
+
+def test_counterterm_support_refusals():
+    """Each B_- condition refuses on its own: every refused tree below
+    passes the other three tests."""
+    params = numeric2d_params()
+    tau2 = parse("(O() K(O()))", dim=2)
+    planted = parse("(K(O() O() O()))", dim=2)  # degree -5/4
+    lone = parse("(n=(1,0) O())")  # degree -1/20
+    positive = parse("(O() K(O()) K(O()))", dim=2)  # degree 13/20
+    s = Sector(params, [tau2, planted, lone, positive], F(2))
+    CounterTerms({tau2: F(1), planted: F(0), X((1, 0)): 0}).check_support(s)
+    _refused(tau2, Sector(params, [noise(2)], F(2)))  # not a basis tree
+    _refused(planted, s)
+    _refused(lone, s)
+    _refused(positive, s)
 
 
 def test_rc_on_smallest_negative_tree():

@@ -17,7 +17,7 @@ from ristruct.trees import _LABEL_RANK
 
 
 def _tree_order(child):
-    """The key Tree() sorts children by."""
+    """A key that orders children as Tree() sorts them."""
     lab, e, sub = child
     return (_LABEL_RANK[lab], e, sub._enc)
 
@@ -30,7 +30,10 @@ def assert_canonical_node(t, n, raw_children):
     up by encoding."""
     assert t.n == tuple(n)
     assert list(t.children) == sorted(t.children, key=_tree_order)
-    assert t._enc == (t.n, tuple(map(_tree_order, t.children)))
+    assert t._enc == (t.n, tuple((_LABEL_RANK[lab], e, sub)
+                                 for lab, e, sub in t.children))
+    assert all(entry[2] is child[2]
+               for entry, child in zip(t._enc[1], t.children))
     rebuilt = SimpleNamespace(n=tuple(n),
                               children=sorted(raw_children, key=_tree_order))
     assert format_tree(t) == format_tree(rebuilt)
@@ -213,6 +216,22 @@ def test_tree_product_is_the_canonical_tree(a, b):
         assert_canonical_node(q, mi_add(fresh.n, b.n),
                               fresh.children + b.children)
         assert tree_product(fresh, b) is q
+
+
+def _nested_encoding(t):
+    """The encoding with every subtree replaced by its own encoding."""
+    return (t.n, tuple((_LABEL_RANK[lab], e, _nested_encoding(sub))
+                       for lab, e, sub in t.children))
+
+
+@given(trees(), trees())
+def test_tree_order_is_the_nested_encoding_order(a, b):
+    """Encodings hold interned subtrees, and trees compare by them; the
+    order is the lexicographic order of the fully nested encodings."""
+    na, nb = _nested_encoding(a), _nested_encoding(b)
+    assert (a < b) == (na < nb)
+    assert (a <= b) == (na <= nb)
+    assert (a is b) == (na == nb)
 
 
 @given(trees(), st.sampled_from([OMEGA, H, K]))

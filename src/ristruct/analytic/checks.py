@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 
 from ..grading import INF, degree, integrability
-from ..sector import derive
 from ..trees import Tree
 from .model import Model
 
@@ -93,7 +92,7 @@ def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
         lhs = lhs + float(w) * pert.pi_x(t, x, 0)
     base = Model(sector, hopf, ctx, xi, h=h, eps=eps)
     rhs = np.zeros(ctx.grid.sizes)
-    for s, c in derive(t):
+    for s, c in sector.derive(t):
         rhs = rhs + float(c) * base.pi_x(s, x, 0)
     return relative_error(lhs, rhs)
 

@@ -129,19 +129,32 @@ def _derive(t: Tree) -> LinComb:
 
 
 class Sector:
-    """Ordered basis of noise trees with its derivative and filtration."""
+    """Ordered basis of noise trees with its derivative and filtration.
+
+    ``derive`` memoizes the derivative map per tree for the sector's
+    lifetime: the dot basis, the preparation axiom (e) and the model's
+    derivative identity read the same derivatives many times.  The
+    returned LinComb is shared by every caller, so it is read-only."""
 
     def __init__(self, params: Params, basis_o, poly_bound):
         self.params = params
+        self._derivatives = {}
         self.basis_o = sorted(
             basis_o, key=lambda t: key_of(t, params) + (t._enc,))
         self.polys = sorted(X(k) for k in self._below(Fraction(poly_bound)))
         self.basis = self.polys + self.basis_o
         self.dot_basis_by_index = [
-            sorted({s for s, _c in derive(tau)},
+            sorted({s for s, _c in self.derive(tau)},
                    key=lambda t: key_of(t, params) + (t._enc,))
             for tau in self.basis_o]
         self.dot_basis = self.dot_prefix(len(self.basis_o))
+
+    def derive(self, t: Tree) -> LinComb:
+        """The memoized derive(t); read-only, see the class docstring."""
+        out = self._derivatives.get(t)
+        if out is None:
+            out = self._derivatives[t] = derive(t)
+        return out
 
     @property
     def mB(self) -> int:
@@ -258,7 +271,7 @@ def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
             return []
         if budget in memo:
             return memo[budget]
-        found = set()
+        found = {}  # insertion-ordered, so deterministic without a sort
         for ntype in sorted(rule.for_k):
             own_edges = len(ntype)
             if own_edges == 0 or own_edges > budget:
@@ -272,14 +285,13 @@ def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
                     children = [(OMEGA, k, unit(d)) for k in omega_slots]
                     children += [(K, k_slots[j], acc[j])
                                  for j in range(len(acc))]
-                    found.add(Tree(z, tuple(children)))
+                    found[Tree(z, tuple(children))] = None
                     return
                 slots_after = len(k_slots) - slot - 1
                 for sub in subtrees(left - slots_after):
                     assign(slot + 1, left - sub.edge_count(), acc + (sub,))
             assign(0, remaining, ())
-        out = sorted(found, key=lambda t: t._enc)
-        memo[budget] = out
+        out = memo[budget] = list(found)
         return out
 
     basis_o = []

@@ -165,6 +165,34 @@ def test_derivative_identity(setup):
         assert err < 1e-12
 
 
+def test_derivative_memo_is_not_mutated(setup):
+    """Sector.derive hands every caller the same LinComb per tree; the
+    preparation checks and the derivative identity only read it."""
+    import random
+
+    from ristruct.renorm import (CounterTerms, RcMap, negative_basis,
+                                 verify_preparation)
+    from ristruct.sector import _derive
+
+    sector, hopf, ctx, xi, hf, _m = setup
+    rng = random.Random(11)
+    for _ in range(3):
+        values = {t: F(rng.randint(-20, 20), rng.randint(1, 9))
+                  for t in negative_basis(sector)}
+        R = RcMap(CounterTerms(values), hopf, sector)
+        assert verify_preparation(R, sector, hopf).ok
+    t = sector.basis_o[-1]
+    assert check_derivative_identity(sector, hopf, ctx, xi, hf, t, X0,
+                                     EPS) < 1e-12
+    for t in sector.basis:
+        assert sector.derive(t) == _derive(t)
+    for t in sector.dot_basis:
+        with pytest.raises(ValueError):
+            sector.derive(t)
+    for t, d in sector._derivatives.items():
+        assert d == _derive(t)
+
+
 def test_model_from_spectrum_matches_field(setup):
     """A model handed the noise spectrum agrees with one handed the field
     it stands for, on both recentering routes."""

@@ -128,6 +128,57 @@ def test_verify_preparation_rejects_degree_losing_term(sector2, hopf2):
     assert any(f["axiom"] == "b" for f in report.failures)
 
 
+def _failures(R, s):
+    report = verify_preparation(R, s, Hopf(s.params))
+    return [(f["axiom"], format_tree(f["tree"]), f["detail"])
+            for f in report.failures]
+
+
+def test_verify_preparation_reports_only_d():
+    """Two breaches of the coproduct axiom that every other axiom
+    accepts: an extraction to X^(1,0) that forgets Delta X^(1,0) =
+    X^(1,0) (x) 1 + 1 (x) X^(1,0), and a decorated noise outside the
+    sector, a left factor of Delta (O() K(H())) only, sent to twice
+    itself."""
+    s = numeric2d_sector()
+    tau2 = parse("(O() K(O()))", dim=2)
+    left = parse("(n=(1,0) O())", dim=2)
+    bad = DictPreparationMap({
+        tau2: LinComb([(tau2, 1), (X((1, 0)), F(2, 3))]),
+        left: LinComb.single(left, 2)})
+    fails = "coproduct commutation fails"
+    assert _failures(bad, s) == [("d", "(O() K(O()))", fails),
+                                 ("d", "(O() K(H()))", fails)]
+
+
+def test_verify_preparation_reports_only_e():
+    """R_c for a counterterm on X^(1,0) O(), written out: that tree is a
+    left factor of Delta (O() K(H())) but not of Delta (O() K(O())), so
+    R commutes with Delta and fails only at the derivative of
+    (O() K(O()))."""
+    s = numeric2d_sector()
+    dot = parse("(O() K(H()))", dim=2)
+    left = parse("(n=(1,0) O())", dim=2)
+    c = F(2, 3)
+    bad = DictPreparationMap({
+        dot: LinComb([(dot, 1), (parse("(K^(1,0)(H()))", dim=2), c)]),
+        left: LinComb([(left, 1), (unit(2), c)])})
+    assert _failures(bad, s) == [
+        ("e", "(O() K(O()))", "derivative commutation fails")]
+
+
+def test_verify_preparation_tree_missing_from_its_image():
+    """R(tau) = c: (R - id) tau keeps -tau, so (d) fails; without it the
+    two sides would agree on c 1 (x) 1."""
+    s = numeric2d_sector()
+    tau2 = parse("(O() K(O()))", dim=2)
+    bad = DictPreparationMap({tau2: LinComb.single(unit(2), F(2, 3))})
+    assert _failures(bad, s) == [
+        ("b", "(O() K(O()))", "leading coefficient 0"),
+        ("d", "(O() K(O()))", "coproduct commutation fails"),
+        ("e", "(O() K(O()))", "derivative commutation fails")]
+
+
 def test_renormalizer_identity(sector2, hopf2):
     M = Renormalizer(IdentityMap())
     for t in sector2.members():

@@ -109,6 +109,19 @@ def test_derive_multiplicities():
         derive(parse("(H())", dim=3))
 
 
+def test_sector_derive_is_memoized(sector):
+    """One LinComb per tree, equal to derive; H-containing trees are
+    refused on every call and never stored."""
+    for t in sector.basis:
+        assert sector.derive(t) is sector.derive(t)
+        assert sector.derive(t) == derive(t)
+    h_tree = parse("(H())", dim=3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sector.derive(h_tree)
+    assert h_tree not in sector._derivatives
+
+
 def test_preorder_key_and_precede(sector):
     p = sector.params
     a, b, c, d = sector.basis_o

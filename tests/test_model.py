@@ -1,6 +1,7 @@
 """Recentered interpretations on the grid: dual routes, comparison
 across integrability cells, recentering characters and norms."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +20,9 @@ from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field, white_noise
 from ristruct.config import numeric2d_sector, pam3d_params, pam3d_sector
 from ristruct.hopf import Hopf
-from ristruct.renorm import DictPreparationMap, IdentityMap
+from ristruct.renorm import (CounterTerms, DictPreparationMap, IdentityMap,
+                             RcMap, negative_basis, verify_preparation)
+from ristruct.sector import _derive
 from ristruct.trees import K, LinComb, X, noise, parse, plant_tree, unit
 
 EPS = F(1, 100)
@@ -168,12 +171,6 @@ def test_derivative_identity(setup):
 def test_derivative_memo_is_not_mutated(setup):
     """Sector.derive hands every caller the same LinComb per tree; the
     preparation checks and the derivative identity only read it."""
-    import random
-
-    from ristruct.renorm import (CounterTerms, RcMap, negative_basis,
-                                 verify_preparation)
-    from ristruct.sector import _derive
-
     sector, hopf, ctx, xi, hf, _m = setup
     rng = random.Random(11)
     for _ in range(3):

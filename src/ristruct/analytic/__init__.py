@@ -5,4 +5,4 @@ from .grid import (GridSpec, OperatorContext, OperatorSpec,  # noqa: F401
                    second_order_op)
 from .model import Model  # noqa: F401
 from .noise import (generator, random_fourier_series,  # noqa: F401
-                    smooth_field, truncate_modes, white_noise)
+                    smooth_field, white_noise)

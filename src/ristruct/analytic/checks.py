@@ -123,24 +123,3 @@ def qnorm_series(model: Model, t: Tree, base_points, t_values, invp):
         raw.append(norm)
         weighted.append(norm * tv ** float(-r / ell))
     return raw, weighted
-
-
-def g_norm(model: Model, mu: Tree, base_points, offsets, invp) -> float:
-    """Size of the recentering character on sampled point pairs.
-
-    sup |g_{yx}(mu)| / |y - x|^r over base points x and index offsets."""
-    invp = Fraction(invp)
-    r = float(degree(mu, model.params, model.eps, invp))
-    sizes = model.ctx.grid.sizes
-    best = 0.0
-    for x in base_points:
-        xc = np.array(model.base_coord(x))
-        for off in offsets:
-            y = tuple((xi + oi) % n for xi, oi, n in zip(x, off, sizes))
-            if y == tuple(x):
-                continue
-            yc = np.array(model.base_coord(y))
-            dist = float(np.linalg.norm(yc - xc))
-            val = abs(model.g_recentered(mu, x, y, invp))
-            best = max(best, val / dist ** r)
-    return best

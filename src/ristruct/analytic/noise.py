@@ -41,10 +41,3 @@ def smooth_field(grid: GridSpec, seed: int, stream: int = 0,
     """Smooth random field: Gaussian spectral decay at the given scale."""
     return random_fourier_series(
         grid, lambda mag: np.exp(-0.5 * (scale * mag) ** 2), seed, stream)
-
-
-def truncate_modes(grid: GridSpec, f: np.ndarray, n: int) -> np.ndarray:
-    """Keep only the Fourier modes with integer index norm <= n."""
-    idx = grid.half_mesh([np.fft.fftfreq(m) * m for m in grid.sizes])
-    keep = sum(a ** 2 for a in idx) <= float(n) ** 2
-    return grid.irfft(grid.rfft(f) * keep)

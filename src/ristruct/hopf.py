@@ -1,5 +1,5 @@
-"""Truncated coproducts, the positive-degree projection, the antipode,
-characters and recentering operators.
+"""Truncated coproducts, the positive-degree projection, the antipode
+and the Hopf identity checks.
 
 A forest X^k * prod_i I_{k_i}^{l_i}(tau_i) is represented as a Tree
 whose root decoration is k and whose children are the planted factors;
@@ -32,33 +32,6 @@ def pair_product(x: LinComb, y: LinComb) -> LinComb:
             out.add((tree_product(a1, a2), tree_product(b1, b2)),
                     coeff_mul(c1, c2))
     return out
-
-
-class Character:
-    """Multiplicative functional determined by values on generators.
-
-    Generators are the coordinate polynomials X^{e_j} and planted trees;
-    the value on a forest is the product over its factors."""
-
-    def __init__(self, values: dict, d: int):
-        self.values = dict(values)
-        self.d = d
-
-    def __call__(self, forest: Tree):
-        out = 1
-        for j, power in enumerate(forest.n):
-            if power:
-                e_j = tuple(1 if i == j else 0 for i in range(self.d))
-                out *= self._value(X(e_j)) ** power
-        for lab, e, sub in forest.children:
-            out *= self._value(Tree(mi_zero(self.d), ((lab, e, sub),)))
-        return out
-
-    def _value(self, gen: Tree):
-        try:
-            return self.values[gen]
-        except KeyError:
-            raise KeyError(f"character undefined on generator {gen!r}")
 
 
 class _Truncation:
@@ -274,19 +247,7 @@ class Hopf:
                     coeff * mi_binom(t.n, n_sigma)))
         return results
 
-    # projection and Delta+ ----------------------------------------------
-
-    def forest_survives(self, f: Tree, eps, invp) -> bool:
-        tr = self.truncation(eps, invp)
-        return all(self._positive(lab, e, sub, tr)
-                   for lab, e, sub in f.children)
-
-    def project_plus(self, v: LinComb, eps, invp) -> LinComb:
-        out = LinComb()
-        for f, c in v:
-            if self.forest_survives(f, eps, invp):
-                out.add(f, c)
-        return out
+    # Delta+ -------------------------------------------------------------
 
     def coproduct_plus(self, f: Tree, eps, invp) -> LinComb:
         """Delta+_{eps,p} on a forest in the P+ range."""
@@ -332,37 +293,7 @@ class Hopf:
         tr.antipode_planted[key] = out
         return out
 
-    # characters and recentering -----------------------------------------
-
-    @staticmethod
-    def counit(f: Tree):
-        return 1 if f.is_unit() else 0
-
-    def char_antipode(self, gx: Character, f: Tree, eps, invp):
-        """Evaluate gx on S+(f)."""
-        return sum(c * gx(g) for g, c in self.antipode(f, eps, invp))
-
-    def char_recenter(self, gy: Character, gx: Character, mu: Tree,
-                      eps, invp):
-        """g_{yx}(mu) = (g_y (x) (g_x o S+)) Delta+(mu)."""
-        total = 0
-        for (f1, f2), c in self.coproduct_plus(mu, eps, invp):
-            total += c * gy(f1) * self.char_antipode(gx, f2, eps, invp)
-        return total
-
-    def recenter_character(self, gy: Character, gx: Character, generators,
-                           eps, invp) -> Character:
-        """Materialize g_{yx} as a character on the given generators."""
-        values = {gen: self.char_recenter(gy, gx, gen, eps, invp)
-                  for gen in generators}
-        return Character(values, self.d)
-
-    def gamma_recenter(self, gyx: Character, t: Tree, eps, invp) -> LinComb:
-        """Gamma_{yx} = (id (x) g_{yx}) Delta_{eps,p}."""
-        out = LinComb()
-        for (sigma, forest), c in self.coproduct(t, eps, invp):
-            out.add(sigma, c * Fraction(gyx(forest)))
-        return out
+    # identity checks ----------------------------------------------------
 
     def comodule_check(self, t: Tree, eps, invp) -> bool:
         """(Delta (x) id)Delta equals (id (x) Delta+)Delta on t."""
@@ -384,12 +315,12 @@ class Hopf:
         return lhs == rhs
 
     def convolution_check(self, f: Tree, eps, invp) -> bool:
-        """M(S+ (x) id)Delta+ equals unit o counit on f."""
+        """M(S+ (x) id)Delta+ f is the unit when f is, and 0 otherwise."""
         tr = self.truncation(eps, invp)
         out = LinComb()
         for (f1, f2), c in self._coproduct(f, tr, True):
             for g, cg in self._antipode(f1, tr):
                 out.add(tree_product(g, f2), coeff_mul(c, cg))
-        expected = (LinComb.single(unit(self.d), 1) if self.counit(f)
+        expected = (LinComb.single(unit(self.d), 1) if f.is_unit()
                     else LinComb())
         return out == expected

@@ -59,7 +59,7 @@ class DictPreparationMap(PreparationMap):
         self.action = dict(action)
 
     def apply(self, t: Tree) -> LinComb:
-        return self.action.get(t) or LinComb.single(t, 1)
+        return self.action[t] if t in self.action else LinComb.single(t, 1)
 
 
 class IdentityMap(PreparationMap):

@@ -305,22 +305,6 @@ class LinComb:
         else:
             del terms[t]
 
-    def __add__(self, other: "LinComb") -> "LinComb":
-        out = LinComb(dict(self.terms))
-        for t, c in other.terms.items():
-            out.add(t, c)
-        return out
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        out = LinComb(dict(self.terms))
-        for t, c in other.terms.items():
-            out.add(t, -c)
-        return out
-
-    def scale(self, c) -> "LinComb":
-        c = Fraction(c)
-        return LinComb({t: v * c for t, v in self.terms.items()} if c else {})
-
     def __eq__(self, other):
         return isinstance(other, LinComb) and self.terms == other.terms
 
@@ -380,14 +364,6 @@ def plant_tree(label: str, k: MultiIndex, t: Tree) -> Tree:
     root = mi_zero(t.dim)
     return Tree._presorted(root, ((label, k, t),),
                            (root, ((_LABEL_RANK[label], k, t),)))
-
-
-def quotient_by_K_leaves(v: LinComb) -> LinComb:
-    out = LinComb()
-    for t, c in v:
-        if not has_k_leaf(t):
-            out.add(t, c)
-    return out
 
 
 def noise(d: int) -> Tree:

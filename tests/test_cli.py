@@ -209,6 +209,38 @@ def test_output_does_not_depend_on_addresses(tmp_path):
     assert docs["cop"]["terms"]
 
 
+_SYMBOLIC_RUN = """
+import contextlib, io, json, sys
+from ristruct.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append([argv, code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_symbolic_commands_never_load_numpy(tmp_path):
+    """The symbolic commands, run one after another in a fresh
+    interpreter, never import numpy, not even for the numeric error
+    types that cli.main catches."""
+    ct = tmp_path / "ct.json"
+    ct.write_text(json.dumps({"(O() K(O()))": "-1/3"}))
+    runs = [["sector", "gen", "pam3d"],
+            ["coproduct", "(O() K(H()))", "--p", "7"],
+            ["phase", "pam3d"],
+            ["verify", "hopf", "pam3d"],
+            ["verify", "triangularity", "pam3d"],
+            ["prep", "verify", str(ct), "--rule", "numeric2d"]]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _SYMBOLIC_RUN, json.dumps(runs)],
+        capture_output=True, env=env, timeout=300, check=True)
+    assert json.loads(done.stdout) == [[argv, 0, False] for argv in runs]
+
+
 def test_out_manifest(capsys, small_cfg, tmp_path):
     outdir = tmp_path / "run"
     code, out, _e = run(capsys, "--out", str(outdir), "sector", "gen",

@@ -8,8 +8,7 @@ from ristruct.analytic.grid import (GridSpec, OperatorContext, OperatorSpec,
                                     QuadratureError, QuadratureSpec,
                                     fourth_order_op, second_order_op)
 from ristruct.analytic.noise import (generator, random_fourier_series,
-                                     smooth_field, truncate_modes,
-                                     white_noise)
+                                     smooth_field, white_noise)
 
 
 @pytest.fixture(scope="module")
@@ -155,14 +154,6 @@ def test_random_fourier_series_is_real_and_shaped(grid):
     spec = np.abs(np.fft.fftn(f))
     # high modes are strongly suppressed relative to low modes
     assert spec[16, 16] < 1e-3 * spec[1, 0]
-
-
-def test_truncate_modes(grid):
-    f = smooth_field(grid, 13, 0, 0.3)
-    g = truncate_modes(grid, f, 2)
-    spec = np.fft.fftn(g)
-    assert abs(spec[5, 5]) < 1e-10 * max(abs(spec[1, 0]), 1.0)
-    assert rel(truncate_modes(grid, g, 2), g) < 1e-13
 
 
 # the half-spectrum path against the full complex round trip -------------
@@ -365,11 +356,6 @@ def test_noise_matches_complex_formula(sizes):
     ref = np.fft.ifftn(np.fft.fftn(base) * np.exp(-mag)).real
     assert rel(random_fourier_series(grid, lambda m: np.exp(-m), 7, 0),
                ref) < 1e-13
-    idx = np.meshgrid(*[np.fft.fftfreq(m) * m for m in grid.sizes],
-                      indexing="ij")
-    keep = sum(a ** 2 for a in idx) <= 3.0 ** 2
-    ref = np.fft.ifftn(np.fft.fftn(base) * keep).real
-    assert rel(truncate_modes(grid, base, 3), ref) < 1e-13
 
 
 def test_multipliers_are_cached_and_bounded(ctx):

@@ -11,7 +11,7 @@ from ristruct.analytic import mc
 from ristruct.analytic.checks import (check_comparison,
                                       check_derivative_identity,
                                       check_recentering_consistency,
-                                      check_route_equivalence, g_norm,
+                                      check_route_equivalence,
                                       qnorm_series, relative_error)
 from ristruct.analytic.grid import (GridSpec, OperatorContext,
                                     QuadratureSpec, fourth_order_op,
@@ -241,13 +241,6 @@ def test_qnorm_series_unit(setup):
     raw, weighted = qnorm_series(model, unit(2), [X0, Y0], ts, F(0))
     assert np.allclose(raw, 1.0, atol=1e-13)
     assert np.allclose(weighted, 1.0, atol=1e-13)
-
-
-def test_g_norm_coordinate(setup):
-    _s, _h, _c, _xi, _hf, model = setup
-    offsets = [(1, 0), (0, 1), (2, 0), (1, 1)]
-    val = g_norm(model, X((1, 0)), [X0, Y0], offsets, F(0))
-    assert abs(val - 1.0) < 1e-12
 
 
 # spectral point reads against full inverse transforms --------------------

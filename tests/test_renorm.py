@@ -179,6 +179,20 @@ def test_verify_preparation_tree_missing_from_its_image():
         ("e", "(O() K(O()))", "derivative commutation fails")]
 
 
+def test_dict_preparation_map_zero_image():
+    """A table entry of zero is the zero map on that tree, not the
+    identity, even though the zero LinComb is falsy."""
+    s = numeric2d_sector()
+    tau2 = parse("(O() K(O()))", dim=2)
+    bad = DictPreparationMap({tau2: LinComb()})
+    assert bad.apply(tau2) == LinComb()
+    assert bad.apply(noise(2)) == LinComb.single(noise(2), 1)
+    assert _failures(bad, s) == [
+        ("b", "(O() K(O()))", "leading coefficient 0"),
+        ("d", "(O() K(O()))", "coproduct commutation fails"),
+        ("e", "(O() K(O()))", "derivative commutation fails")]
+
+
 def test_renormalizer_identity(sector2, hopf2):
     M = Renormalizer(IdentityMap())
     for t in sector2.members():

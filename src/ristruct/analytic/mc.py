@@ -9,7 +9,7 @@ import numpy as np
 from ..grading import degree
 from ..hopf import Hopf
 from ..renorm import CounterTerms, RcMap, negative_basis
-from ..sector import Sector, key_of
+from ..sector import Sector
 from ..trees import Tree
 from .grid import OperatorContext
 from .model import Model
@@ -80,11 +80,9 @@ def solve_bphz_c(sector: Sector, hopf: Hopf, ctx: OperatorContext,
     counterterms fixed, the extraction contributes the new value times
     the interpretation of the unit, so the update is the negated current
     estimate.  Returns the counterterms and per-tree diagnostics."""
-    targets = sorted(negative_basis(sector),
-                     key=lambda t: key_of(t, sector.params) + (t._enc,))
     values = {}
     info = {}
-    for t in targets:
+    for t in negative_basis(sector):
         prep = RcMap(CounterTerms(dict(values)), hopf, sector)
         mean, stderr = mean_stderr(constant_samples(
             sector, hopf, ctx, prep, t, level, n_samples, seed,

@@ -134,7 +134,7 @@ def cmd_phase(args):
     invp = _parse_p(args.p)
     gens = [g for g in sector.w_plus_generators(Fraction(0), Fraction(1, 2))
             if not g.is_poly()]
-    i_eps, j_p, _floor = phase_sets(gens, sector.params, eps, invp)
+    i_eps, j_p = phase_sets(gens, sector.params, eps, invp)
     doc = {"I_eps": [_frac_str(q) for q in i_eps],
            "J_p": [_frac_str(e) for e in j_p]}
     try:
@@ -155,7 +155,7 @@ def cmd_prep_verify(args):
     R = RcMap(CounterTerms(values), hopf, sector)
     report = verify_preparation(R, sector, hopf)
     doc = {"ok": report.ok,
-           "failures": [{"axiom": f["axiom"], "tree": format_tree(f["tree"]),
+           "failures": [{"axiom": f["check"], "tree": format_tree(f["tree"]),
                          "detail": f["detail"]} for f in report.failures]}
     _emit(args, doc)
     return 0 if report.ok else EXIT_VERIFY
@@ -189,7 +189,7 @@ def cmd_verify_triangularity(args):
     invp = _parse_p(args.p)
     r1 = check_differentiable(sector, hopf, eps, invp)
     r2 = check_triangular(sector, hopf, eps, invp)
-    failures = [{"property": f["property"], "tree": format_tree(f["tree"]),
+    failures = [{"property": f["check"], "tree": format_tree(f["tree"]),
                  "detail": f["detail"]} for f in r1.failures + r2.failures]
     _emit(args, {"ok": not failures, "failures": failures})
     return 0 if not failures else EXIT_VERIFY

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .trees import OMEGA, H, K, Tree, mi_weight
+from .trees import Tree, mi_weight
 
 
 class GenericityError(ArithmeticError):
@@ -70,17 +70,6 @@ class DegreeForm:
     cBeta0: int = 0
     cInvP: int = 0
     cConst: Fraction = Fraction(0)
-
-
-_LABEL_FORM = {
-    OMEGA: DegreeForm(cR0=1),
-    H: DegreeForm(cR0=1, cInvP=1),
-    K: DegreeForm(cBeta0=1),
-}
-
-
-def label_form(label: str) -> DegreeForm:
-    return _LABEL_FORM[label]
 
 
 def degree_form(t: Tree, params: Params) -> DegreeForm:
@@ -146,24 +135,6 @@ def integrability(t: Tree, p):
     return INF if h == 0 else p
 
 
-@dataclass(frozen=True)
-class RIPair:
-    regularity: Fraction
-    inv_integrability: Fraction
-
-    def __post_init__(self):
-        inv = Fraction(self.inv_integrability)
-        if not 0 <= inv <= 1:
-            raise ValueError("1/p must lie in [0, 1]")
-        object.__setattr__(self, "regularity", Fraction(self.regularity))
-        object.__setattr__(self, "inv_integrability", inv)
-
-
-def ri_less(a: RIPair, b: RIPair) -> bool:
-    return (a.regularity < b.regularity
-            and a.inv_integrability <= b.inv_integrability)
-
-
 def p_transition(mu: Tree, params: Params, eps):
     """The p where the degree of mu crosses zero, if it does on [2, inf].
 
@@ -192,7 +163,7 @@ def phase_points(generators, params: Params, eps) -> list:
 
 
 def phase_sets(generators, params: Params, eps, invp):
-    """Phase-transition exponents I_eps, epsilons J_p, and the floor map.
+    """Phase-transition exponents I_eps and epsilons J_p, as (I_eps, J_p).
 
     I_eps collects the p-crossings of the single-H generators whose
     degree changes sign across [2, inf]; J_p collects, at the given p,
@@ -211,17 +182,7 @@ def phase_sets(generators, params: Params, eps, invp):
             eps_star = degree_eval(form, params, 0, invp) / form.cR0
             if eps_star >= 0:
                 j_p.add(eps_star)
-    i_sorted = phase_points(generators, params, eps)
-
-    def floor(p) -> Fraction:
-        pv = None if p == INF else Fraction(p)
-        candidates = [q for q in [Fraction(2)] + i_sorted
-                      if pv is None or q < pv]
-        if not candidates:
-            raise ValueError(f"no admissible exponent below p={p}")
-        return max(candidates)
-
-    return i_sorted, sorted(j_p), floor
+    return phase_points(generators, params, eps), sorted(j_p)
 
 
 def epsilon0_from_forms(forms, params: Params) -> Fraction:

@@ -3,19 +3,19 @@ verification and the renormalization map M^R."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .grading import degree
 from .hopf import Hopf
-from .sector import Sector
+from .sector import Report, Sector
 from .trees import (K, OMEGA, LinComb, Tree, X, coeff_mul, dot_noise,
                     mi_zero, noise, plant)
 
 
 def negative_basis(s: Sector):
     """B_-: noise trees of negative r_{0,inf} degree, neither the noise
-    itself nor planted."""
+    itself nor planted, in basis (preorder) order."""
     return [t for t in s.basis_o if _in_negative_basis(t, s.params)]
 
 
@@ -111,19 +111,8 @@ class RcMap(PreparationMap):
         return out
 
 
-@dataclass
-class PrepReport:
-    ok: bool = True
-    failures: list = field(default_factory=list)
-
-    def fail(self, axiom: str, tree: Tree, detail: str):
-        self.ok = False
-        self.failures.append({"axiom": axiom, "tree": tree,
-                              "detail": detail})
-
-
 def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
-        -> PrepReport:
+        -> Report:
     """Check the five preparation-map axioms over the sector basis.
 
     (a) polynomials and the two noises are fixed; (b) every non-leading
@@ -138,7 +127,7 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
     exact arithmetic the two tests agree, and left factors that R fixes,
     most of them, contribute nothing and are skipped.  (e) reads the
     derivatives from the sector's memo, s.derive."""
-    report = PrepReport()
+    report = Report()
     half = Fraction(1, 2)
 
     for t in s.polys:

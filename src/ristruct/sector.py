@@ -14,16 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .grading import Params, degree, degree_eval, label_form
+from .grading import Params, degree
 from .hopf import Hopf
 from .trees import (H, K, OMEGA, LinComb, Tree, X, dot_noise,
                     integer_weights, mi_range, mi_zero, noise, plant_tree,
                     unit)
-
-PRECEDES = "precedes"
-EQUAL = "equal"
-FOLLOWS = "follows"
-TIE = "incomparable-equal-key"
 
 
 def _normalize_type(entries, d: int):
@@ -65,9 +60,6 @@ class Rule:
                 raise ValueError("Omega edge in a rule must carry zero "
                                  "decoration")
 
-    def allows(self, node_type) -> bool:
-        return tuple(sorted(node_type)) in self.for_k
-
 
 def pam_rule(d: int) -> Rule:
     z = mi_zero(d)
@@ -99,15 +91,6 @@ def key_of(t: Tree, params: Params):
     """The preorder key (number of Omega edges, edge count, r_{0,inf})."""
     s = t.stats()
     return (s[0], s[1], degree(t, params, 0, 0))
-
-
-def precede(a: Tree, b: Tree, params: Params) -> str:
-    ka, kb = key_of(a, params), key_of(b, params)
-    if ka < kb:
-        return PRECEDES
-    if ka > kb:
-        return FOLLOWS
-    return EQUAL if a is b else TIE
 
 
 def derive(t: Tree) -> LinComb:
@@ -173,14 +156,6 @@ class Sector:
                        for t in group},
                       key=lambda t: key_of(t, self.params) + (t._enc,))
 
-    def strict_lower_set(self, t: Tree):
-        """All basis or derivative trees preceding t (strictly)."""
-        if t not in set(self.members()):
-            raise ValueError("tree is not a sector member")
-        kt = key_of(t, self.params)
-        return [s for s in self.members()
-                if s is not t and key_of(s, self.params) <= kt]
-
     # generator sets -----------------------------------------------------
 
     def _below(self, bound):
@@ -196,32 +171,20 @@ class Sector:
         return [k for k in mi_range(caps)
                 if den * sum(x * y for x, y in zip(w, k)) < lim]
 
-    def _coordinates(self):
-        d = self.params.d
-        return [X(tuple(1 if j == a else 0 for j in range(d)))
+    def w_plus_generators(self, eps, invp):
+        """W+ generators: the coordinates X_a, the derivative noises whose
+        decoration lies below the H degree, and the plantings I_k(tau) of
+        basis and derivative trees with |k|_s < deg(tau) + beta0."""
+        params, d = self.params, self.params.d
+        gens = [X(tuple(1 if j == a else 0 for j in range(d)))
                 for a in range(d)]
-
-    def _planted_generators(self, trees, eps, invp):
-        out = []
-        for tau in trees:
+        h_bound = degree(dot_noise(d), params, eps, invp)
+        gens += [dot_noise(d, k) for k in self._below(h_bound)]
+        for tau in self.basis_o + self.dot_basis:
             if not tau.is_poly():
-                bound = degree(tau, self.params, eps, invp) + self.params.beta0
-                out += [plant_tree(K, k, tau) for k in self._below(bound)]
-        return out
-
-    def v_plus_generators(self, eps, i: int | None = None):
-        """V+ generators: coordinates and K-planted basis trees."""
-        trees = self.basis_o if i is None else self.basis_o[:i]
-        return self._coordinates() + self._planted_generators(trees, eps, 0)
-
-    def w_plus_generators(self, eps, invp, i: int | None = None):
-        """W+ generators: coordinates, derivative noises and plantings."""
-        h_bound = degree_eval(label_form(H), self.params, eps, invp)
-        gens = self._coordinates() + [
-            dot_noise(self.params.d, k) for k in self._below(h_bound)]
-        trees = (self.basis_o + self.dot_basis if i is None
-                 else self.basis_o[:i] + self.dot_prefix(i))
-        return gens + self._planted_generators(trees, eps, invp)
+                bound = degree(tau, params, eps, invp) + params.beta0
+                gens += [plant_tree(K, k, tau) for k in self._below(bound)]
+        return gens
 
 
 def epsilon0(s: Sector) -> Fraction:
@@ -248,15 +211,13 @@ def _every_node_noise(t: Tree) -> bool:
 
 
 def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
-                       max_edges: int = 5,
-                       every_node_noise: bool = True) -> Sector:
+                       max_edges: int = 5) -> Sector:
     """Enumerate the strongly conforming noise trees up to the bounds.
 
     Kept trees have zero decorations at noise tips, between 1 and
-    max_omega - 1 Omega edges and at most max_edges edges; when
-    every_node_noise is set (the default) each internal node must carry
-    its own Omega leaf, which excludes planted trees and keeps the basis
-    aligned with the model induction."""
+    max_omega - 1 Omega edges and at most max_edges edges, and each
+    internal node carries its own Omega leaf, which excludes planted
+    trees and keeps the basis aligned with the model induction."""
     if max_omega < 2:
         raise ValueError("maxOmega must be at least 2")
     rule.validate()
@@ -294,28 +255,25 @@ def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
         out = memo[budget] = list(found)
         return out
 
-    basis_o = []
-    for t in subtrees(max_edges):
-        if not 1 <= t.omega_count() < max_omega:
-            continue
-        if every_node_noise and not _every_node_noise(t):
-            continue
-        basis_o.append(t)
+    basis_o = [t for t in subtrees(max_edges)
+               if 1 <= t.omega_count() < max_omega and _every_node_noise(t)]
     if not basis_o:
         raise ValueError("rule generates no admissible noise trees")
     return Sector(params, basis_o, poly_bound)
 
 
-# differentiability report ------------------------------------------------
+# structural checks ------------------------------------------------------
 
 @dataclass
-class SectorReport:
+class Report:
+    """Failures of a structural check, each naming the check (a sector
+    property or a preparation axiom), the tree and a detail."""
     ok: bool = True
     failures: list = field(default_factory=list)
 
-    def fail(self, prop: str, tree: Tree, detail: str):
+    def fail(self, check: str, tree: Tree, detail: str):
         self.ok = False
-        self.failures.append({"property": prop, "tree": tree,
+        self.failures.append({"check": check, "tree": tree,
                               "detail": detail})
 
 
@@ -337,13 +295,13 @@ def _omega_leaves_ok(t: Tree) -> tuple:
     return True, ""
 
 
-def check_differentiable(s: Sector, hopf: Hopf, eps, invp) -> SectorReport:
+def check_differentiable(s: Sector, hopf: Hopf, eps, invp) -> Report:
     """Verify the four defining sector properties at (eps, p).
 
     (a) basis shape, (b) noise edges are decorated-free leaves, one per
     node, (c) the coproduct of basis trees stays in V (x) V+, (d) the
     coproduct of derivative trees stays in W (x) W+."""
-    report = SectorReport()
+    report = Report()
     noise_tree = noise(s.params.d)
     if noise_tree not in set(s.basis_o):
         report.fail("a", noise_tree, "the noise tree is missing from the "
@@ -384,9 +342,9 @@ def check_differentiable(s: Sector, hopf: Hopf, eps, invp) -> SectorReport:
     return report
 
 
-def check_triangular(s: Sector, hopf: Hopf, eps, invp) -> SectorReport:
+def check_triangular(s: Sector, hopf: Hopf, eps, invp) -> Report:
     """Coproduct triangularity: all non-leading terms strictly precede."""
-    report = SectorReport()
+    report = Report()
     params = s.params
     members = set(s.members())
     for tau in s.members():

@@ -84,6 +84,9 @@ GOLDEN_CLI = [
      "c6dd5f61f2ebb88e20540f78a16bf6d21c52847c3c0e4d62c10b267926e40a8d"),
     (("phase", "numeric2d"),
      "00e58d555db3441d367e0ef6079c18f904b6d71ae98f9a48605030016cfc5124"),
+    # recorded at 05764f9; covers the epsilon0_error path
+    (("phase", "pam3d"),
+     "a44975f8793e0dae8d62a1cf67146d740a1469cedbbededdb6d59ffbfc86dd93"),
     (("prep", "verify", CT_FILE, "--rule", "numeric2d"),
      "80a05d2beed2e295d5ca8d864704ad01860334821415d450698081f3f52e591b"),
     (("verify", "hopf", "numeric2d", "--eps", "1/100", "--p", "5"),

@@ -6,9 +6,9 @@ import pytest
 
 from ristruct.config import numeric2d_params, pam3d_params
 from ristruct.grading import (DegreeForm, GenericityError, INF, Params,
-                              RIPair, degree, degree_form,
-                              epsilon0_from_forms, from_invp, integrability,
-                              p_transition, phase_sets, ri_less, to_invp)
+                              degree, degree_form, epsilon0_from_forms,
+                              from_invp, integrability, p_transition,
+                              phase_sets, to_invp)
 from ristruct.trees import X, dot_noise, noise, parse, plant_tree
 
 
@@ -66,11 +66,6 @@ def test_integrability():
         integrability(two_h, 5)
 
 
-def test_ri_order():
-    assert ri_less(RIPair(F(-1), F(1, 4)), RIPair(F(0), F(1, 4)))
-    assert not ri_less(RIPair(F(-1), F(1, 2)), RIPair(F(0), F(1, 4)))
-
-
 def test_p_transition_worked_example():
     """The derivative-kernel planting crosses zero at p = 6/(1+2eps)."""
     p = pam3d_params()
@@ -89,13 +84,8 @@ def test_p_transition_none_when_positive():
 def test_phase_sets_and_floor():
     p = pam3d_params()
     mu = plant_tree("K", (1, 0, 0), dot_noise(3))
-    i_eps, j_p, floor = phase_sets([mu], p, F(0), F(0))
+    i_eps, _j_p = phase_sets([mu], p, F(0), F(0))
     assert i_eps == [F(6)]
-    assert floor(INF) == 6
-    assert floor(6) == 2
-    assert floor(3) == 2
-    with pytest.raises(ValueError):
-        floor(2)
 
 
 def test_phase_sets_genericity_error():
@@ -109,7 +99,7 @@ def test_phase_sets_dedup():
     p = pam3d_params()
     mu = plant_tree("K", (1, 0, 0), dot_noise(3))
     mu2 = plant_tree("K", (0, 1, 0), dot_noise(3))
-    i_eps, _, _ = phase_sets([mu, mu2], p, F(0), F(0))
+    i_eps, _ = phase_sets([mu, mu2], p, F(0), F(0))
     assert i_eps == [F(6)]
 
 

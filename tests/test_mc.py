@@ -1,8 +1,6 @@
 """Monte Carlo constants: reproducibility, the sequential solve and the
 scaling fit."""
 
-from fractions import Fraction as F
-
 import numpy as np
 import pytest
 

@@ -23,7 +23,7 @@ from ristruct.hopf import Hopf
 from ristruct.renorm import (CounterTerms, DictPreparationMap, IdentityMap,
                              RcMap, negative_basis, verify_preparation)
 from ristruct.sector import _derive
-from ristruct.trees import K, LinComb, X, noise, parse, plant_tree, unit
+from ristruct.trees import K, LinComb, X, noise, parse, unit
 
 EPS = F(1, 100)
 

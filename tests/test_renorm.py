@@ -115,7 +115,7 @@ def test_verify_preparation_rejects_scaled_noise(sector2, hopf2):
     bad = DictPreparationMap({noise(2): LinComb.single(noise(2), 2)})
     report = verify_preparation(bad, sector2, hopf2)
     assert not report.ok
-    assert any(f["axiom"] in ("a", "b") for f in report.failures)
+    assert any(f["check"] in ("a", "b") for f in report.failures)
 
 
 def test_verify_preparation_rejects_degree_losing_term(sector2, hopf2):
@@ -125,12 +125,12 @@ def test_verify_preparation_rejects_degree_losing_term(sector2, hopf2):
         wide: LinComb([(wide, F(1)), (tau2, F(1))])})
     report = verify_preparation(bad, sector2, hopf2)
     assert not report.ok
-    assert any(f["axiom"] == "b" for f in report.failures)
+    assert any(f["check"] == "b" for f in report.failures)
 
 
 def _failures(R, s):
     report = verify_preparation(R, s, Hopf(s.params))
-    return [(f["axiom"], format_tree(f["tree"]), f["detail"])
+    return [(f["check"], format_tree(f["tree"]), f["detail"])
             for f in report.failures]
 
 

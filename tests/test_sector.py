@@ -6,14 +6,14 @@ from itertools import product
 
 import pytest
 
-from ristruct.config import (builtin_rule_config, numeric2d_params,
-                             numeric2d_sector, pam3d_params, pam3d_sector)
+from ristruct.config import (builtin_rule_config, numeric2d_sector,
+                             pam3d_params, pam3d_sector)
 from ristruct.grading import GenericityError, Params
 from ristruct.hopf import Hopf
-from ristruct.sector import (EQUAL, FOLLOWS, PRECEDES, TIE, Rule, Sector,
-                             check_differentiable, check_triangular, derive,
-                             epsilon0, generate_from_rule, key_of,
-                             load_rule_config, pam_rule, precede)
+from ristruct.sector import (Rule, Sector, check_differentiable,
+                             check_triangular, derive, epsilon0,
+                             generate_from_rule, key_of, load_rule_config,
+                             pam_rule)
 from ristruct.trees import (OMEGA, Tree, X, format_tree, mi_range,
                             mi_weight, noise, parse, plant_tree, unit)
 
@@ -126,10 +126,8 @@ def test_preorder_key_and_precede(sector):
     p = sector.params
     a, b, c, d = sector.basis_o
     assert key_of(a, p) == (1, 1, F(-3, 2))
-    assert precede(a, b, p) == PRECEDES
-    assert precede(b, a, p) == FOLLOWS
-    assert precede(c, c, p) == EQUAL
-    assert precede(c, d, p) == TIE  # equal key, distinct trees
+    assert key_of(a, p) < key_of(b, p) < key_of(c, p)
+    assert key_of(c, p) == key_of(d, p) and c is not d
 
 
 def test_filtration_prefixes(sector):
@@ -140,27 +138,14 @@ def test_filtration_prefixes(sector):
         == set(sector.dot_basis)
 
 
-def test_strict_lower_set_monotone(sector):
-    p = sector.params
-    for t in sector.members():
-        lower = sector.strict_lower_set(t)
-        kt = key_of(t, p)
-        assert all(key_of(s, p) <= kt and s is not t for s in lower)
-    small = sector.strict_lower_set(sector.basis_o[1])
-    big = sector.strict_lower_set(sector.basis_o[2])
-    assert set(small) < set(big)
-    with pytest.raises(ValueError):
-        sector.strict_lower_set(parse("(n=(5,0,0))", dim=3))
-
-
 def test_rule_closure_and_validation():
     r = pam_rule(2)
     z = (0, 0)
-    assert r.allows(())
-    assert r.allows((("K", z),))
-    assert r.allows((("O", z), ("K", z)))
-    assert r.allows((("O", z), ("K", z), ("K", z)))
-    assert not r.allows((("K", z), ("K", z), ("K", z)))
+    assert () in r.for_k
+    assert (("K", z),) in r.for_k
+    assert (("K", z), ("O", z)) in r.for_k
+    assert (("K", z), ("K", z), ("O", z)) in r.for_k
+    assert (("K", z), ("K", z), ("K", z)) not in r.for_k
     with pytest.raises(ValueError):
         Rule.from_types(2, [[("O", z), ("O", z)]])
     with pytest.raises(ValueError):
@@ -186,15 +171,6 @@ def test_generation_bounds():
     assert [format_tree(t) for t in small.basis_o] == ["(O())"]
 
 
-def test_every_node_noise_flag():
-    params = pam3d_params()
-    loose = generate_from_rule(pam_rule(3), 4, F(2), params, max_edges=5,
-                               every_node_noise=False)
-    strict = generate_from_rule(pam_rule(3), 4, F(2), params, max_edges=5)
-    assert set(strict.basis_o) < set(loose.basis_o)
-    assert parse("(O() K(K(O())))", dim=3) in set(loose.basis_o)
-
-
 def test_check_differentiable_passes(sector, hopf):
     report = check_differentiable(sector, hopf, F(1, 100), F(0))
     assert report.ok, report.failures
@@ -205,7 +181,7 @@ def test_check_differentiable_flags_missing_noise():
     bad = Sector(params, [parse("(O() K(O()))", dim=3)], F(2))
     report = check_differentiable(bad, Hopf(params), F(1, 100), F(0))
     assert not report.ok
-    assert any(f["property"] == "a" for f in report.failures)
+    assert any(f["check"] == "a" for f in report.failures)
 
 
 def test_check_differentiable_flags_decorated_noise():
@@ -213,7 +189,7 @@ def test_check_differentiable_flags_decorated_noise():
     decorated = Tree((0, 0, 0), ((OMEGA, (1, 0, 0), unit(3)),))
     bad = Sector(params, [noise(3), decorated], F(2))
     report = check_differentiable(bad, Hopf(params), F(1, 100), F(0))
-    assert any(f["property"] == "b" for f in report.failures)
+    assert any(f["check"] == "b" for f in report.failures)
 
 
 def test_check_triangular_passes(sector, hopf):
@@ -227,15 +203,7 @@ def test_epsilon0_values():
     assert epsilon0(numeric2d_sector()) == F(7, 20)
 
 
-def test_v_w_generators(sector):
-    eps = F(1, 100)
-    v = sector.v_plus_generators(eps)
-    assert all(g.is_poly() or g.children[0][0] == "K" for g in v)
-    w = sector.w_plus_generators(eps, F(1, 5))
-    k_noise = plant_tree("K", (0, 0, 0), noise(3))
-    assert k_noise in v and k_noise in w
-    k_dot = plant_tree("K", (0, 0, 0), parse("(H())", dim=3))
-    assert k_dot in w and k_dot not in v
-    # generator sets grow along the filtration
-    assert set(sector.w_plus_generators(eps, F(1, 5), 1)) \
-        <= set(sector.w_plus_generators(eps, F(1, 5)))
+def test_w_plus_generators(sector):
+    w = sector.w_plus_generators(F(1, 100), F(1, 5))
+    assert plant_tree("K", (0, 0, 0), noise(3)) in w
+    assert plant_tree("K", (0, 0, 0), parse("(H())", dim=3)) in w

@@ -89,7 +89,7 @@ def test_plant_k_leaf_ideal():
         plant_tree(K, (0, 0), unit(2))
 
 
-def test_has_k_leaf_and_quotient():
+def test_has_k_leaf():
     good = parse("(O() K(O()))", dim=2)
     bad = Tree((0, 0), ((K, (0, 0), X((1, 0))),))
     assert not has_k_leaf(good)

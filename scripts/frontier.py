@@ -1,4 +1,4 @@
-"""The pam_rule(3) Hopf suite at one sector size, timed check by check.
+"""The pam3d-rule Hopf suite at one sector size, timed check by check.
 
     python3 scripts/frontier.py --max-edges 13 --max-omega 8
 

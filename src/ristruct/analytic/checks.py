@@ -37,19 +37,6 @@ def check_comparison(model: Model, t: Tree, x, invp) -> float:
     return relative_error(lhs, rhs)
 
 
-def check_recentering_consistency(model: Model, t: Tree, x, y, invp)\
-        -> float:
-    """pi_x(tau) against pi_y applied to the recentering of tau."""
-    lhs = model.pi_x(t, x, invp)
-    rhs = np.zeros(model.ctx.grid.sizes)
-    for (sigma, forest), c in model.hopf.coproduct(t, model.eps,
-                                                   Fraction(invp)):
-        g = model.g_recentered(forest, x, y, invp)
-        if g:
-            rhs = rhs + (float(c) * g) * model.pi_x(sigma, y, invp)
-    return relative_error(lhs, rhs)
-
-
 def _derivative_weights(nodes):
     """Exact first-derivative-at-zero weights on the given nodes.
 

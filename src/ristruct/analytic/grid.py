@@ -4,8 +4,8 @@ kernels, derivatives and mollification.
 All operators act as Fourier multipliers on real fields sampled on a
 regular grid over a torus.  The time integral defining the kernel
 operator is evaluated once per derivative multi-index by composite
-Gauss-Legendre quadrature over dyadic blocks and cached; a closed-form
-per-mode expression is kept available as an independent reference.
+Gauss-Legendre quadrature over dyadic blocks and cached; the tests hold
+a closed-form per-mode expression as an independent reference.
 
 Fields are real, so every spectrum and multiplier is held in the
 ``rfftn`` half-spectrum layout: the full ``fftfreq`` layout on every axis
@@ -103,9 +103,6 @@ class GridSpec:
         """Angular frequency arrays, one per axis (fftfreq layout)."""
         return [2.0 * np.pi * np.fft.fftfreq(n, d=p / n)
                 for n, p in zip(self.sizes, self.period)]
-
-    def freq_mesh(self):
-        return np.meshgrid(*self.freqs(), indexing="ij")
 
     # the rfftn half spectrum --------------------------------------------
 
@@ -313,10 +310,6 @@ class OperatorContext:
         sigma = self.op.cutoff_width * 2.0 * np.pi / max(self.grid.period)
         return np.exp(-self.scaled_freq_sq() / (2.0 * sigma ** 2))
 
-    @property
-    def chi_hat(self):
-        return self._chi_hat
-
     @staticmethod
     def _cached(cache, key, build):
         """Bounded cache: on a miss beyond the bound the least recently
@@ -339,18 +332,10 @@ class OperatorContext:
             return f
         return self.apply_multiplier(f, self.i_lambda_pow(k))
 
-    def heat_multiplier(self, t: float, k=None):
-        k = tuple(int(x) for x in k) if k is not None and any(k) else None
-
-        def build():
-            mult = np.exp(t * self.P)
-            return mult if k is None else mult * self.i_lambda_pow(k)
-        return self._cached(self._heat_mult, (float(t), k), build)
-
-    def heat_apply(self, f, t: float, k=None):
-        if t <= 0:
-            raise ValueError("heat time must be positive")
-        return self.apply_multiplier(f, self.heat_multiplier(t, k))
+    def heat_multiplier(self, t: float):
+        """exp(tP), cached per time."""
+        return self._cached(self._heat_mult, float(t),
+                            lambda: np.exp(t * self.P))
 
     def _reflected(self, field):
         """The field y -> field(-y)."""
@@ -367,15 +352,14 @@ class OperatorContext:
 
     def heat_kernel(self, t: float):
         """The reflected heat kernel y -> G_t(-y), G_t = irfft(exp(tP)),
-        so that ``heat_apply(f, t)`` at the origin is its dot product
-        with f."""
+        so that exp(tP) f at the origin is its dot product with f."""
         return self._cached(
             self._heat_kernel, float(t),
             lambda: self._reflected(self.grid.irfft(self.heat_multiplier(t))))
 
     def heat_point(self, f, t: float, x) -> float:
-        """``heat_apply(f, t)`` at grid index x, read from the real field
-        f by one dot product with the shifted reflected heat kernel."""
+        """exp(tP) f at grid index x, read from the real field f by one
+        dot product with the shifted reflected heat kernel."""
         if t <= 0:
             raise ValueError("heat time must be positive")
         return self._field_point(f, self.heat_kernel(t), x)
@@ -399,9 +383,9 @@ class OperatorContext:
         return out / math.prod(self.grid.sizes)
 
     def heat_points(self, phased, times) -> list:
-        """``heat_apply(irfft(spec), t)`` at x for each t, read from
-        phased = phased(spec, x): one real multiply-and-sum against
-        exp(tP) per t."""
+        """exp(tP) irfft(spec) at x for each t, read from phased =
+        phased(spec, x): one real multiply-and-sum against exp(tP) per
+        t."""
         if any(t <= 0 for t in times):
             raise ValueError("heat time must be positive")
         # one contiguous copy of the real part serves every t
@@ -444,14 +428,6 @@ class OperatorContext:
             self.quad_self_check = err
             self._S = S
         return self._S
-
-    def time_integral_reference(self):
-        """Closed form (exp(P) - 1)/P per mode; independent reference."""
-        P = self.P
-        out = np.ones_like(P)
-        nz = P != 0
-        out[nz] = np.expm1(P[nz]) / P[nz]
-        return out
 
     def kernel_multiplier(self, k):
         k = tuple(int(x) for x in k)

@@ -342,21 +342,3 @@ class Model:
         invp_cell = (to_invp(p_mu) + to_invp(q)) / 2
         (lab, k, sub), = mu.children
         return self.f_x(lab, k, sub, x, invp_cell)
-
-    # plain characters ---------------------------------------------------
-
-    def g_plain(self, forest: Tree, x, invp) -> float:
-        """The character g_x itself, via the antipode of the forest."""
-        total = 0.0
-        for g, c in self.hopf.antipode(forest, self.eps, invp):
-            total += float(c) * self.g_inv(g, x, invp)
-        return total
-
-    def g_recentered(self, mu: Tree, x, y, invp) -> float:
-        """g_{yx}(mu) = (g_y x g_x^-1) applied to the positive coproduct."""
-        total = 0.0
-        for (f1, f2), c in self.hopf.coproduct_plus(mu, self.eps, invp):
-            gi = self.g_inv(f2, x, invp)
-            if gi:
-                total += float(c) * self.g_plain(f1, y, invp) * gi
-        return total

@@ -138,7 +138,7 @@ def cmd_phase(args):
     doc = {"I_eps": [_frac_str(q) for q in i_eps],
            "J_p": [_frac_str(e) for e in j_p]}
     try:
-        doc["epsilon0"] = _frac_str(epsilon0(sector))
+        doc["epsilon0"] = _frac_str(epsilon0(gens, sector.params))
     except GenericityError as exc:
         doc["epsilon0"] = None
         doc["epsilon0_error"] = str(exc)

@@ -7,11 +7,6 @@ Each is defined once, as the rule config ``builtin_rule_config``
 returns; its sector is generated from that config.  Numeric parameter
 values are configuration choices, not claims."""
 
-from __future__ import annotations
-
-from .grading import Params
-from .sector import Sector, load_sector
-
 PAM3D = {
     "d": 3,
     "scaling": ["1", "1", "1"],
@@ -35,22 +30,6 @@ NUMERIC2D = {
 
 # name -> (params, maxOmega, maxEdges); both use the pam rule with L = 2
 BUILTINS = {"pam3d": (PAM3D, 4, 5), "numeric2d": (NUMERIC2D, 3, 3)}
-
-
-def pam3d_params() -> Params:
-    return Params.from_dict(PAM3D)
-
-
-def numeric2d_params() -> Params:
-    return Params.from_dict(NUMERIC2D)
-
-
-def pam3d_sector() -> Sector:
-    return load_sector(builtin_rule_config("pam3d"))
-
-
-def numeric2d_sector() -> Sector:
-    return load_sector(builtin_rule_config("numeric2d"))
 
 
 def builtin_rule_config(name: str) -> dict:

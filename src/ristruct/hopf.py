@@ -107,7 +107,10 @@ class Hopf:
                 - tr.m * self._dot(k))
 
     def planted_degree(self, lab: str, k, sub: Tree, eps, invp) -> Fraction:
-        """Degree of the planted tree I_k^lab(sub) at (eps, 1/p)."""
+        """Degree of the planted tree I_k^lab(sub) at (eps, 1/p).
+
+        Nothing in the package calls it; it stays because bench/tracing.py
+        wraps it, and that module's _resolve raises on a missing target."""
         tr = self.truncation(eps, invp)
         return Fraction(self._planted_num(lab, k, sub, tr), tr.M)
 
@@ -250,13 +253,19 @@ class Hopf:
     # Delta+ -------------------------------------------------------------
 
     def coproduct_plus(self, f: Tree, eps, invp) -> LinComb:
-        """Delta+_{eps,p} on a forest in the P+ range."""
+        """Delta+_{eps,p} on a forest in the P+ range.
+
+        Nothing in the package calls it; it stays because bench/tracing.py
+        wraps it, and that module's _resolve raises on a missing target."""
         return self._coproduct(f, self.truncation(eps, invp), True)
 
     # antipode -----------------------------------------------------------
 
     def antipode(self, f: Tree, eps, invp) -> LinComb:
-        """S+_{eps,p} of a forest, as a LinComb of forests."""
+        """S+_{eps,p} of a forest, as a LinComb of forests.
+
+        Nothing in the package calls it; it stays because bench/tracing.py
+        wraps it, and that module's _resolve raises on a missing target."""
         return self._antipode(f, self.truncation(eps, invp))
 
     def _antipode(self, f: Tree, tr: _Truncation) -> LinComb:

@@ -1,5 +1,5 @@
-"""Preparation maps, the extraction-contraction family R_c, axiom
-verification and the renormalization map M^R."""
+"""Preparation maps, the extraction-contraction family R_c and axiom
+verification."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from fractions import Fraction
 from .grading import degree
 from .hopf import Hopf
 from .sector import Report, Sector
-from .trees import (K, OMEGA, LinComb, Tree, X, coeff_mul, dot_noise,
-                    mi_zero, noise, plant)
+from .trees import (K, OMEGA, LinComb, Tree, coeff_mul, dot_noise, mi_zero,
+                    noise, plant)
 
 
 def negative_basis(s: Sector):
@@ -50,16 +50,6 @@ class PreparationMap:
 
     def apply(self, t: Tree) -> LinComb:
         raise NotImplementedError
-
-
-class DictPreparationMap(PreparationMap):
-    """Extensional table on the basis; identity off the table."""
-
-    def __init__(self, action: dict):
-        self.action = dict(action)
-
-    def apply(self, t: Tree) -> LinComb:
-        return self.action[t] if t in self.action else LinComb.single(t, 1)
 
 
 class IdentityMap(PreparationMap):
@@ -195,34 +185,3 @@ def _minus_identity(rx: LinComb, x: Tree):
     if lead != 1:
         out.append((x, lead - 1))
     return out
-
-
-class Renormalizer:
-    """M^R = hat(M)^R R with hat(M)^R multiplicative and passing through
-    K-planted factors after an inner application of R."""
-
-    def __init__(self, R: PreparationMap):
-        self.R = R
-        self._hat = {}
-
-    def hat(self, t: Tree) -> LinComb:
-        cached = self._hat.get(t)
-        if cached is not None:
-            return cached
-        out = LinComb.single(X(t.n), 1)
-        for lab, e, sub in t.children:
-            if lab == K:
-                inner = self.R.apply(sub).map_trees(self.hat)
-                factor = LinComb()
-                for s2, c in inner:
-                    for p, cp in plant(K, e, s2):
-                        factor.add(p, c * cp)
-            else:
-                factor = LinComb.single(Tree((0,) * t.dim, ((lab, e, sub),)),
-                                        1)
-            out = out.product(factor)
-        self._hat[t] = out
-        return out
-
-    def apply(self, t: Tree) -> LinComb:
-        return self.R.apply(t).map_trees(self.hat)

@@ -61,11 +61,6 @@ class Rule:
                                  "decoration")
 
 
-def pam_rule(d: int) -> Rule:
-    z = mi_zero(d)
-    return Rule.from_types(d, [[(OMEGA, z), (K, z), (K, z)]])
-
-
 def load_rule_config(path_or_dict):
     """Read a rule file: K node types, bounds and parameters."""
     if isinstance(path_or_dict, dict):
@@ -187,14 +182,13 @@ class Sector:
         return gens
 
 
-def epsilon0(s: Sector) -> Fraction:
+def epsilon0(gens, params: Params) -> Fraction:
     """Largest guaranteed-generic band: least intersection abscissa of
-    the degree-zero lines of the positive-generator set in the
-    (eps, 1/p) strip."""
+    the degree-zero lines of the given positive generators (the W+
+    generators at (0, 1/2)) in the (eps, 1/p) strip."""
     from .grading import degree_form, epsilon0_from_forms
-    gens = s.w_plus_generators(0, Fraction(1, 2))
-    forms = [degree_form(g, s.params) for g in gens if not g.is_poly()]
-    return epsilon0_from_forms(forms, s.params)
+    forms = [degree_form(g, params) for g in gens if not g.is_poly()]
+    return epsilon0_from_forms(forms, params)
 
 
 def _every_node_noise(t: Tree) -> bool:

@@ -19,26 +19,26 @@ from ristruct.analytic.grid import (GridSpec, OperatorContext,
                                     second_order_op)
 from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field
-from ristruct.config import (numeric2d_params, numeric2d_sector,
-                             pam3d_params, pam3d_sector)
 from ristruct.hopf import Hopf
 from ristruct.renorm import (CounterTerms, RcMap, negative_basis,
                              verify_preparation)
-from ristruct.sector import check_triangular, generate_from_rule, pam_rule
+from ristruct.sector import check_triangular
 from ristruct.trees import (OMEGA, Tree, dot_noise, noise, parse,
                             plant_tree, unit)
+
+from reference import builtin_sector
 
 EPS = F(1, 100)
 
 
 @pytest.fixture(scope="module")
 def sector3():
-    return pam3d_sector()
+    return builtin_sector("pam3d")
 
 
 @pytest.fixture(scope="module")
-def hopf3():
-    return Hopf(pam3d_params())
+def hopf3(sector3):
+    return Hopf(sector3.params)
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +148,7 @@ def test_criterion_06_preparation_axioms():
     """verify_preparation passes for 20 random admissible counterterm
     choices (exact checks of all five axioms)."""
     import random
-    sector = generate_from_rule(pam_rule(2), 4, F(2), numeric2d_params(),
-                                max_edges=5)
+    sector = builtin_sector("numeric2d", maxOmega=4, maxEdges=5)
     hopf = Hopf(sector.params)
     rng = random.Random(2024)
     for _ in range(20):
@@ -192,7 +191,7 @@ def test_criterion_08_derivative_identity(sector3, hopf3, model3):
 def test_criterion_09_scaling_exponent():
     """For mollified 2D white noise on a 256^2 grid the fitted slope of
     the heat-smoothed noise norm lies within 0.1 of r0/ell."""
-    sector = numeric2d_sector()
+    sector = builtin_sector("numeric2d")
     hopf = Hopf(sector.params)
     grid = GridSpec((256, 256), (2 * np.pi, 2 * np.pi), (1.0, 1.0))
     ctx = OperatorContext(grid, second_order_op(2), QuadratureSpec())
@@ -209,7 +208,7 @@ def test_criterion_10_bphz_divergence_and_renormalization(ctx2):
     """The naive constant of the 2-noise tree shows the log-divergence
     signature across mollification levels, and the solved counterterm
     re-centers it to zero within statistical error (N = 256)."""
-    sector = numeric2d_sector()
+    sector = builtin_sector("numeric2d")
     hopf = Hopf(sector.params)
     tau2 = parse("(O() K(O()))", dim=2)
     from ristruct.renorm import IdentityMap
@@ -252,7 +251,7 @@ def test_criterion_11_route_equivalence(sector3, model3):
             worst = max(worst, check_route_equivalence(model, t, x, invp))
     assert worst <= 1e-10, worst
 
-    sector2 = numeric2d_sector()
+    sector2 = builtin_sector("numeric2d")
     hopf2 = Hopf(sector2.params)
     grid = GridSpec((32, 32), (2 * np.pi, 2 * np.pi), (1.0, 1.0))
     ctx = OperatorContext(grid, second_order_op(2), QuadratureSpec())

@@ -1,4 +1,4 @@
-"""Golden guards: exact Delta, Delta+ and S+ tables on pam_rule(3) at 9/6,
+"""Golden guards: exact Delta, Delta+ and S+ tables on the pam3d rule at 9/6,
 and the stdout of the exact-arithmetic README commands.
 
 The table digests were recorded with the code of commit d5250fc, before the
@@ -13,10 +13,10 @@ from fractions import Fraction as F
 import pytest
 
 from ristruct.cli import main
-from ristruct.config import pam3d_params
 from ristruct.hopf import Hopf
-from ristruct.sector import generate_from_rule, pam_rule
 from ristruct.trees import format_tree
+
+from reference import builtin_sector
 
 EPS, INVP = F(1, 100), F(0)
 
@@ -43,10 +43,8 @@ def _pairs(ts):
 
 @pytest.fixture(scope="module")
 def tables():
-    params = pam3d_params()
-    sector = generate_from_rule(pam_rule(3), max_omega=6,
-                                poly_bound=F(2), params=params, max_edges=9)
-    hopf = Hopf(params)
+    sector = builtin_sector("pam3d", maxOmega=6, maxEdges=9)
+    hopf = Hopf(sector.params)
     gens = sector.w_plus_generators(EPS, INVP)
     return {
         "delta": _digest(

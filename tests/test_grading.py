@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ristruct.config import numeric2d_params, pam3d_params
+from ristruct.config import NUMERIC2D, PAM3D
 from ristruct.grading import (DegreeForm, GenericityError, INF, Params,
                               degree, degree_form, epsilon0_from_forms,
                               from_invp, integrability, p_transition,
@@ -25,7 +25,7 @@ def test_params_validation():
 
 
 def test_label_degrees_pam3d():
-    p = pam3d_params()
+    p = Params.from_dict(PAM3D)
     eps = F(1, 100)
     assert degree(noise(3), p, eps, 0) == p.r0 - eps
     assert degree(dot_noise(3), p, eps, F(1, 4)) \
@@ -36,7 +36,7 @@ def test_label_degrees_pam3d():
 
 def test_worked_example_degree():
     """The three-edge single-H tree has degree -1 - 2eps + 3/p."""
-    p = pam3d_params()
+    p = Params.from_dict(PAM3D)
     t = parse("( O() K (H()) )", dim=3)
     form = degree_form(t, p)
     for eps, invp in ((F(0), F(0)), (F(1, 10), F(1, 6))):
@@ -45,7 +45,7 @@ def test_worked_example_degree():
 
 
 def test_polynomial_degree_is_weight():
-    p = numeric2d_params()
+    p = Params.from_dict(NUMERIC2D)
     assert degree(X((2, 1)), p, F(1, 3), F(1, 2)) == 3
 
 
@@ -68,35 +68,35 @@ def test_integrability():
 
 def test_p_transition_worked_example():
     """The derivative-kernel planting crosses zero at p = 6/(1+2eps)."""
-    p = pam3d_params()
+    p = Params.from_dict(PAM3D)
     mu = plant_tree("K", (1, 0, 0), dot_noise(3))
     for eps in (F(0), F(1, 10), F(1, 4)):
         assert p_transition(mu, p, eps) == F(6, 1 + 2 * eps)
 
 
 def test_p_transition_none_when_positive():
-    p = pam3d_params()
+    p = Params.from_dict(PAM3D)
     mu = plant_tree("K", (0, 0, 0), dot_noise(3))
     # degree 1/2 - eps + 3/p stays positive on [2, inf]
     assert p_transition(mu, p, F(1, 100)) is None
 
 
-def test_phase_sets_and_floor():
-    p = pam3d_params()
+def test_phase_sets():
+    p = Params.from_dict(PAM3D)
     mu = plant_tree("K", (1, 0, 0), dot_noise(3))
     i_eps, _j_p = phase_sets([mu], p, F(0), F(0))
     assert i_eps == [F(6)]
 
 
 def test_phase_sets_genericity_error():
-    p = pam3d_params()
+    p = Params.from_dict(PAM3D)
     mu = plant_tree("K", (1, 0, 0), dot_noise(3))
     with pytest.raises(GenericityError):
         phase_sets([mu], p, F(0), F(1, 6))  # sits exactly on the line
 
 
 def test_phase_sets_dedup():
-    p = pam3d_params()
+    p = Params.from_dict(PAM3D)
     mu = plant_tree("K", (1, 0, 0), dot_noise(3))
     mu2 = plant_tree("K", (0, 1, 0), dot_noise(3))
     i_eps, _ = phase_sets([mu, mu2], p, F(0), F(0))
@@ -104,7 +104,7 @@ def test_phase_sets_dedup():
 
 
 def test_epsilon0_synthetic():
-    p = numeric2d_params()
+    p = Params.from_dict(NUMERIC2D)
     # two lines eps = c + |s|*invp*b meeting inside the strip
     f1 = DegreeForm(cR0=1, cInvP=1, cConst=F(1) - p.r0)
     f2 = DegreeForm(cR0=1, cConst=F(5, 4) - p.r0)
@@ -113,13 +113,13 @@ def test_epsilon0_synthetic():
 
 
 def test_epsilon0_boundary_only():
-    p = numeric2d_params()
+    p = Params.from_dict(NUMERIC2D)
     f = DegreeForm(cR0=1, cConst=F(3, 2) - p.r0)  # vertical line eps=3/2
     assert epsilon0_from_forms([f], p) == F(3, 2)
 
 
 def test_epsilon0_genericity():
-    p = numeric2d_params()
+    p = Params.from_dict(NUMERIC2D)
     # two lines meeting exactly at (eps=0, invp=1/4) inside the strip
     f1 = DegreeForm(cR0=1, cInvP=1, cConst=-p.r0 - 2 * F(1, 4))
     f2 = DegreeForm(cR0=1, cInvP=-1, cConst=-p.r0 + 2 * F(1, 4))
@@ -130,7 +130,7 @@ def test_epsilon0_genericity():
 def test_epsilon0_interior_crossing_is_not_an_error():
     """A single line crossing eps = 0 inside the strip is an ordinary
     p-phase transition and must not be refused."""
-    p = numeric2d_params()
+    p = Params.from_dict(NUMERIC2D)
     f1 = DegreeForm(cR0=1, cInvP=1, cConst=-p.r0 - 2 * F(1, 4))
     f2 = DegreeForm(cR0=1, cConst=F(1, 3) - p.r0)
     assert epsilon0_from_forms([f1, f2], p) == F(1, 3)

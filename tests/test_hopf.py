@@ -4,22 +4,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from ristruct.config import pam3d_params, pam3d_sector
-from ristruct.grading import GenericityError, degree
+from ristruct.config import PAM3D
+from ristruct.grading import GenericityError, Params, degree
 from ristruct.hopf import Hopf, pair_product
-from ristruct.sector import generate_from_rule, pam_rule
 from ristruct.trees import (OMEGA, LinComb, Tree, X, dot_noise, format_tree,
                             noise, parse, plant_tree, unit)
+
+from reference import builtin_sector
 
 
 @pytest.fixture(scope="module")
 def hopf():
-    return Hopf(pam3d_params())
+    return Hopf(Params.from_dict(PAM3D))
 
 
 @pytest.fixture(scope="module")
 def sector():
-    return pam3d_sector()
+    return builtin_sector("pam3d")
 
 
 def test_poly_coproduct_binomial(hopf):
@@ -124,10 +125,8 @@ def _assert_integer_degrees(h, trees, points):
 
 
 def test_integer_degree_matches_grading_pam3d_9_6():
-    params = pam3d_params()
-    s = generate_from_rule(pam_rule(3), max_omega=6, poly_bound=F(2),
-                           params=params, max_edges=9)
-    h = Hopf(params)
+    s = builtin_sector("pam3d", maxOmega=6, maxEdges=9)
+    h = Hopf(s.params)
     trees = set(s.members())
     for invp in (F(0), F(1, 5)):
         trees.update(s.w_plus_generators(F(1, 100), invp))
@@ -202,7 +201,7 @@ def test_tensor_sum_algebra():
 
 def test_two_sided_checks_see_a_dropped_term(monkeypatch):
     """Both identity checks reject a Delta+ that lost one term."""
-    h = Hopf(pam3d_params())
+    h = Hopf(Params.from_dict(PAM3D))
     real = h._coproduct
 
     def lossy(f, tr, plus=False):

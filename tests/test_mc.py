@@ -7,15 +7,16 @@ import pytest
 from ristruct.analytic import mc
 from ristruct.analytic.grid import (GridSpec, OperatorContext,
                                     QuadratureSpec, second_order_op)
-from ristruct.config import numeric2d_sector
 from ristruct.hopf import Hopf
 from ristruct.renorm import IdentityMap
 from ristruct.trees import X, noise, parse
 
+from reference import builtin_sector
+
 
 @pytest.fixture(scope="module")
 def setup():
-    sector = numeric2d_sector()
+    sector = builtin_sector("numeric2d")
     hopf = Hopf(sector.params)
     grid = GridSpec((32, 32), (2 * np.pi, 2 * np.pi), (1.0, 1.0))
     ctx = OperatorContext(grid, second_order_op(2), QuadratureSpec())

@@ -10,7 +10,6 @@ import pytest
 from ristruct.analytic import mc
 from ristruct.analytic.checks import (check_comparison,
                                       check_derivative_identity,
-                                      check_recentering_consistency,
                                       check_route_equivalence,
                                       qnorm_series, relative_error)
 from ristruct.analytic.grid import (GridSpec, OperatorContext,
@@ -18,19 +17,22 @@ from ristruct.analytic.grid import (GridSpec, OperatorContext,
                                     second_order_op)
 from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field, white_noise
-from ristruct.config import numeric2d_sector, pam3d_params, pam3d_sector
 from ristruct.hopf import Hopf
-from ristruct.renorm import (CounterTerms, DictPreparationMap, IdentityMap,
-                             RcMap, negative_basis, verify_preparation)
+from ristruct.renorm import (CounterTerms, IdentityMap, RcMap,
+                             negative_basis, verify_preparation)
 from ristruct.sector import _derive
 from ristruct.trees import K, LinComb, X, noise, parse, unit
+
+from reference import (DictPreparationMap, Renormalizer, builtin_sector,
+                       check_recentering_consistency, freq_mesh,
+                       g_recentered)
 
 EPS = F(1, 100)
 
 
 @pytest.fixture(scope="module")
 def setup():
-    sector = numeric2d_sector()
+    sector = builtin_sector("numeric2d")
     hopf = Hopf(sector.params)
     grid = GridSpec((32, 32), (2 * np.pi, 2 * np.pi), (1.0, 1.0))
     ctx = OperatorContext(grid, second_order_op(2), QuadratureSpec())
@@ -144,6 +146,31 @@ def test_lambda_gate(setup):
     assert model.lambda_x(mu2, X0, F(1, 3)) == 0.0
 
 
+def test_renormalised_model_matches_renormalizer(setup):
+    """M^R = hat(M)^R R: Model(prep=R).interp(t) equals the sum of
+    c_s Model().interp(s) over Renormalizer(R).apply(t) on every member
+    of the numeric2d rule sector at maxEdges 7 / maxOmega 5.  The builtin
+    three-edge sector is too small for this check: a model that skipped
+    R inside kernel arguments would pass on it."""
+    _s, hopf, ctx, xi, hf, _m = setup
+    sector = builtin_sector("numeric2d", maxEdges=7, maxOmega=5)
+    members = sector.members()
+    assert len(members) == 29
+    plain = Model(sector, hopf, ctx, xi, hf)
+    rng = random.Random(5)
+    for _ in range(3):
+        values = {t: F(rng.randint(-20, 20), rng.randint(1, 9))
+                  for t in negative_basis(sector)}
+        R = RcMap(CounterTerms(values), hopf, sector, strict_sector=False)
+        model = Model(sector, hopf, ctx, xi, hf, prep=R)
+        M = Renormalizer(R)
+        for t in members:
+            expect = np.zeros(ctx.grid.sizes)
+            for s, c in M.apply(t):
+                expect += float(c) * plain.interp(s)
+            assert relative_error(model.interp(t), expect) <= 1e-13
+
+
 def test_recentering_consistency(setup):
     sector, _h, _c, _xi, _hf, model = setup
     for t in sector.members():
@@ -156,7 +183,7 @@ def test_g_recentered_coordinates(setup):
     xc = model.base_coord(X0)
     yc = model.base_coord(Y0)
     for j, e in enumerate(((1, 0), (0, 1))):
-        got = model.g_recentered(X(e), X0, Y0, F(0))
+        got = g_recentered(model, X(e), X0, Y0, F(0))
         assert abs(got - (yc[j] - xc[j])) < 1e-14
 
 
@@ -247,7 +274,7 @@ def test_qnorm_series_unit(setup):
 
 def _heat_full(ctx, t):
     """exp(t P) on the full fftfreq grid, for the complex round trip."""
-    return np.exp(-t * sum(l ** 2 for l in ctx.grid.freq_mesh()))
+    return np.exp(-t * sum(l ** 2 for l in freq_mesh(ctx.grid)))
 
 
 def test_kernel_edge_reads_match_full_field(setup):
@@ -306,8 +333,8 @@ def test_taylor_coefficients_cost_no_transform(monkeypatch):
     """On a warm pam3d model, pi_x_hat at a new base point transforms
     only for the base kernel field of each K edge (one round trip each);
     its Taylor coefficients are dot products, cached as floats."""
-    sector = pam3d_sector()
-    hopf = Hopf(pam3d_params())
+    sector = builtin_sector("pam3d")
+    hopf = Hopf(sector.params)
     grid = GridSpec((16, 16, 16), (2 * np.pi,) * 3, (1.0,) * 3)
     ctx = OperatorContext(grid, fourth_order_op(3), QuadratureSpec())
     model = Model(sector, hopf, ctx, smooth_field(grid, 5, 0, 0.7),

@@ -9,35 +9,35 @@ from fractions import Fraction as F
 
 import pytest
 
-from ristruct.config import (numeric2d_params, numeric2d_sector,
-                             pam3d_params, pam3d_sector)
+from ristruct.config import NUMERIC2D
+from ristruct.grading import Params
 from ristruct.hopf import Hopf
-from ristruct.renorm import (CounterTerms, DictPreparationMap, IdentityMap,
-                             RcMap, Renormalizer, SectorEscape,
+from ristruct.renorm import (CounterTerms, IdentityMap, RcMap, SectorEscape,
                              negative_basis, verify_preparation)
-from ristruct.sector import Sector, generate_from_rule, pam_rule
+from ristruct.sector import Sector
 from ristruct.trees import LinComb, X, format_tree, noise, parse, unit
+
+from reference import DictPreparationMap, Renormalizer, builtin_sector
 
 
 @pytest.fixture(scope="module")
 def sector2():
     """Five-edge two-dimensional sector with generic degrees."""
-    return generate_from_rule(pam_rule(2), 4, F(2), numeric2d_params(),
-                              max_edges=5)
+    return builtin_sector("numeric2d", maxOmega=4, maxEdges=5)
 
 
 @pytest.fixture(scope="module")
-def hopf2():
-    return Hopf(numeric2d_params())
+def hopf2(sector2):
+    return Hopf(sector2.params)
 
 
 def test_negative_basis():
-    assert [format_tree(t) for t in negative_basis(pam3d_sector())] == [
+    assert [format_tree(t) for t in negative_basis(builtin_sector("pam3d"))] == [
         "(O() K(O()))",
         "(O() K(O()) K(O()))",
         "(O() K(O() K(O())))",
     ]
-    assert [format_tree(t) for t in negative_basis(numeric2d_sector())] \
+    assert [format_tree(t) for t in negative_basis(builtin_sector("numeric2d"))] \
         == ["(O() K(O()))"]
 
 
@@ -57,7 +57,7 @@ def _refused(t, s):
 def test_counterterm_support_refusals():
     """Each B_- condition refuses on its own: every refused tree below
     passes the other three tests."""
-    params = numeric2d_params()
+    params = Params.from_dict(NUMERIC2D)
     tau2 = parse("(O() K(O()))", dim=2)
     planted = parse("(K(O() O() O()))", dim=2)  # degree -5/4
     lone = parse("(n=(1,0) O())")  # degree -1/20
@@ -71,8 +71,8 @@ def test_counterterm_support_refusals():
 
 
 def test_rc_on_smallest_negative_tree():
-    sector = pam3d_sector()
-    hopf = Hopf(pam3d_params())
+    sector = builtin_sector("pam3d")
+    hopf = Hopf(sector.params)
     tau2 = parse("(O() K(O()))", dim=3)
     R = RcMap(CounterTerms({tau2: F(3, 7)}), hopf, sector)
     assert R.apply(tau2).terms == {tau2: F(1), unit(3): F(3, 7)}
@@ -140,7 +140,7 @@ def test_verify_preparation_reports_only_d():
     X^(1,0) (x) 1 + 1 (x) X^(1,0), and a decorated noise outside the
     sector, a left factor of Delta (O() K(H())) only, sent to twice
     itself."""
-    s = numeric2d_sector()
+    s = builtin_sector("numeric2d")
     tau2 = parse("(O() K(O()))", dim=2)
     left = parse("(n=(1,0) O())", dim=2)
     bad = DictPreparationMap({
@@ -156,7 +156,7 @@ def test_verify_preparation_reports_only_e():
     left factor of Delta (O() K(H())) but not of Delta (O() K(O())), so
     R commutes with Delta and fails only at the derivative of
     (O() K(O()))."""
-    s = numeric2d_sector()
+    s = builtin_sector("numeric2d")
     dot = parse("(O() K(H()))", dim=2)
     left = parse("(n=(1,0) O())", dim=2)
     c = F(2, 3)
@@ -170,7 +170,7 @@ def test_verify_preparation_reports_only_e():
 def test_verify_preparation_tree_missing_from_its_image():
     """R(tau) = c: (R - id) tau keeps -tau, so (d) fails; without it the
     two sides would agree on c 1 (x) 1."""
-    s = numeric2d_sector()
+    s = builtin_sector("numeric2d")
     tau2 = parse("(O() K(O()))", dim=2)
     bad = DictPreparationMap({tau2: LinComb.single(unit(2), F(2, 3))})
     assert _failures(bad, s) == [
@@ -182,7 +182,7 @@ def test_verify_preparation_tree_missing_from_its_image():
 def test_dict_preparation_map_zero_image():
     """A table entry of zero is the zero map on that tree, not the
     identity, even though the zero LinComb is falsy."""
-    s = numeric2d_sector()
+    s = builtin_sector("numeric2d")
     tau2 = parse("(O() K(O()))", dim=2)
     bad = DictPreparationMap({tau2: LinComb()})
     assert bad.apply(tau2) == LinComb()
@@ -221,7 +221,7 @@ def test_renormalizer_passes_through_plantings(sector2, hopf2):
 
 
 def test_sector_escape():
-    s2 = numeric2d_sector()  # three-edge bound: larger trees escape
+    s2 = builtin_sector("numeric2d")  # three-edge bound: larger trees escape
     h2 = Hopf(s2.params)
     tau2 = parse("(O() K(O()))", dim=2)
     R = RcMap(CounterTerms({tau2: F(1)}), h2, s2)
@@ -233,9 +233,8 @@ def test_verify_preparation_genericity_pam3d_7_5():
     """At (0, 1/2) the pam3d 7/5 sector has a planted degree tie in Delta,
     which verify_preparation must refuse rather than truncate."""
     from ristruct.grading import GenericityError
-    params = pam3d_params()
-    s = generate_from_rule(pam_rule(3), 5, F(2), params, max_edges=7)
-    hopf = Hopf(params)
+    s = builtin_sector("pam3d", maxOmega=5, maxEdges=7)
+    hopf = Hopf(s.params)
     with pytest.raises(GenericityError,
                        match=r"label K, k\+l=\(1, 0, 0\)"):
         verify_preparation(RcMap(CounterTerms({}), hopf, s), s, hopf)

@@ -6,26 +6,26 @@ from itertools import product
 
 import pytest
 
-from ristruct.config import (builtin_rule_config, numeric2d_sector,
-                             pam3d_params, pam3d_sector)
+from ristruct.config import PAM3D, builtin_rule_config
 from ristruct.grading import GenericityError, Params
 from ristruct.hopf import Hopf
 from ristruct.sector import (Rule, Sector, check_differentiable,
                              check_triangular, derive, epsilon0,
-                             generate_from_rule, key_of, load_rule_config,
-                             pam_rule)
+                             generate_from_rule, key_of, load_rule_config)
 from ristruct.trees import (OMEGA, Tree, X, format_tree, mi_range,
                             mi_weight, noise, parse, plant_tree, unit)
+
+from reference import builtin_sector
 
 
 @pytest.fixture(scope="module")
 def sector():
-    return pam3d_sector()
+    return builtin_sector("pam3d")
 
 
 @pytest.fixture(scope="module")
 def hopf():
-    return Hopf(pam3d_params())
+    return Hopf(Params.from_dict(PAM3D))
 
 
 def test_generated_basis(sector):
@@ -139,7 +139,7 @@ def test_filtration_prefixes(sector):
 
 
 def test_rule_closure_and_validation():
-    r = pam_rule(2)
+    r = load_rule_config(builtin_rule_config("numeric2d"))[0]
     z = (0, 0)
     assert () in r.for_k
     assert (("K", z),) in r.for_k
@@ -158,16 +158,15 @@ def test_load_rule_config_matches_builtin():
     rule, max_omega, L, params, max_edges = load_rule_config(
         builtin_rule_config("numeric2d"))
     s = generate_from_rule(rule, max_omega, L, params, max_edges)
-    ref = numeric2d_sector()
+    ref = builtin_sector("numeric2d")
     assert s.basis_o == ref.basis_o
     assert s.params == ref.params
 
 
 def test_generation_bounds():
-    params = pam3d_params()
     with pytest.raises(ValueError):
-        generate_from_rule(pam_rule(3), 1, F(2), params)
-    small = generate_from_rule(pam_rule(3), 2, F(2), params, max_edges=5)
+        builtin_sector("pam3d", maxOmega=1)
+    small = builtin_sector("pam3d", maxOmega=2, maxEdges=5)
     assert [format_tree(t) for t in small.basis_o] == ["(O())"]
 
 
@@ -177,7 +176,7 @@ def test_check_differentiable_passes(sector, hopf):
 
 
 def test_check_differentiable_flags_missing_noise():
-    params = pam3d_params()
+    params = Params.from_dict(PAM3D)
     bad = Sector(params, [parse("(O() K(O()))", dim=3)], F(2))
     report = check_differentiable(bad, Hopf(params), F(1, 100), F(0))
     assert not report.ok
@@ -185,7 +184,7 @@ def test_check_differentiable_flags_missing_noise():
 
 
 def test_check_differentiable_flags_decorated_noise():
-    params = pam3d_params()
+    params = Params.from_dict(PAM3D)
     decorated = Tree((0, 0, 0), ((OMEGA, (1, 0, 0), unit(3)),))
     bad = Sector(params, [noise(3), decorated], F(2))
     report = check_differentiable(bad, Hopf(params), F(1, 100), F(0))
@@ -198,9 +197,11 @@ def test_check_triangular_passes(sector, hopf):
 
 
 def test_epsilon0_values():
+    s = builtin_sector("pam3d")
     with pytest.raises(GenericityError):
-        epsilon0(pam3d_sector())
-    assert epsilon0(numeric2d_sector()) == F(7, 20)
+        epsilon0(s.w_plus_generators(0, F(1, 2)), s.params)
+    s = builtin_sector("numeric2d")
+    assert epsilon0(s.w_plus_generators(0, F(1, 2)), s.params) == F(7, 20)
 
 
 def test_w_plus_generators(sector):

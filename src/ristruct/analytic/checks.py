@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..grading import INF, degree, integrability
+from ..grading import INF, integrability
 from ..trees import Tree
 from .model import Model
 
@@ -87,26 +87,21 @@ def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
 def qnorm_series(model: Model, t: Tree, base_points, t_values, invp):
     """Per-time heat-smoothed sizes of the recentered interpretation.
 
-    Returns (raw norms, weighted norms) where the weight divides out the
-    expected power t^(r/ell); the norm over base points is the max for
-    integrability infinity and the p-mean otherwise."""
+    The norm over base points is the max for integrability infinity and
+    the p-mean otherwise."""
     invp = Fraction(invp)
-    r = degree(t, model.params, model.eps, invp)
-    ell = model.params.ell
-    p = INF if invp == 0 else 1 / invp
-    ip = integrability(t, p)
+    ip = integrability(t, INF if invp == 0 else 1 / invp)
     t_values = [float(tv) for tv in t_values]
     # one row per base point, one value per time
     rows = [model.ctx.heat_points(model.phased_spectrum(t, x, invp),
                                   t_values) for x in base_points]
-    raw, weighted = [], []
-    for tv, col in zip(t_values, zip(*rows)):
+    norms = []
+    for col in zip(*rows):
         vals = [abs(v) for v in col]
         if ip == INF:
             norm = max(vals)
         else:
             pf = float(ip)
             norm = float(np.mean([v ** pf for v in vals]) ** (1.0 / pf))
-        raw.append(norm)
-        weighted.append(norm * tv ** float(-r / ell))
-    return raw, weighted
+        norms.append(norm)
+    return norms

@@ -441,12 +441,10 @@ class OperatorContext:
             self._kernel_mult[k] = mult
         return mult
 
-    def kernel_apply(self, f, k=None):
+    def kernel_apply(self, f, k):
         """The integrated kernel: d^k int_0^1 (1-chi)(d) Q_t f dt.
 
         Annihilates the constant mode exactly."""
-        if k is None:
-            k = (0,) * self.grid.d
         return self.apply_multiplier(f, self.kernel_multiplier(k))
 
     def kernel_parts(self, k):

@@ -103,8 +103,8 @@ def scaling_ensemble(sector: Sector, hopf: Hopf, ctx: OperatorContext,
     for i in range(n_samples):
         model = Model(sector, hopf, ctx, eps=eps,
                       xi_hat=_noise_spectrum(ctx, level, seed, i))
-        raw, _w = qnorm_series(model, tree, base_points, t_values, invp)
-        series.append(raw)
+        series.append(qnorm_series(model, tree, base_points, t_values,
+                                   invp))
     return series
 
 

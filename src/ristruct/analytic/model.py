@@ -55,7 +55,7 @@ class Model:
     transform (``interp``, ``spectrum``, the kernel fields, the
     derivatives of h, the recentered planted fields of the oracle route
     and the phased spectra), and exact or scalar values (the characters
-    f_x and g_x^-1 on planted trees, the oracle's Taylor coefficients).
+    f_x and g_x^-1 on planted trees).
     A weighted sum or product of cached fields is formed afresh on each
     call, so ``pi_x`` and ``pi_x_hat`` return new arrays the caller may
     change.  ``interp`` and ``spectrum`` hand out their cached arrays,
@@ -91,7 +91,6 @@ class Model:
         self._ginv_pl = {}
         self._kf1 = {}
         self._hat2_pl = {}
-        self._kf2 = {}
         self._i_eps = None
 
     @property
@@ -299,11 +298,7 @@ class Model:
                 base = self.ctx.kernel_apply(src, e)
 
                 def point(k):
-                    kk = (sub, k, x, invp)
-                    f = self._kf2.get(kk)
-                    if f is None:
-                        f = self._kf2[kk] = self.ctx.kernel_point(src, k, x)
-                    return f
+                    return self.ctx.kernel_point(src, k, x)
             out = base
             for l, _c in self.hopf._decoration_candidates(
                     lab, e, sub, self.hopf.truncation(self.eps, invp)):

@@ -10,7 +10,7 @@ from .grading import degree
 from .hopf import Hopf
 from .sector import Report, Sector
 from .trees import (K, OMEGA, LinComb, Tree, coeff_mul, dot_noise, mi_zero,
-                    noise, plant)
+                    noise, plant_tree)
 
 
 def negative_basis(s: Sector):
@@ -148,9 +148,9 @@ def verify_preparation(R: PreparationMap, s: Sector, hopf: Hopf)\
                                 f"degree at 1/p={invp}")
 
     for sub in s.basis_o + s.dot_basis:
-        for planted, _c in plant(K, mi_zero(d), sub):
-            if R.apply(planted) != LinComb.single(planted, 1):
-                report.fail("c", planted, "planted tree not fixed")
+        planted = plant_tree(K, mi_zero(d), sub)
+        if R.apply(planted) != LinComb.single(planted, 1):
+            report.fail("c", planted, "planted tree not fixed")
 
     half_tr = truncations[-1][1]
     for t in s.members():

@@ -3,9 +3,9 @@ and the filtration used by the inductive machinery.
 
 A rule assigns to the K label a family of node types (multisets of
 labeled, decorated outgoing edges); trees strongly conform when every
-node realizes an allowed type.  The generated basis keeps the trees in
-which every internal node carries its own noise leaf, matching the
-bases the model construction iterates over."""
+node realizes an allowed type.  Generation builds nodes only from the
+types with an Omega edge, so every internal node carries its own noise
+leaf, matching the bases the model construction iterates over."""
 
 from __future__ import annotations
 
@@ -187,31 +187,18 @@ def epsilon0(gens, params: Params) -> Fraction:
     the degree-zero lines of the given positive generators (the W+
     generators at (0, 1/2)) in the (eps, 1/p) strip."""
     from .grading import degree_form, epsilon0_from_forms
-    forms = [degree_form(g, params) for g in gens if not g.is_poly()]
+    forms = [degree_form(g, params) for g in gens]
     return epsilon0_from_forms(forms, params)
-
-
-def _every_node_noise(t: Tree) -> bool:
-    """Every internal node carries its own zero-decorated Omega leaf."""
-    if t.is_poly():
-        return False
-    if not any(lab == OMEGA and sub.is_poly() and not any(sub.n)
-               for lab, _e, sub in t.children):
-        return False
-    for lab, _e, sub in t.children:
-        if lab != OMEGA and not _every_node_noise(sub):
-            return False
-    return True
 
 
 def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
                        max_edges: int = 5) -> Sector:
     """Enumerate the strongly conforming noise trees up to the bounds.
 
-    Kept trees have zero decorations at noise tips, between 1 and
-    max_omega - 1 Omega edges and at most max_edges edges, and each
-    internal node carries its own Omega leaf, which excludes planted
-    trees and keeps the basis aligned with the model induction."""
+    Nodes are built only from the node types with an Omega edge, so each
+    internal node carries its own zero-decorated Omega leaf: no planted
+    trees, and the basis aligned with the model induction.  Kept trees
+    have fewer than max_omega Omega edges and at most max_edges edges."""
     if max_omega < 2:
         raise ValueError("maxOmega must be at least 2")
     rule.validate()
@@ -229,10 +216,10 @@ def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
         found = {}  # insertion-ordered, so deterministic without a sort
         for ntype in sorted(rule.for_k):
             own_edges = len(ntype)
-            if own_edges == 0 or own_edges > budget:
+            omega_slots = [k for lab, k in ntype if lab == OMEGA]
+            if not omega_slots or own_edges > budget:
                 continue
             k_slots = [k for lab, k in ntype if lab == K]
-            omega_slots = [k for lab, k in ntype if lab == OMEGA]
             remaining = budget - own_edges
 
             def assign(slot: int, left: int, acc: tuple):
@@ -250,10 +237,29 @@ def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
         return out
 
     basis_o = [t for t in subtrees(max_edges)
-               if 1 <= t.omega_count() < max_omega and _every_node_noise(t)]
+               if t.omega_count() < max_omega]
     if not basis_o:
         raise ValueError("rule generates no admissible noise trees")
     return Sector(params, basis_o, poly_bound)
+
+
+# The four checks of ``ristruct verify hopf`` as (name, tree set,
+# predicate): the coproduct against its graphical oracle and the comodule
+# identity on every member, Delta+ coassociativity and the antipode
+# convolution on every W+ generator.  ``verify hopf`` walks the tree sets
+# in the order of HOPF_TREE_SETS, running each tree's checks in turn.
+HOPF_TREE_SETS = {
+    "members": lambda s, eps, invp: s.members(),
+    "w_plus_generators": lambda s, eps, invp: s.w_plus_generators(eps, invp)}
+HOPF_CHECKS = (
+    ("oracle", "members", lambda h, t, eps, invp:
+        h.coproduct(t, eps, invp) == h.coproduct_graphical(t, eps, invp)),
+    ("comodule", "members",
+     lambda h, t, eps, invp: h.comodule_check(t, eps, invp)),
+    ("coassociativity", "w_plus_generators",
+     lambda h, t, eps, invp: h.coassociativity_plus_check(t, eps, invp)),
+    ("antipode-convolution", "w_plus_generators",
+     lambda h, t, eps, invp: h.convolution_check(t, eps, invp)))
 
 
 # structural checks ------------------------------------------------------

@@ -13,7 +13,7 @@ Coefficients are exact rationals (``int`` when integral, otherwise
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm, prod
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -57,13 +57,7 @@ def mi_factorial(a: MultiIndex) -> int:
 
 def mi_binom(a: MultiIndex, b: MultiIndex) -> int:
     """Product of componentwise binomial coefficients binom(a_j, b_j)."""
-    from math import comb
-    out = 1
-    for x, y in zip(a, b):
-        if y > x:
-            return 0
-        out *= comb(x, y)
-    return out
+    return prod(map(comb, a, b))
 
 def mi_range(bound: MultiIndex) -> Iterator[MultiIndex]:
     """All multi-indices l with l <= bound componentwise."""
@@ -143,9 +137,6 @@ class Tree:
 
     def __lt__(self, other):
         return self._enc < other._enc
-
-    def __le__(self, other):
-        return self._enc <= other._enc
 
     def __repr__(self):
         return f"Tree({format_tree(self)!r})"
@@ -272,11 +263,8 @@ class LinComb:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self):
         self.terms = {}
-        if terms:
-            for t, c in (terms.items() if isinstance(terms, dict) else terms):
-                self.add(t, c)
 
     @classmethod
     def single(cls, t: Tree, c=1) -> "LinComb":
@@ -308,9 +296,6 @@ class LinComb:
     def __eq__(self, other):
         return isinstance(other, LinComb) and self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __iter__(self):
         return iter(self.terms.items())
 
@@ -339,19 +324,6 @@ class LinComb:
             for s, c2 in other.terms.items():
                 out.add(tree_product(t, s), c * c2)
         return out
-
-
-def plant(label: str, k: MultiIndex, t: Tree) -> LinComb:
-    """Graft t below a new root along a label edge with decoration k.
-
-    Returns the zero combination when planting a bare polynomial along a
-    K edge: such trees lie in the ideal of K-labeled leaves.
-    """
-    if label == K and t.is_poly():
-        if len(k) != t.dim:
-            raise ValueError("dimension mismatch")
-        return LinComb()
-    return LinComb.single(plant_tree(label, k, t))
 
 
 def plant_tree(label: str, k: MultiIndex, t: Tree) -> Tree:

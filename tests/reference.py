@@ -12,7 +12,9 @@ independent of the code they check:
 - the grid references ``heat_apply``, ``time_integral_reference`` and
   ``freq_mesh``;
 - ``builtin_sector``, a builtin rule's sector at other generation
-  bounds."""
+  bounds;
+- ``plant``, planting that vanishes on the K-leaf ideal, and
+  ``lincomb``, a LinComb from (term, coefficient) pairs."""
 
 from fractions import Fraction
 
@@ -22,7 +24,28 @@ from ristruct.analytic.checks import relative_error
 from ristruct.config import builtin_rule_config
 from ristruct.renorm import PreparationMap
 from ristruct.sector import load_sector
-from ristruct.trees import K, LinComb, Tree, X, plant
+from ristruct.trees import K, LinComb, Tree, X, plant_tree
+
+
+def plant(label: str, k, t: Tree) -> LinComb:
+    """Graft t below a new root along a label edge with decoration k.
+
+    Returns the zero combination when planting a bare polynomial along a
+    K edge: such trees lie in the ideal of K-labeled leaves.
+    """
+    if label == K and t.is_poly():
+        if len(k) != t.dim:
+            raise ValueError("dimension mismatch")
+        return LinComb()
+    return LinComb.single(plant_tree(label, k, t))
+
+
+def lincomb(terms) -> LinComb:
+    """The LinComb of (term, coefficient) pairs, summed with ``add``."""
+    out = LinComb()
+    for t, c in terms:
+        out.add(t, c)
+    return out
 
 
 def builtin_sector(name: str, **bounds):

@@ -78,15 +78,16 @@ def test_quadrature_self_check_failure(grid):
 
 
 def test_kernel_annihilates_constants(ctx, grid):
-    out = ctx.kernel_apply(np.ones(grid.sizes))
+    out = ctx.kernel_apply(np.ones(grid.sizes), (0, 0))
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_kernel_linearity(ctx, grid):
     f = smooth_field(grid, 3, 0, 0.6)
     g = smooth_field(grid, 3, 1, 0.6)
-    lhs = ctx.kernel_apply(2.0 * f - 0.5 * g)
-    rhs = 2.0 * ctx.kernel_apply(f) - 0.5 * ctx.kernel_apply(g)
+    lhs = ctx.kernel_apply(2.0 * f - 0.5 * g, (0, 0))
+    rhs = (2.0 * ctx.kernel_apply(f, (0, 0))
+           - 0.5 * ctx.kernel_apply(g, (0, 0)))
     assert rel(lhs, rhs) < 1e-13
 
 
@@ -99,7 +100,7 @@ def test_kernel_single_mode(ctx, grid):
     # the cutoff weight exp(-|lambda|^2 / (2 sigma^2)) at the (1, 0) mode
     sigma = ctx.op.cutoff_width * 2.0 * np.pi / max(grid.period)
     w = 1.0 - np.exp(-grid.freqs()[0][1] ** 2 / (2.0 * sigma ** 2))
-    out = ctx.kernel_apply(f)
+    out = ctx.kernel_apply(f, (0, 0))
     assert rel(out, w * s * f) < 1e-12
 
 
@@ -242,7 +243,8 @@ def test_half_spectrum_matches_complex_round_trip(sizes):
     zero = (0,) * ctx.grid.d
     assert rel(heat_apply(ctx, f, 0.3), _reference(f, np.exp(0.3 * P))) \
         < 1e-13
-    assert rel(ctx.kernel_apply(f), _reference(f, kernel(zero))) < 1e-13
+    assert rel(ctx.kernel_apply(f, zero), _reference(f, kernel(zero))) \
+        < 1e-13
 
 
 def _points(grid):

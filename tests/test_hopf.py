@@ -7,10 +7,10 @@ import pytest
 from ristruct.config import PAM3D
 from ristruct.grading import GenericityError, Params, degree
 from ristruct.hopf import Hopf, pair_product
-from ristruct.trees import (OMEGA, LinComb, Tree, X, dot_noise, format_tree,
-                            noise, parse, plant_tree, unit)
+from ristruct.trees import (OMEGA, Tree, X, dot_noise, format_tree, noise,
+                            parse, plant_tree, unit)
 
-from reference import builtin_sector
+from reference import builtin_sector, lincomb
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def sector():
 
 def test_poly_coproduct_binomial(hopf):
     cop = hopf.coproduct(X((1, 1, 0)), 0, 0)
-    expect = LinComb([
+    expect = lincomb([
         ((unit(3), X((1, 1, 0))), 1),
         ((X((1, 0, 0)), X((0, 1, 0))), 1),
         ((X((0, 1, 0)), X((1, 0, 0))), 1),
@@ -38,7 +38,7 @@ def test_threshold_example_above(hopf):
     """For p above the crossing 6/(1+2eps) the coproduct has two terms."""
     t = parse("(O() K(H()))", dim=3)
     cop = hopf.coproduct(t, 0, F(1, 7))
-    expect = LinComb([
+    expect = lincomb([
         ((t, unit(3)), 1),
         ((noise(3), plant_tree("K", (0, 0, 0), dot_noise(3))), 1),
     ])
@@ -49,7 +49,7 @@ def test_threshold_example_below(hopf):
     """Below the crossing three derivative-decorated terms appear."""
     t = parse("(O() K(H()))", dim=3)
     cop = hopf.coproduct(t, 0, F(1, 5))
-    expect = LinComb([
+    expect = lincomb([
         ((t, unit(3)), 1),
         ((noise(3), plant_tree("K", (0, 0, 0), dot_noise(3))), 1),
     ])
@@ -193,7 +193,7 @@ def test_antipode_on_polynomials(hopf):
 
 
 def test_tensor_sum_algebra():
-    a = LinComb([((noise(3), unit(3)), F(1, 2))])
+    a = lincomb([((noise(3), unit(3)), F(1, 2))])
     assert len(pair_product(a, a)) == 1
     assert "(x)" in repr(a)
     assert format_tree(noise(3)) in repr(a)
@@ -209,7 +209,7 @@ def test_two_sided_checks_see_a_dropped_term(monkeypatch):
         Delta is left as it is."""
         out = real(f, tr, plus)
         if plus and not f.is_unit():
-            out = LinComb(out.terms)
+            out = lincomb(out)
             out.add((f, unit(3)), -out.terms[(f, unit(3))])
         return out
 

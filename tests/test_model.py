@@ -17,11 +17,12 @@ from ristruct.analytic.grid import (GridSpec, OperatorContext,
                                     second_order_op)
 from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field, white_noise
+from ristruct.config import NUMERIC2D
 from ristruct.hopf import Hopf
 from ristruct.renorm import (CounterTerms, IdentityMap, RcMap,
                              negative_basis, verify_preparation)
 from ristruct.sector import _derive
-from ristruct.trees import K, LinComb, X, noise, parse, unit
+from ristruct.trees import H, K, LinComb, X, noise, parse, unit
 
 from reference import (DictPreparationMap, Renormalizer, builtin_sector,
                        check_recentering_consistency, freq_mesh,
@@ -64,6 +65,25 @@ def test_route_equivalence_all_members(setup):
             assert check_route_equivalence(model, t, X0, invp) < 1e-12
 
 
+def test_route_equivalence_on_h_edge_taylor_terms():
+    """At s0 = -1/2, r0 = -3/4 a bare H edge has positive degree at
+    p = 2, so there the oracle route subtracts the Taylor terms of h at
+    the base point, which no other test reaches; the routes agree on
+    every member at each of the three p."""
+    sector = builtin_sector("numeric2d", params={
+        **NUMERIC2D, "s0": "-1/2", "r0": "-3/4"})
+    hopf = Hopf(sector.params)
+    grid = GridSpec((32, 32), (2 * np.pi, 2 * np.pi), (1.0, 1.0))
+    ctx = OperatorContext(grid, second_order_op(2), QuadratureSpec())
+    model = Model(sector, hopf, ctx, smooth_field(grid, 5, 0, 0.7),
+                  smooth_field(grid, 5, 1, 0.7), eps=EPS)
+    assert hopf.planted_degree(H, (0, 0), unit(2), EPS, F(1, 2)) > 0
+    assert len(sector.members()) == 8
+    for t in sector.members():
+        for invp in (F(0), F(1, 5), F(1, 2)):
+            assert check_route_equivalence(model, t, (3, 3), invp) < 1e-10
+
+
 def test_recentered_fields_are_fresh(setup):
     """Changing a returned recentered field changes no later result."""
     sector, hopf, ctx, xi, hf, _m = setup
@@ -99,7 +119,7 @@ def test_single_h_display_above_transition(setup):
     kernel-value subtraction."""
     _s, _h, ctx, xi, hf, model = setup
     t = parse("(O() K(H()))", dim=2)
-    kh = ctx.kernel_apply(hf)
+    kh = ctx.kernel_apply(hf, (0, 0))
     expect = (kh - model.at(kh, X0)) * xi
     got = model.pi_x(t, X0, F(1, 20))   # p = 20 above the crossing 12.5
     assert relative_error(got, expect) < 1e-12
@@ -109,7 +129,7 @@ def test_single_h_display_below_transition(setup):
     """Below the crossing the first-order kernel correction appears."""
     _s, _h, ctx, xi, hf, model = setup
     t = parse("(O() K(H()))", dim=2)
-    kh = ctx.kernel_apply(hf)
+    kh = ctx.kernel_apply(hf, (0, 0))
     expect = (kh - model.at(kh, X0)) * xi
     for j, e in enumerate(((1, 0), (0, 1))):
         dk = model.at(ctx.kernel_apply(hf, e), X0)
@@ -265,9 +285,8 @@ def test_model_takes_exactly_one_noise(setup):
 def test_qnorm_series_unit(setup):
     _s, _h, _c, _xi, _hf, model = setup
     ts = [2.0 ** (-j) for j in (6, 4, 2)]
-    raw, weighted = qnorm_series(model, unit(2), [X0, Y0], ts, F(0))
+    raw = qnorm_series(model, unit(2), [X0, Y0], ts, F(0))
     assert np.allclose(raw, 1.0, atol=1e-13)
-    assert np.allclose(weighted, 1.0, atol=1e-13)
 
 
 # spectral point reads against full inverse transforms --------------------
@@ -297,6 +316,18 @@ def test_kernel_edge_reads_match_full_field(setup):
     assert seen >= 3
 
 
+def _count_kernel_points(monkeypatch) -> list:
+    """Record every OperatorContext.kernel_point call from now on."""
+    calls = []
+    original = OperatorContext.kernel_point
+
+    def counted(self, *a):
+        calls.append(a)
+        return original(self, *a)
+    monkeypatch.setattr(OperatorContext, "kernel_point", counted)
+    return calls
+
+
 def test_oracle_route_reads_full_fields(setup, monkeypatch):
     """The Taylor-subtraction route never uses the phased spectral read,
     so the route check compares two ways of reading point values."""
@@ -306,11 +337,12 @@ def test_oracle_route_reads_full_fields(setup, monkeypatch):
         raise AssertionError("pi_x_hat used the phased read")
     for name in ("phased", "phased_point"):
         monkeypatch.setattr(OperatorContext, name, refuse)
+    reads = _count_kernel_points(monkeypatch)
     model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
     for t in sector.members():
         for invp in (F(0), F(1, 20), F(1, 2)):
             model.pi_x_hat(t, X0, invp)
-    assert model._kf2
+    assert reads
 
 
 def test_primary_route_reads_spectra(setup, monkeypatch):
@@ -332,7 +364,7 @@ def test_primary_route_reads_spectra(setup, monkeypatch):
 def test_taylor_coefficients_cost_no_transform(monkeypatch):
     """On a warm pam3d model, pi_x_hat at a new base point transforms
     only for the base kernel field of each K edge (one round trip each);
-    its Taylor coefficients are dot products, cached as floats."""
+    its Taylor coefficients are dot products."""
     sector = builtin_sector("pam3d")
     hopf = Hopf(sector.params)
     grid = GridSpec((16, 16, 16), (2 * np.pi,) * 3, (1.0,) * 3)
@@ -350,13 +382,13 @@ def test_taylor_coefficients_cost_no_transform(monkeypatch):
             calls.append(_name)
             return _f(*a, **k)
         monkeypatch.setattr(np.fft, name, counted)
-    before_pl, before_kf = len(model._hat2_pl), len(model._kf2)
+    reads = _count_kernel_points(monkeypatch)
+    before_pl = len(model._hat2_pl)
     for t in sector.members():
         model.pi_x_hat(t, (9, 4, 14), invp)
     k_edges = sum(key[0] == K for key in list(model._hat2_pl)[before_pl:])
-    assert len(model._kf2) > before_kf  # Taylor coefficients were read
+    assert reads  # Taylor coefficients were read
     assert sorted(calls) == ["irfftn"] * k_edges + ["rfftn"] * k_edges
-    assert all(type(v) is float for v in model._kf2.values())
 
 
 def test_constant_samples_match_full_inverse(setup):
@@ -379,7 +411,7 @@ def test_qnorm_series_matches_full_inverse(setup):
     points = [X0, Y0, (0, 0)]
     for tree, invp, p in ((parse("(O() K(O()))", dim=2), F(0), None),
                           (parse("(O() K(H()))", dim=2), F(1, 3), 3.0)):
-        raw, _w = qnorm_series(model, tree, points, ts, invp)
+        raw = qnorm_series(model, tree, points, ts, invp)
         for tv, norm in zip(ts, raw):
             vals = []
             for x in points:

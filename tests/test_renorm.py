@@ -17,7 +17,8 @@ from ristruct.renorm import (CounterTerms, IdentityMap, RcMap, SectorEscape,
 from ristruct.sector import Sector
 from ristruct.trees import LinComb, X, format_tree, noise, parse, unit
 
-from reference import DictPreparationMap, Renormalizer, builtin_sector
+from reference import (DictPreparationMap, Renormalizer, builtin_sector,
+                       lincomb)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +123,7 @@ def test_verify_preparation_rejects_degree_losing_term(sector2, hopf2):
     tau2 = parse("(O() K(O()))", dim=2)
     wide = parse("(O() K(O()) K(O()))", dim=2)
     bad = DictPreparationMap({
-        wide: LinComb([(wide, F(1)), (tau2, F(1))])})
+        wide: lincomb([(wide, F(1)), (tau2, F(1))])})
     report = verify_preparation(bad, sector2, hopf2)
     assert not report.ok
     assert any(f["check"] == "b" for f in report.failures)
@@ -144,7 +145,7 @@ def test_verify_preparation_reports_only_d():
     tau2 = parse("(O() K(O()))", dim=2)
     left = parse("(n=(1,0) O())", dim=2)
     bad = DictPreparationMap({
-        tau2: LinComb([(tau2, 1), (X((1, 0)), F(2, 3))]),
+        tau2: lincomb([(tau2, 1), (X((1, 0)), F(2, 3))]),
         left: LinComb.single(left, 2)})
     fails = "coproduct commutation fails"
     assert _failures(bad, s) == [("d", "(O() K(O()))", fails),
@@ -161,8 +162,8 @@ def test_verify_preparation_reports_only_e():
     left = parse("(n=(1,0) O())", dim=2)
     c = F(2, 3)
     bad = DictPreparationMap({
-        dot: LinComb([(dot, 1), (parse("(K^(1,0)(H()))", dim=2), c)]),
-        left: LinComb([(left, 1), (unit(2), c)])})
+        dot: lincomb([(dot, 1), (parse("(K^(1,0)(H()))", dim=2), c)]),
+        left: lincomb([(left, 1), (unit(2), c)])})
     assert _failures(bad, s) == [
         ("e", "(O() K(O()))", "derivative commutation fails")]
 

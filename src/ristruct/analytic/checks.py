@@ -66,18 +66,21 @@ def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
     The perturbed interpretation is a polynomial of degree equal to the
     noise count of the tree in the perturbation parameter, so its exact
     derivative is a finite weighted sum of perturbed models; the right
-    side interprets the relabeled trees at integrability infinity."""
+    side interprets the relabeled trees at integrability infinity.  The
+    tree is H-free, so the unperturbed model, which carries h, serves
+    as the perturbed model at j = 0."""
     deg = t.omega_count()
     m = deg // 2
     nodes = list(range(-m, deg - m + 1))
     weights = _derivative_weights(nodes)
+    base = Model(sector, hopf, ctx, xi, h=h, eps=eps)
     lhs = np.zeros(ctx.grid.sizes)
     for j, w in zip(nodes, weights):
         if w == 0:
             continue
-        pert = Model(sector, hopf, ctx, xi + float(j) * h, eps=eps)
+        pert = base if j == 0 else Model(sector, hopf, ctx,
+                                         xi + float(j) * h, eps=eps)
         lhs = lhs + float(w) * pert.pi_x(t, x, 0)
-    base = Model(sector, hopf, ctx, xi, h=h, eps=eps)
     rhs = np.zeros(ctx.grid.sizes)
     for s, c in sector.derive(t):
         rhs = rhs + float(c) * base.pi_x(s, x, 0)

@@ -26,6 +26,8 @@ from ..trees import (H, K, OMEGA, Tree, mi_add, mi_factorial, noise,
                      unit)
 from .grid import OperatorContext, _read_only
 
+_ZERO = Fraction(0)
+
 
 def _product(factors, sizes) -> np.ndarray:
     """The pointwise product of the fields, left to right; all ones when
@@ -56,6 +58,13 @@ class Model:
     derivatives of h, the recentered planted fields of the oracle route
     and the phased spectra), and exact or scalar values (the characters
     f_x and g_x^-1 on planted trees).
+    Each recentering value is keyed by the 1/p it depends on.  1/p
+    enters a degree only through H edges, so every truncation inside
+    an H-free tree, and with it the tree's recentering, is the same at
+    every 1/p: an H-free tree, or a planted edge other than H over an
+    H-free subtree, is computed and stored once, at 1/p = 0.  A planted
+    H edge keeps its 1/p.  A phased spectrum with Delta(sub) = sub (x) 1
+    is keyed without 1/p, since it phases ``spectrum(sub)`` at any 1/p.
     A weighted sum or product of cached fields is formed afresh on each
     call, so ``pi_x`` and ``pi_x_hat`` return new arrays the caller may
     change.  ``interp`` and ``spectrum`` hand out their cached arrays,
@@ -176,9 +185,20 @@ class Model:
 
     # recentering, coproduct route ---------------------------------------
 
+    def _key_invp(self, invp, sub: Tree, lab=None) -> Fraction:
+        """The 1/p that the recentering of sub, or of sub planted along
+        lab, depends on at invp: 0 when the tree is H-free, since its
+        degrees and so every truncation inside it do not involve 1/p,
+        invp itself otherwise.  invp is checked first, so a 1/p outside
+        [0, 1/2] raises on every tree."""
+        self.hopf.truncation(self.eps, invp)
+        if lab == H or sub.h_count():
+            return Fraction(invp)
+        return _ZERO
+
     def pi_x(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via (interp x g_x^-1) o coproduct."""
-        invp = Fraction(invp)
+        invp = self._key_invp(invp, t)
         x = tuple(x)
         out = np.zeros(self.ctx.grid.sizes)
         for (sigma, forest), c in self.hopf.coproduct(t, self.eps, invp):
@@ -201,7 +221,8 @@ class Model:
         return val
 
     def _g_inv_planted(self, lab, e, sub, x, invp) -> float:
-        key = (lab, tuple(e), sub, tuple(x), Fraction(invp))
+        invp = self._key_invp(invp, sub, lab)
+        key = (lab, tuple(e), sub, tuple(x), invp)
         out = self._ginv_pl.get(key)
         if out is None:
             xc = self.base_coord(x)
@@ -223,7 +244,7 @@ class Model:
         Zero unless the planted degree is positive; then the k-th
         derivative of h at x for an H edge, or the kernel of the
         recentered interpretation of the argument at x for a K edge."""
-        invp = Fraction(invp)
+        invp = self._key_invp(invp, sub, lab)
         key = (lab, tuple(k), sub, tuple(x), invp)
         out = self._f.get(key)
         if out is None:
@@ -249,13 +270,15 @@ class Model:
         fields against reflected kernels instead.
 
         When Delta(sub) = sub (x) 1, pi_x(sub) is interp(sub) bit for bit,
-        and the tree's own spectrum is phased."""
-        invp = Fraction(invp)
-        key = (sub, tuple(x), invp)
+        and the tree's own spectrum is phased, under a key without 1/p."""
+        invp = self._key_invp(invp, sub)
+        x = tuple(x)
+        trivial = (self.hopf.coproduct(sub, self.eps, invp).terms
+                   == {(sub, self._unit): 1})
+        key = (sub, x) if trivial else (sub, x, invp)
         out = self._kf1.get(key)
         if out is None:
-            cop = self.hopf.coproduct(sub, self.eps, invp)
-            if cop.terms == {(sub, self._unit): 1}:
+            if trivial:
                 spec = self.spectrum(sub)
             else:
                 spec = self.ctx.grid.rfft(self.pi_x(sub, x, invp))
@@ -266,7 +289,7 @@ class Model:
 
     def pi_x_hat(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via the Taylor-subtraction recursion."""
-        invp = Fraction(invp)
+        invp = self._key_invp(invp, t)
         x = tuple(x)
         out = np.zeros(self.ctx.grid.sizes)
         for s, c in self.prep.apply(t):
@@ -280,6 +303,7 @@ class Model:
         return _product(factors, self.ctx.grid.sizes)
 
     def _hat_x_planted(self, lab, e, sub, x, invp) -> np.ndarray:
+        invp = self._key_invp(invp, sub, lab)
         key = (lab, tuple(e), sub, x, invp)
         out = self._hat2_pl.get(key)
         if out is None:

@@ -84,6 +84,61 @@ def test_route_equivalence_on_h_edge_taylor_terms():
             assert check_route_equivalence(model, t, (3, 3), invp) < 1e-10
 
 
+def test_h_free_recentering_is_shared_across_p():
+    """1/p enters a degree only through H edges, so an H-free tree is
+    recentered once for every 1/p: the fields agree bit for bit, a sweep
+    over new exponents adds no phased spectrum of an H-free tree, and a
+    1/p outside [0, 1/2] is still refused."""
+    sector = builtin_sector("pam3d")
+    grid = GridSpec((16,) * 3, (2 * np.pi,) * 3, (1.0,) * 3)
+    ctx = OperatorContext(grid, fourth_order_op(3), QuadratureSpec())
+    model = Model(sector, Hopf(sector.params), ctx,
+                  smooth_field(grid, 5, 0, 0.7),
+                  smooth_field(grid, 5, 1, 0.7), eps=EPS)
+    x = (3, 5, 7)
+    h_free = [t for t in sector.members() if not t.h_count()]
+    assert len(h_free) == 8
+    for invp in (F(0), F(1, 5), F(1, 2)):
+        for t in sector.members():
+            model.pi_x(t, x, invp)
+            model.pi_x_hat(t, x, invp)
+    for t in h_free:
+        for route in (model.pi_x, model.pi_x_hat):
+            at_inf = route(t, x, F(0))
+            for invp in (F(1, 5), F(1, 2)):
+                assert np.array_equal(route(t, x, invp), at_inf)
+
+    def h_free_spectra():
+        return {key for key in model._kf1 if not key[0].h_count()}
+    before = h_free_spectra()
+    assert before
+    for invp in (F(1, 3), F(1, 4), F(1, 10)):
+        for t in sector.members():
+            model.pi_x(t, x, invp)
+    assert h_free_spectra() == before
+    tau = parse("(O() K(O()))", dim=3)
+    for invp in (F(1), F(-1, 5), F(3, 5)):
+        for read in (model.pi_x, model.pi_x_hat, model.phased_spectrum):
+            with pytest.raises(ValueError):
+                read(tau, x, invp)
+
+
+def test_planted_h_edge_keeps_its_p():
+    """A planted H edge has degree r + |s|/p: at s0 = -1/2, r0 = -3/4 it
+    is positive at p = 2, where recentering subtracts h(x), and negative
+    at p = infinity, where it leaves h alone."""
+    sector = builtin_sector("numeric2d", params={
+        **NUMERIC2D, "s0": "-1/2", "r0": "-3/4"})
+    grid = GridSpec((32, 32), (2 * np.pi, 2 * np.pi), (1.0, 1.0))
+    ctx = OperatorContext(grid, second_order_op(2), QuadratureSpec())
+    h = smooth_field(grid, 5, 1, 0.7)
+    model = Model(sector, Hopf(sector.params), ctx,
+                  smooth_field(grid, 5, 0, 0.7), h, eps=EPS)
+    planted_h, x = parse("(H())", dim=2), (3, 3)
+    assert abs(model.pi_x(planted_h, x, F(1, 2))[x]) < 1e-12
+    assert abs(model.pi_x(planted_h, x, F(0))[x] - h[x]) < 1e-12
+
+
 def test_recentered_fields_are_fresh(setup):
     """Changing a returned recentered field changes no later result."""
     sector, hopf, ctx, xi, hf, _m = setup

@@ -22,11 +22,9 @@ from ..grading import p_transition, phase_points, to_invp
 from ..hopf import Hopf
 from ..renorm import IdentityMap, PreparationMap
 from ..sector import Sector
-from ..trees import (H, K, OMEGA, Tree, mi_add, mi_factorial, noise,
-                     unit)
+from ..trees import (H, K, OMEGA, Tree, mi_add, mi_factorial, mi_zero,
+                     noise, unit)
 from .grid import OperatorContext, _read_only
-
-_ZERO = Fraction(0)
 
 
 def _product(factors, sizes) -> np.ndarray:
@@ -39,6 +37,18 @@ def _product(factors, sizes) -> np.ndarray:
     for f in factors[1:]:
         out = out * f
     return out
+
+
+class _Cell:
+    """One truncation cell of a tree, or of a tree planted along a
+    label: the 1/p its values are computed at, the first one asked, and
+    whether Delta(tree) = tree (x) 1 there (None until asked)."""
+
+    __slots__ = ("invp", "trivial")
+
+    def __init__(self, invp):
+        self.invp = Fraction(invp)
+        self.trivial = None
 
 
 class Model:
@@ -58,13 +68,21 @@ class Model:
     derivatives of h, the recentered planted fields of the oracle route
     and the phased spectra), and exact or scalar values (the characters
     f_x and g_x^-1 on planted trees).
-    Each recentering value is keyed by the 1/p it depends on.  1/p
-    enters a degree only through H edges, so every truncation inside
-    an H-free tree, and with it the tree's recentering, is the same at
-    every 1/p: an H-free tree, or a planted edge other than H over an
-    H-free subtree, is computed and stored once, at 1/p = 0.  A planted
-    H edge keeps its 1/p.  A phased spectrum with Delta(sub) = sub (x) 1
-    is keyed without 1/p, since it phases ``spectrum(sub)`` at any 1/p.
+    Each recentering value is stored once per truncation cell.  1/p
+    changes the recentering of a tree only through the truncations:
+    which Taylor terms the Delta and g_x^-1 sums keep, and which planted
+    factors f_x counts as positive.  Those are read off the degrees of
+    the planted edges that carry H (no other degree involves 1/p), each
+    one only through floor(D deg) and whether D deg is an integer (D
+    the scaling's denominator, see ``Hopf``), and a negative degree
+    only through its sign.  The 1/p that agree on these for a tree, or
+    for a tree planted along a label, form its cell; the value computed
+    at the first 1/p asked in a cell serves every other 1/p in it, bit
+    for bit.  An H-free tree has one cell.
+    A phased spectrum with Delta(sub) = sub (x) 1 is keyed without 1/p,
+    since it phases ``spectrum(sub)`` at any 1/p.  The preparation map
+    must keep these cells: its terms of a tree may plant only decorated
+    branches of that tree, as R_c's terms do.
     A weighted sum or product of cached fields is formed afresh on each
     call, so ``pi_x`` and ``pi_x_hat`` return new arrays the caller may
     change.  ``interp`` and ``spectrum`` hand out their cached arrays,
@@ -92,6 +110,7 @@ class Model:
         self._axes = ctx.grid.axes()
         self._noise = noise(ctx.grid.d)
         self._unit = unit(ctx.grid.d)
+        self._zero = mi_zero(ctx.grid.d)
         self._interp = {}
         self._spec = {}
         self._ki = {}
@@ -100,6 +119,8 @@ class Model:
         self._ginv_pl = {}
         self._kf1 = {}
         self._hat2_pl = {}
+        # (lab, sub, 1/p) and (lab, sub, cell signature) -> _Cell
+        self._cells = {}
         self._i_eps = None
 
     @property
@@ -185,20 +206,49 @@ class Model:
 
     # recentering, coproduct route ---------------------------------------
 
-    def _key_invp(self, invp, sub: Tree, lab=None) -> Fraction:
-        """The 1/p that the recentering of sub, or of sub planted along
-        lab, depends on at invp: 0 when the tree is H-free, since its
-        degrees and so every truncation inside it do not involve 1/p,
-        invp itself otherwise.  invp is checked first, so a 1/p outside
-        [0, 1/2] raises on every tree."""
-        self.hopf.truncation(self.eps, invp)
-        if lab == H or sub.h_count():
-            return Fraction(invp)
-        return _ZERO
+    def _cell(self, invp, sub: Tree, lab=None) -> _Cell:
+        """The truncation cell of sub, or of sub planted along lab, that
+        holds invp; the recentering values at invp are those computed
+        and cached at the cell's 1/p.  invp is checked first, so a 1/p
+        outside [0, 1/2] raises on every call; the signature is taken
+        once per (lab, sub, invp)."""
+        tr = self.hopf.truncation(self.eps, invp)
+        key = (lab, sub, invp)
+        cell = self._cells.get(key)
+        if cell is None:
+            sig = (lab, sub, self._signature(sub, lab, tr))
+            cell = self._cells.get(sig)
+            if cell is None:
+                cell = self._cells[sig] = _Cell(invp)
+            self._cells[key] = cell
+        return cell
+
+    def _signature(self, sub: Tree, lab, tr) -> tuple:
+        """What the truncations inside sub, or inside sub planted along
+        lab, read of 1/p at tr: for every planted edge that carries H,
+        (floor(D deg), D deg integral), or None for a negative degree.
+
+        The floor fixes each set of Taylor decorations (I_{e+l} has floor
+        q - w.l for I_e's q) and with the second entry the sign tests of
+        f_x and the ties that raise GenericityError.  Below zero no
+        decoration survives and f_x vanishes, however negative the
+        degree.  A planted edge is recorded with decoration 0, which
+        fixes every decoration of it."""
+        hopf = self.hopf
+        edges = (list(sub.children) if lab is None
+                 else [(lab, self._zero, sub)])
+        sig = []
+        while edges:
+            l, e, s = edges.pop()
+            if l == H or s.h_count():
+                q, r = divmod(hopf._planted_num(l, e, s, tr), tr.m)
+                sig.append((q, not r) if q >= 0 else None)
+                edges.extend(s.children)
+        return tuple(sig)
 
     def pi_x(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via (interp x g_x^-1) o coproduct."""
-        invp = self._key_invp(invp, t)
+        invp = self._cell(invp, t).invp
         x = tuple(x)
         out = np.zeros(self.ctx.grid.sizes)
         for (sigma, forest), c in self.hopf.coproduct(t, self.eps, invp):
@@ -221,7 +271,7 @@ class Model:
         return val
 
     def _g_inv_planted(self, lab, e, sub, x, invp) -> float:
-        invp = self._key_invp(invp, sub, lab)
+        invp = self._cell(invp, sub, lab).invp
         key = (lab, tuple(e), sub, tuple(x), invp)
         out = self._ginv_pl.get(key)
         if out is None:
@@ -244,7 +294,7 @@ class Model:
         Zero unless the planted degree is positive; then the k-th
         derivative of h at x for an H edge, or the kernel of the
         recentered interpretation of the argument at x for a K edge."""
-        invp = self._key_invp(invp, sub, lab)
+        invp = self._cell(invp, sub, lab).invp
         key = (lab, tuple(k), sub, tuple(x), invp)
         out = self._f.get(key)
         if out is None:
@@ -264,21 +314,24 @@ class Model:
 
     def phased_spectrum(self, sub: Tree, x, invp):
         """The half spectrum of pi_x(sub) phased at x (see
-        ``OperatorContext.phased``), formed once per (sub, x, 1/p) and
+        ``OperatorContext.phased``), formed once per (sub, x, cell) and
         shared by the kernel reads of every derivative order at x and by
         the heat reads of ``qnorm_series``; the oracle route reads real
         fields against reflected kernels instead.
 
         When Delta(sub) = sub (x) 1, pi_x(sub) is interp(sub) bit for bit,
-        and the tree's own spectrum is phased, under a key without 1/p."""
-        invp = self._key_invp(invp, sub)
+        and the tree's own spectrum is phased, under a key without 1/p.
+        The test is made once per cell."""
+        cell = self._cell(invp, sub)
+        invp = cell.invp
+        if cell.trivial is None:
+            cell.trivial = (self.hopf.coproduct(sub, self.eps, invp).terms
+                            == {(sub, self._unit): 1})
         x = tuple(x)
-        trivial = (self.hopf.coproduct(sub, self.eps, invp).terms
-                   == {(sub, self._unit): 1})
-        key = (sub, x) if trivial else (sub, x, invp)
+        key = (sub, x) if cell.trivial else (sub, x, invp)
         out = self._kf1.get(key)
         if out is None:
-            if trivial:
+            if cell.trivial:
                 spec = self.spectrum(sub)
             else:
                 spec = self.ctx.grid.rfft(self.pi_x(sub, x, invp))
@@ -289,7 +342,7 @@ class Model:
 
     def pi_x_hat(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via the Taylor-subtraction recursion."""
-        invp = self._key_invp(invp, t)
+        invp = self._cell(invp, t).invp
         x = tuple(x)
         out = np.zeros(self.ctx.grid.sizes)
         for s, c in self.prep.apply(t):
@@ -303,7 +356,7 @@ class Model:
         return _product(factors, self.ctx.grid.sizes)
 
     def _hat_x_planted(self, lab, e, sub, x, invp) -> np.ndarray:
-        invp = self._key_invp(invp, sub, lab)
+        invp = self._cell(invp, sub, lab).invp
         key = (lab, tuple(e), sub, x, invp)
         out = self._hat2_pl.get(key)
         if out is None:

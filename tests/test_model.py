@@ -1,7 +1,9 @@
 """Recentered interpretations on the grid: dual routes, comparison
 across integrability cells, recentering characters and norms."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +20,7 @@ from ristruct.analytic.grid import (GridSpec, OperatorContext,
 from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field, white_noise
 from ristruct.config import NUMERIC2D
+from ristruct.grading import GenericityError
 from ristruct.hopf import Hopf
 from ristruct.renorm import (CounterTerms, IdentityMap, RcMap,
                              negative_basis, verify_preparation)
@@ -137,6 +140,100 @@ def test_planted_h_edge_keeps_its_p():
     planted_h, x = parse("(H())", dim=2), (3, 3)
     assert abs(model.pi_x(planted_h, x, F(1, 2))[x]) < 1e-12
     assert abs(model.pi_x(planted_h, x, F(0))[x] - h[x]) < 1e-12
+
+
+def test_h_recentering_is_shared_within_a_truncation_cell():
+    """The truncations inside an H tree read 1/p only through the H
+    edges' planted degrees, so the 1/p of one cell share one
+    recentering: the fields agree bit for bit, and after the first 1/p
+    of a cell neither route adds a cached field; a 1/p of another cell
+    does."""
+    sector = builtin_sector("pam3d")
+    grid = GridSpec((16,) * 3, (2 * np.pi,) * 3, (1.0,) * 3)
+    ctx = OperatorContext(grid, fourth_order_op(3), QuadratureSpec())
+    model = Model(sector, Hopf(sector.params), ctx,
+                  smooth_field(grid, 5, 0, 0.7),
+                  smooth_field(grid, 5, 1, 0.7), eps=EPS)
+    x = (3, 5, 7)
+
+    def cached():
+        return len(model._kf1), len(model._hat2_pl)
+    cells = {"(H() K(O()))": (F(0), F(1, 5), F(1, 2), F(21, 50),
+                              F(31, 120), F(13, 75)),
+             "(O() K(H()))": (F(1, 5), F(1, 2), F(21, 50), F(31, 120),
+                              F(13, 75))}
+    for text, cell in cells.items():
+        t = parse(text, dim=3)
+        first = model.pi_x(t, x, cell[0]), model.pi_x_hat(t, x, cell[0])
+        before = cached()
+        for invp in cell[1:]:
+            assert np.array_equal(model.pi_x(t, x, invp), first[0])
+            assert np.array_equal(model.pi_x_hat(t, x, invp), first[1])
+        assert cached() == before
+    # at p = infinity the K edge of (O() K(H())) keeps only its
+    # undifferentiated Taylor term: another cell
+    t = parse("(O() K(H()))", dim=3)
+    before = cached()
+    assert not np.array_equal(model.pi_x(t, x, F(0)), first[0])
+    model.pi_x_hat(t, x, F(0))
+    assert cached()[1] > before[1]
+
+
+def test_tie_point_is_its_own_cell():
+    """At 1/p = 19/50 the bare H planted degree is exactly 0: its floor
+    is that of 1/2 and 2/5, but the integral degree makes it a cell of
+    its own, where f_x vanishes and recentering refuses the tie."""
+    sector = builtin_sector("numeric2d", params={
+        **NUMERIC2D, "s0": "-1/2", "r0": "-3/4"})
+    grid = GridSpec((16, 16), (2 * np.pi, 2 * np.pi), (1.0, 1.0))
+    ctx = OperatorContext(grid, second_order_op(2), QuadratureSpec())
+    h = smooth_field(grid, 5, 1, 0.7)
+    hopf = Hopf(sector.params)
+    model = Model(sector, hopf, ctx, smooth_field(grid, 5, 0, 0.7), h,
+                  eps=EPS)
+    planted_h, x, zero = parse("(H())", dim=2), (3, 3), (0, 0)
+    tie = F(19, 50)
+    assert hopf.planted_degree(H, zero, unit(2), EPS, tie) == 0
+    for invp in (F(1, 2), F(2, 5)):
+        model.pi_x(planted_h, x, invp)
+        assert model.f_x(H, zero, unit(2), x, invp) == h[x]
+    assert model.f_x(H, zero, unit(2), x, tie) == 0.0
+    with pytest.raises(GenericityError):
+        model.pi_x(planted_h, x, tie)
+
+
+def test_used_model_is_freed_by_reference_counting(setup, monkeypatch):
+    """A model holds no reference cycle after every check has run on it,
+    nor do the perturbed models of the derivative check: each is freed
+    when its last reference goes, with the cyclic collector off, so a
+    sweep over many models holds the caches of one at a time."""
+    sector, hopf, ctx, xi, hf, _m = setup
+    made = weakref.WeakSet()
+    init = Model.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.add(self)
+    monkeypatch.setattr(Model, "__init__", tracked)
+    gc.disable()
+    try:
+        model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+        for t in sector.members():
+            for invp in (F(0), F(1, 5), F(1, 2)):
+                check_route_equivalence(model, t, X0, invp)
+        for t in sector.dot_basis:
+            for invp in (F(1, 20), F(1, 5)):
+                check_comparison(model, t, X0, invp)
+        for t in sector.basis_o:
+            check_derivative_identity(sector, hopf, ctx, xi, hf, t, X0,
+                                      EPS)
+        assert len(made) == 1
+        freed = weakref.ref(model)
+        del model
+        assert freed() is None
+        assert not made
+    finally:
+        gc.enable()
 
 
 def test_recentered_fields_are_fresh(setup):

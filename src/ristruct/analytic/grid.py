@@ -400,33 +400,39 @@ class OperatorContext:
         return max(1, math.ceil(math.log2(max(pmax, 1.0)))) \
             + self.quad.extra_depth
 
-    def _time_integral(self, nodes: int):
-        """int_0^1 exp(t P) dt by Gauss-Legendre over dyadic blocks."""
+    def _time_integral(self, nodes: int, P):
+        """int_0^1 exp(t P) dt by Gauss-Legendre over dyadic blocks, for
+        each entry of the symbol values P."""
         x, w = _leggauss(nodes)
         J = self._block_depth()
-        total = np.zeros(self.grid.half_shape)
+        total = np.zeros(P.shape)
         blocks = [(0.0, 2.0 ** -J)]
         blocks += [(2.0 ** (-j - 1), 2.0 ** -j) for j in range(J)]
         for a, b in blocks:
             half = 0.5 * (b - a)
             mid = 0.5 * (b + a)
             for xi, wi in zip(x, w):
-                total = total + (half * wi) * np.exp((mid + half * xi)
-                                                     * self.P)
+                total = total + (half * wi) * np.exp((mid + half * xi) * P)
         return total
 
     def time_integral(self):
-        """Cached S(lambda) = int_0^1 exp(t P(i lambda)) dt."""
+        """Cached S(lambda) = int_0^1 exp(t P(i lambda)) dt.
+
+        Each mode's value depends on P alone, which repeats heavily on
+        the lattice, so both quadratures run over the distinct values
+        of P and S is scattered back; every entry goes through the same
+        operations as a per-mode evaluation, so S is bit-equal to it."""
         if self._S is None:
-            S = self._time_integral(self.quad.nodes_per_block)
-            check = self._time_integral(self.quad.check_nodes)
+            values, where = np.unique(self.P, return_inverse=True)
+            S = self._time_integral(self.quad.nodes_per_block, values)
+            check = self._time_integral(self.quad.check_nodes, values)
             err = float(np.max(np.abs(S - check))
                         / max(1.0, float(np.max(np.abs(check)))))
             if err > self.quad.tol:
                 raise QuadratureError(
                     f"time quadrature self-check disagrees by {err:.3e}")
             self.quad_self_check = err
-            self._S = S
+            self._S = S[where.reshape(self.P.shape)]
         return self._S
 
     def kernel_multiplier(self, k):

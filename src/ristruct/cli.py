@@ -12,6 +12,7 @@ import argparse
 import cmath
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +39,24 @@ def _frac_str(x) -> str:
 
 def _parse_p(text: str) -> Fraction:
     return to_invp(INF if text in ("inf", "infinity") else Fraction(text))
+
+
+def _worst(errors):
+    """The largest check error, or None (JSON null) when one is not
+    finite: the check broke down, and ``max`` would skip a NaN that
+    follows a number and report it as passed."""
+    out = 0.0
+    for err in errors:
+        if not math.isfinite(err):
+            return None
+        out = max(out, err)
+    return out
+
+
+def _error(err):
+    """A check error for the JSON output: null when it is not finite,
+    so that the output stays strict JSON."""
+    return err if math.isfinite(err) else None
 
 
 def _load_json_or_name(spec):
@@ -328,6 +347,13 @@ def _load_cfg(args) -> dict:
     return cfg
 
 
+def _emit_verdict(args, worst, tol, results) -> int:
+    """Print a numeric check's verdict; a broken-down check fails."""
+    ok = worst is not None and worst <= tol
+    _emit(args, {"ok": ok, "max_error": worst, "results": results})
+    return 0 if ok else EXIT_VERIFY
+
+
 def cmd_model_build(args):
     from .analytic.checks import check_route_equivalence
     from .analytic.model import Model
@@ -336,8 +362,7 @@ def cmd_model_build(args):
     invp = num.invp
     model = Model(num.sector, num.hopf, num.ctx, *_noise_fields(num),
                   eps=num.eps)
-    trees = {}
-    worst = 0.0
+    trees, errors = {}, []
     for t in num.sector.members():
         per_point = {}
         for x in num.points:
@@ -345,9 +370,10 @@ def cmd_model_build(args):
             per_point[str(x)] = {
                 "min": float(f.min()), "max": float(f.max()),
                 "mean": float(f.mean())}
-            worst = max(worst, check_route_equivalence(model, t, x, invp))
+            errors.append(check_route_equivalence(model, t, x, invp))
         trees[format_tree(t)] = per_point
-    _emit(args, {"trees": trees, "route_equivalence_error": worst,
+    _emit(args, {"trees": trees,
+                 "route_equivalence_error": _worst(errors),
                  "eps": _frac_str(num.eps), "p": str(from_invp(invp))})
     return 0
 
@@ -363,17 +389,16 @@ def cmd_verify_comparison(args):
         (to_invp(p) for p in model.phase_points()), reverse=True) \
         + [Fraction(0)]
     cells = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
-    worst, results = 0.0, []
+    errors, results = [], []
     for t in num.sector.dot_basis:
         for invp in cells:
             for x in num.points:
                 err = check_comparison(model, t, x, invp)
-                worst = max(worst, err)
+                errors.append(err)
                 results.append({"tree": format_tree(t),
-                                "p": str(from_invp(invp)), "error": err})
-    doc = {"ok": worst <= num.tol, "max_error": worst, "results": results}
-    _emit(args, doc)
-    return 0 if worst <= num.tol else EXIT_VERIFY
+                                "p": str(from_invp(invp)),
+                                "error": _error(err)})
+    return _emit_verdict(args, _worst(errors), num.tol, results)
 
 
 def cmd_verify_dpidd(args):
@@ -381,15 +406,13 @@ def cmd_verify_dpidd(args):
 
     num = _numeric_setup(args, _load_cfg(args))
     xi, h = _noise_fields(num)
-    worst, results = 0.0, []
+    errors, results = [], []
     for t in num.sector.basis_o:
         err = check_derivative_identity(num.sector, num.hopf, num.ctx, xi,
                                         h, t, num.points[0], num.eps)
-        worst = max(worst, err)
-        results.append({"tree": format_tree(t), "error": err})
-    _emit(args, {"ok": worst <= num.tol, "max_error": worst,
-                 "results": results})
-    return 0 if worst <= num.tol else EXIT_VERIFY
+        errors.append(err)
+        results.append({"tree": format_tree(t), "error": _error(err)})
+    return _emit_verdict(args, _worst(errors), num.tol, results)
 
 
 def cmd_bphz_solve(args):

@@ -45,12 +45,9 @@ def _worst(errors):
     """The largest check error, or None (JSON null) when one is not
     finite: the check broke down, and ``max`` would skip a NaN that
     follows a number and report it as passed."""
-    out = 0.0
-    for err in errors:
-        if not math.isfinite(err):
-            return None
-        out = max(out, err)
-    return out
+    if all(math.isfinite(err) for err in errors):
+        return max([0.0, *errors])
+    return None
 
 
 def _error(err):

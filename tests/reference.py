@@ -9,13 +9,14 @@ independent of the code they check:
 - ``DictPreparationMap``, a preparation map given by a table;
 - ``check_recentering_consistency`` with the characters ``g_plain`` and
   ``g_recentered`` of a model;
-- the grid references ``heat_apply``, ``time_integral_reference`` and
-  ``freq_mesh``;
+- the grid references ``heat_apply``, ``time_integral_reference``,
+  ``time_integral_per_mode`` and ``freq_mesh``;
 - ``builtin_sector``, a builtin rule's sector at other generation
   bounds;
 - ``plant``, planting that vanishes on the K-leaf ideal, and
   ``lincomb``, a LinComb from (term, coefficient) pairs."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,33 @@ def time_integral_reference(ctx):
     nz = P != 0
     out[nz] = np.expm1(P[nz]) / P[nz]
     return out
+
+
+def time_integral_per_mode(ctx):
+    """The quadrature of ``OperatorContext.time_integral`` run over every
+    mode of the half spectrum, not once per distinct symbol value: S and
+    the self-check error."""
+    P = ctx.P
+    pmax = float(np.max(np.abs(P)))
+    J = max(1, math.ceil(math.log2(max(pmax, 1.0)))) + ctx.quad.extra_depth
+    blocks = [(0.0, 2.0 ** -J)]
+    blocks += [(2.0 ** (-j - 1), 2.0 ** -j) for j in range(J)]
+
+    def quadrature(nodes):
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        total = np.zeros(P.shape)
+        for a, b in blocks:
+            half = 0.5 * (b - a)
+            mid = 0.5 * (b + a)
+            for xi, wi in zip(x, w):
+                total = total + (half * wi) * np.exp((mid + half * xi) * P)
+        return total
+
+    S = quadrature(ctx.quad.nodes_per_block)
+    check = quadrature(ctx.quad.check_nodes)
+    err = float(np.max(np.abs(S - check))
+                / max(1.0, float(np.max(np.abs(check)))))
+    return S, err
 
 
 def freq_mesh(grid):

@@ -131,6 +131,42 @@ def test_model_build(capsys, small_cfg):
     assert "(O() K(O()))" in doc["trees"]
 
 
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity that json.dumps writes
+    for non-finite floats."""
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command, check", [
+    ("comparison", "check_comparison"),
+    ("dpidd", "check_derivative_identity"),
+])
+def test_verify_nan_error_fails(capsys, monkeypatch, small_cfg, command,
+                                check):
+    """max(0.0, nan) is 0.0: a check that breaks down must not read as a
+    pass."""
+    monkeypatch.setattr(f"ristruct.analytic.checks.{check}",
+                        lambda *a, **k: math.nan)
+    code, out, _err = run(capsys, "verify", command, small_cfg)
+    doc = strict_json(out)
+    assert code == EXIT_VERIFY
+    assert doc["ok"] is False
+    assert doc["max_error"] is None
+    assert doc["results"]
+    assert all(r["error"] is None for r in doc["results"])
+
+
+def test_model_build_nan_route_error(capsys, monkeypatch, small_cfg):
+    monkeypatch.setattr("ristruct.analytic.checks.check_route_equivalence",
+                        lambda *a, **k: math.nan)
+    code, out, _err = run(capsys, "model", "build", small_cfg)
+    doc = strict_json(out)
+    assert code == 0
+    assert doc["route_equivalence_error"] is None
+
+
 def test_bphz_solve(capsys, tmp_path):
     cfg = {"rule": "numeric2d", "grid": {"sizes": [32, 32]},
            "noise": {"kind": "white", "mollify": 3}, "seed": 3,

@@ -10,7 +10,8 @@ from ristruct.analytic.grid import (GridSpec, OperatorContext, OperatorSpec,
 from ristruct.analytic.noise import (generator, random_fourier_series,
                                      smooth_field, white_noise)
 
-from reference import freq_mesh, heat_apply, time_integral_reference
+from reference import (freq_mesh, heat_apply, time_integral_per_mode,
+                       time_integral_reference)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,26 @@ def test_time_integral_matches_closed_form(ctx):
     ref = time_integral_reference(ctx)
     assert np.max(np.abs(quad - ref)) < 1e-12
     assert ctx.quad_self_check < 1e-12
+
+
+@pytest.mark.parametrize("sizes, period, order", [
+    ((32, 32), (2 * np.pi, 2 * np.pi), 2),
+    ((16, 16, 16), (2 * np.pi,) * 3, 4),
+    ((64,), (2 * np.pi,), 2),       # no mirrored duplicates in 1-D
+    ((32, 64), (1.0, 3.0), 2),      # unequal periods
+])
+def test_time_integral_is_bit_equal_per_mode(sizes, period, order):
+    """The quadrature runs once per distinct symbol value; every mode
+    gets the bits of the per-mode evaluation."""
+    d = len(sizes)
+    op = second_order_op(d) if order == 2 else fourth_order_op(d)
+    ctx = OperatorContext(GridSpec(sizes, period, (1.0,) * d), op,
+                          QuadratureSpec())
+    S, err = time_integral_per_mode(ctx)
+    out = ctx.time_integral()
+    assert out.shape == S.shape
+    assert np.array_equal(out.view(np.int64), S.view(np.int64))
+    assert ctx.quad_self_check == err
 
 
 def test_quadrature_self_check_failure(grid):

@@ -22,8 +22,7 @@ from ..grading import p_transition, phase_points, to_invp
 from ..hopf import Hopf
 from ..renorm import IdentityMap, PreparationMap
 from ..sector import Sector
-from ..trees import (H, K, OMEGA, Tree, mi_add, mi_factorial, mi_zero,
-                     noise, unit)
+from ..trees import H, K, OMEGA, Tree, mi_add, mi_factorial, noise, unit
 from .grid import OperatorContext, _read_only
 
 
@@ -74,11 +73,12 @@ class Model:
     factors f_x counts as positive.  Those are read off the degrees of
     the planted edges that carry H (no other degree involves 1/p), each
     one only through floor(D deg) and whether D deg is an integer (D
-    the scaling's denominator, see ``Hopf``), and a negative degree
-    only through its sign.  The 1/p that agree on these for a tree, or
-    for a tree planted along a label, form its cell; the value computed
-    at the first 1/p asked in a cell serves every other 1/p in it, bit
-    for bit.  An H-free tree has one cell.
+    the scaling's denominator), and a negative degree only through its
+    sign; ``Hopf.cell_signature`` collects these facts.  The 1/p that
+    agree on them for a tree, or for a tree planted along a label, form
+    its cell; the value computed at the first 1/p asked in a cell
+    serves every other 1/p in it, bit for bit.  An H-free tree has one
+    cell.
     A phased spectrum with Delta(sub) = sub (x) 1 is keyed without 1/p,
     since it phases ``spectrum(sub)`` at any 1/p.  The preparation map
     must keep these cells: its terms of a tree may plant only decorated
@@ -110,7 +110,6 @@ class Model:
         self._axes = ctx.grid.axes()
         self._noise = noise(ctx.grid.d)
         self._unit = unit(ctx.grid.d)
-        self._zero = mi_zero(ctx.grid.d)
         self._interp = {}
         self._spec = {}
         self._ki = {}
@@ -216,35 +215,12 @@ class Model:
         key = (lab, sub, invp)
         cell = self._cells.get(key)
         if cell is None:
-            sig = (lab, sub, self._signature(sub, lab, tr))
+            sig = (lab, sub, self.hopf.cell_signature(sub, lab, tr))
             cell = self._cells.get(sig)
             if cell is None:
                 cell = self._cells[sig] = _Cell(invp)
             self._cells[key] = cell
         return cell
-
-    def _signature(self, sub: Tree, lab, tr) -> tuple:
-        """What the truncations inside sub, or inside sub planted along
-        lab, read of 1/p at tr: for every planted edge that carries H,
-        (floor(D deg), D deg integral), or None for a negative degree.
-
-        The floor fixes each set of Taylor decorations (I_{e+l} has floor
-        q - w.l for I_e's q) and with the second entry the sign tests of
-        f_x and the ties that raise GenericityError.  Below zero no
-        decoration survives and f_x vanishes, however negative the
-        degree.  A planted edge is recorded with decoration 0, which
-        fixes every decoration of it."""
-        hopf = self.hopf
-        edges = (list(sub.children) if lab is None
-                 else [(lab, self._zero, sub)])
-        sig = []
-        while edges:
-            l, e, s = edges.pop()
-            if l == H or s.h_count():
-                q, r = divmod(hopf._planted_num(l, e, s, tr), tr.m)
-                sig.append((q, not r) if q >= 0 else None)
-                edges.extend(s.children)
-        return tuple(sig)
 
     def pi_x(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via (interp x g_x^-1) o coproduct."""

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
+from operator import mul
 
-from .trees import Tree, mi_weight
+from .trees import Tree
 
 
 class GenericityError(ArithmeticError):
@@ -62,6 +64,14 @@ class Params:
     def abs_scaling(self) -> Fraction:
         return sum(self.scaling, Fraction(0))
 
+    @cached_property
+    def weights(self) -> tuple:
+        """(D, w): the least common denominator D of the scaling and the
+        integer weights w = D * scaling, so that |k|_s = (w . k) / D."""
+        D = lcm(*(s.denominator for s in self.scaling))
+        return D, tuple(s.numerator * (D // s.denominator)
+                        for s in self.scaling)
+
 
 @dataclass(frozen=True)
 class DegreeForm:
@@ -78,12 +88,13 @@ def degree_form(t: Tree, params: Params) -> DegreeForm:
     Summing the label forms and decorations over the tree only needs
     the label counts (``t.stats()``: every Omega and H edge adds one
     r0, every H edge one |s|/p, every K edge one beta0) and the net
-    decoration ``t.net()``, weighted once by the scaling.  Both are
-    cached on the tree and neither depends on params, so the same
+    decoration ``t.net()``, weighted once by ``params.weights``.  Both
+    are cached on the tree and neither depends on params, so the same
     cache serves every parameter set."""
     omega, edges, h = t.stats()
+    D, w = params.weights
     return DegreeForm(omega + h, edges - omega - h, h,
-                      mi_weight(t.net(), params.scaling))
+                      Fraction(sum(map(mul, w, t.net())), D))
 
 
 def degree_consts(params: Params, eps, invp) -> tuple:
@@ -95,15 +106,9 @@ def degree_consts(params: Params, eps, invp) -> tuple:
 
 
 def degree_eval(f: DegreeForm, params: Params, eps, invp) -> Fraction:
-    """The value of f at (eps, 1/p).  The integer coefficients are mostly
-    0 or 1, so a zero term is skipped and a unit one adds its constant
-    without a Fraction product; the value is the same exact rational."""
-    out = f.cConst
-    for c, v in zip((f.cR0, f.cBeta0, f.cInvP),
-                    degree_consts(params, eps, invp)):
-        if c:
-            out += v if c == 1 else c * v
-    return out
+    """The value of f at (eps, 1/p), an exact rational."""
+    r, beta0, s_invp = degree_consts(params, eps, invp)
+    return f.cR0 * r + f.cBeta0 * beta0 + f.cInvP * s_invp + f.cConst
 
 
 def degree(t: Tree, params: Params, eps, invp) -> Fraction:

@@ -19,9 +19,8 @@ from math import lcm
 
 from .grading import GenericityError, Params, degree_consts
 from .trees import (H, K, OMEGA, LinComb, Tree, X, coeff_mul, has_k_leaf,
-                    integer_weights, mi_abs, mi_add, mi_binom, mi_factorial,
-                    mi_range, mi_sub, mi_zero, plant_tree, tree_product,
-                    unit)
+                    mi_abs, mi_add, mi_binom, mi_factorial, mi_range, mi_sub,
+                    mi_zero, plant_tree, tree_product, unit, weighted_range)
 
 
 def pair_product(x: LinComb, y: LinComb) -> LinComb:
@@ -39,8 +38,9 @@ class _Truncation:
 
     The degree constants are integers over M, the least common
     denominator of r0 - eps, beta0, |s|/p and the scaling (whose own
-    denominator is D, with m = M / D): M times the degree of a tree is
-    an integer, so sign tests and decoration bounds need no Fraction.
+    denominator is D of ``Params.weights``, with m = M / D): M times the
+    degree of a tree is an integer, so sign tests and decoration bounds
+    need no Fraction.
     ``label`` maps an edge label to M times its degree form.  The memos
     of M times the degree and of Delta, Delta+ and S+ at this point are
     keyed by tree alone."""
@@ -48,7 +48,8 @@ class _Truncation:
     __slots__ = ("M", "m", "r", "beta0", "s_invp", "label", "degree",
                  "cop", "cop_plus", "antipode", "antipode_planted")
 
-    def __init__(self, params: Params, D: int, eps, invp):
+    def __init__(self, params: Params, eps, invp):
+        D = params.weights[0]
         consts = degree_consts(params, eps, invp)
         self.M = lcm(D, *(c.denominator for c in consts))
         self.m = self.M // D
@@ -62,14 +63,15 @@ class _Truncation:
 class Hopf:
     """Coproduct machinery for a fixed parameter set, with memoization.
 
-    Degrees are evaluated as integers: the scaling is held as integer
-    weights ``w`` over its common denominator D, and each (eps, 1/p)
-    gets a _Truncation with its constants and memos."""
+    Degrees are evaluated as integers: the scaling enters through the
+    integer weights ``w`` over its common denominator D
+    (``Params.weights``), and each (eps, 1/p) gets a _Truncation with
+    its constants and memos."""
 
     def __init__(self, params: Params):
         self.params = params
         self.d = params.d
-        self._D, self._w = integer_weights(params.scaling)
+        self._w = params.weights[1]
         self._truncations = {}
         self._lattices = {}
 
@@ -85,7 +87,7 @@ class Hopf:
             tr = self._truncations.get(key)
             if tr is None:
                 tr = self._truncations[key] = _Truncation(
-                    self.params, self._D, *key)
+                    self.params, *key)
         return tr
 
     def _dot(self, k) -> int:
@@ -125,13 +127,10 @@ class Hopf:
         """(l, w.l, 1/l!) for all l with w.l <= cap, in mi_range order."""
         out = self._lattices.get(cap)
         if out is None:
-            out = []
-            for l in mi_range(tuple(cap // x for x in self._w)):
-                wl = self._dot(l)
-                if wl <= cap:
-                    fact = mi_factorial(l)
-                    out.append((l, wl, Fraction(1, fact) if fact > 1 else 1))
-            self._lattices[cap] = out
+            out = self._lattices[cap] = []
+            for l, wl in weighted_range(self._w, cap):
+                fact = mi_factorial(l)
+                out.append((l, wl, Fraction(1, fact) if fact > 1 else 1))
         return out
 
     def _poly_coproduct(self, n) -> LinComb:
@@ -159,6 +158,29 @@ class Hopf:
                 raise GenericityError(
                     f"planted degree vanishes: label {lab}, k+l={mi_add(k, l)}")
             yield l, inv_fact
+
+    def cell_signature(self, sub: Tree, lab, tr: _Truncation) -> tuple:
+        """What the truncations inside sub, or inside sub planted along
+        lab, read of 1/p at tr: for every planted edge that carries H,
+        (floor(D deg), D deg integral), or None for a negative degree.
+
+        These are the facts ``_decoration_candidates`` reads: the floor
+        fixes each set of Taylor decorations (I_{e+l} has floor q - w.l
+        for I_e's q) and with the second entry the sign tests of P+ and
+        the ties that raise GenericityError.  Below zero no decoration
+        survives and the planted factor is not positive, however
+        negative the degree.  A planted edge is recorded with decoration
+        0, which fixes every decoration of it."""
+        edges = (list(sub.children) if lab is None
+                 else [(lab, mi_zero(self.d), sub)])
+        sig = []
+        while edges:
+            l, e, s = edges.pop()
+            if l == H or s.h_count():
+                q, r = divmod(self._planted_num(l, e, s, tr), tr.m)
+                sig.append((q, not r) if q >= 0 else None)
+                edges.extend(s.children)
+        return tuple(sig)
 
     # recursive coproduct ------------------------------------------------
 

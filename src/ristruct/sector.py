@@ -9,16 +9,14 @@ leaf, matching the bases the model construction iterates over."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .grading import Params, degree
 from .hopf import Hopf
-from .trees import (H, K, OMEGA, LinComb, Tree, X, dot_noise,
-                    integer_weights, mi_range, mi_zero, noise, plant_tree,
-                    unit)
+from .trees import (H, K, OMEGA, LinComb, Tree, X, dot_noise, mi_zero,
+                    noise, plant_tree, unit, weighted_range)
 
 
 def _normalize_type(entries, d: int):
@@ -61,13 +59,8 @@ class Rule:
                                  "decoration")
 
 
-def load_rule_config(path_or_dict):
-    """Read a rule file: K node types, bounds and parameters."""
-    if isinstance(path_or_dict, dict):
-        cfg = path_or_dict
-    else:
-        with open(path_or_dict) as fh:
-            cfg = json.load(fh)
+def load_rule_config(cfg: dict):
+    """Read a rule config: K node types, bounds and parameters."""
     params = Params.from_dict(cfg["params"])
     rule = Rule.from_types(params.d, [
         [(lab, tuple(k)) for lab, k in t] for t in cfg["K"]])
@@ -75,9 +68,9 @@ def load_rule_config(path_or_dict):
             int(cfg.get("maxEdges", 5)))
 
 
-def load_sector(path_or_dict) -> "Sector":
-    """The sector a rule file generates."""
-    rule, max_omega, L, params, max_edges = load_rule_config(path_or_dict)
+def load_sector(cfg: dict) -> "Sector":
+    """The sector a rule config generates."""
+    rule, max_omega, L, params, max_edges = load_rule_config(cfg)
     return generate_from_rule(rule, max_omega, L, params,
                               max_edges=max_edges)
 
@@ -117,15 +110,18 @@ class Sector:
     def __init__(self, params: Params, basis_o, poly_bound):
         self.params = params
         self._derivatives = {}
-        self.basis_o = sorted(
-            basis_o, key=lambda t: key_of(t, params) + (t._enc,))
+        self.basis_o = sorted(basis_o, key=self._order)
         self.polys = sorted(X(k) for k in self._below(Fraction(poly_bound)))
         self.basis = self.polys + self.basis_o
         self.dot_basis_by_index = [
-            sorted({s for s, _c in self.derive(tau)},
-                   key=lambda t: key_of(t, params) + (t._enc,))
+            sorted({s for s, _c in self.derive(tau)}, key=self._order)
             for tau in self.basis_o]
         self.dot_basis = self.dot_prefix(len(self.basis_o))
+
+    def _order(self, t: Tree):
+        """The sort key of the sector's tree lists: the preorder key,
+        with ties broken by the tree order."""
+        return key_of(t, self.params) + (t._enc,)
 
     def derive(self, t: Tree) -> LinComb:
         """The memoized derive(t); read-only, see the class docstring."""
@@ -148,23 +144,20 @@ class Sector:
     def dot_prefix(self, i: int):
         """The derivative trees of the first i noise trees, in order."""
         return sorted({t for group in self.dot_basis_by_index[:i]
-                       for t in group},
-                      key=lambda t: key_of(t, self.params) + (t._enc,))
+                       for t in group}, key=self._order)
 
     # generator sets -----------------------------------------------------
 
     def _below(self, bound):
         """All multi-indices k with |k|_s < bound, in mi_range order.
 
-        With w the scaling times its common denominator D and bound =
-        num / den, |k|_s < bound exactly when den * (w.k) < num * D, so
-        the test runs in integers."""
-        D, w = integer_weights(self.params.scaling)
-        den, lim = bound.denominator, bound.numerator * D
-        # the largest k_j with k_j * s_j < bound, the other entries zero
-        caps = tuple((lim - 1) // (den * x) for x in w)
-        return [k for k in mi_range(caps)
-                if den * sum(x * y for x, y in zip(w, k)) < lim]
+        With (D, w) the integer weights of ``Params.weights`` and bound =
+        num / den, |k|_s < bound exactly when the integer w.k is below
+        D * bound, that is at most ceil(D * bound) - 1 =
+        (num * D - 1) // den, so the test runs in integers."""
+        D, w = self.params.weights
+        cap = (bound.numerator * D - 1) // bound.denominator
+        return [k for k, _wk in weighted_range(w, cap)]
 
     def w_plus_generators(self, eps, invp):
         """W+ generators: the coordinates X_a, the derivative noises whose

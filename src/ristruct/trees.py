@@ -13,7 +13,7 @@ Coefficients are exact rationals (``int`` when integral, otherwise
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -37,17 +37,6 @@ def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 def mi_abs(a: MultiIndex) -> int:
     return sum(a)
 
-def mi_weight(a: MultiIndex, scaling) -> Fraction:
-    """|k|_s = sum_j s_j k_j with exact rationals, as (w . k) / D."""
-    D, w = integer_weights(scaling)
-    return Fraction(sum(map(mul, w, a)), D)
-
-def integer_weights(scaling) -> tuple:
-    """(D, w): the least common denominator D of the scaling and the
-    integer weights w = D * scaling, so that |k|_s = (w . k) / D."""
-    D = lcm(*(s.denominator for s in scaling))
-    return D, tuple(s.numerator * (D // s.denominator) for s in scaling)
-
 def mi_factorial(a: MultiIndex) -> int:
     out = 1
     for x in a:
@@ -68,6 +57,14 @@ def mi_range(bound: MultiIndex) -> Iterator[MultiIndex]:
     for tail in mi_range(rest):
         for x in range(head + 1):
             yield (x,) + tail
+
+def weighted_range(w: tuple, cap: int) -> Iterator[tuple]:
+    """(l, w.l) for all multi-indices l with w.l <= cap, in mi_range
+    order, for positive integer weights w; nothing when cap < 0."""
+    for l in mi_range(tuple(cap // x for x in w)):
+        wl = sum(map(mul, w, l))
+        if wl <= cap:
+            yield l, wl
 
 
 class Tree:

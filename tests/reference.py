@@ -13,6 +13,8 @@ independent of the code they check:
   ``time_integral_per_mode`` and ``freq_mesh``;
 - ``builtin_sector``, a builtin rule's sector at other generation
   bounds;
+- ``mi_weight``, the scaled weight |k|_s in Fractions, the brute force
+  that ``Params.weights`` and ``weighted_range`` are compared against;
 - ``plant``, planting that vanishes on the K-leaf ideal, and
   ``lincomb``, a LinComb from (term, coefficient) pairs."""
 
@@ -47,6 +49,11 @@ def lincomb(terms) -> LinComb:
     for t, c in terms:
         out.add(t, c)
     return out
+
+
+def mi_weight(k, scaling) -> Fraction:
+    """|k|_s = sum_j s_j k_j, summed in exact rationals."""
+    return sum((Fraction(s) * x for s, x in zip(scaling, k)), Fraction(0))
 
 
 def builtin_sector(name: str, **bounds):

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from ristruct.cli import main
+from ristruct.config import builtin_rule_config
 from ristruct.hopf import Hopf
 from ristruct.trees import format_tree
 
@@ -106,4 +107,57 @@ def test_golden_cli_stdout(argv, digest, capsys, tmp_path, monkeypatch):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of four commands on the builtin rules with an
+# anisotropic scaling, whose weights have common denominator D = 2,
+# recorded with the code of commit d7db144, before the truncation
+# arithmetic moved to Params.weights and one weighted lattice walk.  At
+# eps = 0 and p = 5 the scaled pam3d rule has a tie (the planted degree
+# of (H()) along K is 1 = |(1,0,0)|_s), so its coproduct exits 1 with
+# the message on stderr and prints nothing.
+ANISOTROPIC = {"numeric2d": ["1", "1/2"], "pam3d": ["1", "1", "1/2"]}
+RULE_FILE = "rule.json"
+GOLDEN_ANISOTROPIC = [
+    ("numeric2d", ("sector", "gen", RULE_FILE), 0,
+     "ea74b356a18cd6c1af755a1be528f0de269395316790c7ccd289176d4b6d0336"),
+    ("numeric2d", ("phase", RULE_FILE), 0,
+     "4be62104df032a121721ca240943b105cc90d8366d4a27172cc5cbfa9b8d0a32"),
+    ("numeric2d", ("verify", "hopf", RULE_FILE, "--eps", "1/100", "--p", "5"),
+     0, "80a05d2beed2e295d5ca8d864704ad01860334821415d450698081f3f52e591b"),
+    ("numeric2d", ("coproduct", "(O() K(H()))", "--eps", "0", "--p", "5",
+                   "--rule", RULE_FILE), 0,
+     "7c17cecdb2d6d078c598b19d148338d451214497a58b68df386cefa87b8691f1"),
+    ("pam3d", ("sector", "gen", RULE_FILE), 0,
+     "26e6a361e0685edb5b809084891b995a1fb1d760c66bc776e9e1b346ab237286"),
+    ("pam3d", ("phase", RULE_FILE), 0,
+     "37a623a3621ea6e3ba5955dbddb825497b35149493fa730c3d451296b6a36cde"),
+    ("pam3d", ("verify", "hopf", RULE_FILE, "--eps", "1/100", "--p", "5"),
+     0, "80a05d2beed2e295d5ca8d864704ad01860334821415d450698081f3f52e591b"),
+    ("pam3d", ("coproduct", "(O() K(H()))", "--eps", "0", "--p", "5",
+               "--rule", RULE_FILE), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+ANISOTROPIC_STDERR = {
+    ("pam3d", "coproduct"):
+        '{"error": "planted degree vanishes: label K, k+l=(1, 0, 0)"}\n'}
+
+
+@pytest.mark.parametrize(
+    "name,argv,code,digest", GOLDEN_ANISOTROPIC,
+    ids=[f"{n} {a[0]}" for n, a, _c, _d in GOLDEN_ANISOTROPIC])
+def test_golden_cli_stdout_anisotropic(name, argv, code, digest, capsys,
+                                       tmp_path, monkeypatch):
+    """The builtin rule with its scaling replaced and the bounds set to
+    maxEdges 5, maxOmega 4."""
+    monkeypatch.chdir(tmp_path)
+    cfg = builtin_rule_config(name)
+    cfg["params"] = dict(cfg["params"], scaling=ANISOTROPIC[name])
+    cfg.update(maxEdges=5, maxOmega=4)
+    (tmp_path / RULE_FILE).write_text(json.dumps(cfg))
+    got = main(list(argv))
+    captured = capsys.readouterr()
+    assert (got, captured.err) == (
+        code, ANISOTROPIC_STDERR.get((name, argv[0]), ""))
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -11,6 +11,8 @@ from ristruct.grading import (DegreeForm, GenericityError, INF, Params,
                               phase_sets, to_invp)
 from ristruct.trees import X, dot_noise, noise, parse, plant_tree
 
+from reference import mi_weight
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -47,6 +49,16 @@ def test_worked_example_degree():
 def test_polynomial_degree_is_weight():
     p = Params.from_dict(NUMERIC2D)
     assert degree(X((2, 1)), p, F(1, 3), F(1, 2)) == 3
+
+
+def test_weights_match_the_scaling():
+    """Params.weights is (D, D * scaling) with D the least common
+    denominator, and a polynomial degree is the Fraction weight |k|_s."""
+    p = Params.from_dict(dict(PAM3D, scaling=("2/3", "1", "1/6")))
+    assert p.weights == (6, (4, 6, 1))
+    assert Params.from_dict(PAM3D).weights == (1, (1, 1, 1))
+    for k in ((0, 0, 0), (1, 0, 0), (2, 1, 5), (0, 3, 1)):
+        assert degree(X(k), p, F(1, 3), F(1, 2)) == mi_weight(k, p.scaling)
 
 
 def test_to_from_invp():

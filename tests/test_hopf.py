@@ -1,16 +1,19 @@
 """Coproducts, Delta+, the antipode and their identities."""
 
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ristruct.config import PAM3D
 from ristruct.grading import GenericityError, Params, degree
 from ristruct.hopf import Hopf, pair_product
-from ristruct.trees import (OMEGA, Tree, X, dot_noise, format_tree, noise,
-                            parse, plant_tree, unit)
+from ristruct.trees import (OMEGA, Tree, X, dot_noise, format_tree, mi_zero,
+                            noise, parse, plant_tree, unit)
 
 from reference import builtin_sector, lincomb
+from test_trees import trees
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +224,44 @@ def test_two_sided_checks_see_a_dropped_term(monkeypatch):
     monkeypatch.setattr(h, "_coproduct", lossy)
     assert not h.comodule_check(t, eps, invp)
     assert not h.coassociativity_plus_check(g, eps, invp)
+
+
+@cache
+def _pam3d_hopf(scaling):
+    return Hopf(Params.from_dict(dict(PAM3D, scaling=scaling)))
+
+
+# the pam3d parameters under scalings with common denominator D = 1, 2, 3
+_SCALINGS = (("1", "1", "1"), ("1", "1", "1/2"), ("2/3", "1", "1/3"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees(d=3, max_n=1, max_depth=2), st.sampled_from(_SCALINGS),
+       st.integers(1, 40), st.integers(0, 50))
+def test_hopf_identities_on_random_trees(t, scaling, e, q):
+    """The four identities of verify hopf on a random decorated tree t at
+    a generic (eps, 1/p): the oracle and the comodule identity on t, and
+    Delta+ coassociativity and the antipode convolution on each planted
+    factor of t of positive degree.  The latter two run factor by
+    factor: the convolution of a product is the product of the
+    convolutions, so a factor whose convolution is 0 would hide a wrong
+    antipode on the others.
+
+    A tree whose Delta has more than 128 terms is skipped: the comodule
+    check grows with the square of that count, and decorations (1,1,1)
+    on three nodes alone give 512 terms."""
+    h = _pam3d_hopf(scaling)
+    eps, invp = F(e, 401), F(q, 101)
+    planted = [Tree(mi_zero(3), (c,)) for c in t.children]
+    try:
+        cop = h.coproduct(t, eps, invp)
+        assume(len(cop) <= 128)
+        checks = [cop == h.coproduct_graphical(t, eps, invp),
+                  h.comodule_check(t, eps, invp)]
+        for g in planted:
+            if degree(g, h.params, eps, invp) > 0:
+                checks += [h.coassociativity_plus_check(g, eps, invp),
+                           h.convolution_check(g, eps, invp)]
+    except GenericityError:
+        assume(False)
+    assert all(checks)

@@ -12,10 +12,10 @@ from ristruct.hopf import Hopf
 from ristruct.sector import (Rule, Sector, check_differentiable,
                              check_triangular, derive, epsilon0,
                              generate_from_rule, key_of, load_rule_config)
-from ristruct.trees import (OMEGA, Tree, X, format_tree, mi_range,
-                            mi_weight, noise, parse, plant_tree, unit)
+from ristruct.trees import (OMEGA, Tree, X, format_tree, mi_range, noise,
+                            parse, plant_tree, unit)
 
-from reference import builtin_sector
+from reference import builtin_sector, mi_weight
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Canonical trees, parsing, products and the ideal quotient."""
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, strategies as st
 from ristruct.trees import (H, K, OMEGA, LinComb, ParseError, Tree, X,
                             canonicalize, dot_noise, format_tree,
                             has_k_leaf, mi_add, mi_binom, mi_factorial,
-                            mi_range, mi_weight, noise, parse, plant_tree,
-                            tree_product, unit)
+                            mi_range, noise, parse, plant_tree,
+                            tree_product, unit, weighted_range)
 from ristruct.trees import _LABEL_RANK
 
 from reference import plant
@@ -131,15 +132,16 @@ def test_format_canonical_roundtrip():
 
 
 @st.composite
-def trees(draw, depth=0):
-    d = 2
-    n = tuple(draw(st.integers(0, 2)) for _ in range(d))
+def trees(draw, depth=0, d=2, max_n=2, max_depth=3):
+    """Canonical trees in dimension d with node decorations up to max_n,
+    edge decorations in {0, 1} and at most max_depth edges on a path."""
+    n = tuple(draw(st.integers(0, max_n)) for _ in range(d))
     children = []
-    if depth < 3:
+    if depth < max_depth:
         for _ in range(draw(st.integers(0, 2))):
             lab = draw(st.sampled_from([OMEGA, H, K]))
             e = tuple(draw(st.integers(0, 1)) for _ in range(d))
-            sub = draw(trees(depth=depth + 1))
+            sub = draw(trees(depth + 1, d, max_n, max_depth))
             if lab == K and sub.is_poly():
                 continue
             children.append((lab, e, sub))
@@ -252,11 +254,24 @@ def test_plantings_and_polynomials_are_canonical(t, lab):
 
 
 def test_mi_helpers():
-    assert mi_weight((2, 1), (Fraction(1), Fraction(2))) == 4
+    assert list(weighted_range((1, 2), 2)) == [
+        ((0, 0), 0), ((1, 0), 1), ((2, 0), 2), ((0, 1), 2)]
     assert mi_factorial((3, 2)) == 12
     assert mi_binom((3, 2), (1, 1)) == 6
     assert mi_binom((1, 0), (2, 0)) == 0
     assert sorted(mi_range((1, 1))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.integers(-2, 7))
+def test_weighted_range_is_the_filtered_box(w, cap):
+    """Every l with w.l <= cap, the cap itself included, with its weight,
+    in mi_range order (the last entry varies slowest)."""
+    box = product(range(max(cap, 0) + 1), repeat=len(w))
+    expected = sorted(((l, sum(map(mul, w, l))) for l in box
+                       if sum(map(mul, w, l)) <= cap),
+                      key=lambda pair: pair[0][::-1])
+    assert list(weighted_range(tuple(w), cap)) == expected
 
 
 _TERMS = (unit(2), noise(2), X((1, 0)), (noise(2), unit(2)))

@@ -66,9 +66,11 @@ class Model:
     transform (``interp``, ``spectrum``, the kernel fields, the
     derivatives of h, the recentered planted fields of the oracle route
     and the phased spectra), and exact or scalar values (the characters
-    f_x and g_x^-1 on planted trees).
-    Each recentering value is stored once per truncation cell.  1/p
-    changes the recentering of a tree only through the truncations:
+    f_x and g_x^-1 on planted trees, and the 1/p at which ``lambda_x``
+    evaluates each planted tree).
+    Each recentering value is stored once per truncation cell, under a
+    key that holds the cell object itself, which hashes by identity.
+    1/p changes the recentering of a tree only through the truncations:
     which Taylor terms the Delta and g_x^-1 sums keep, and which planted
     factors f_x counts as positive.  Those are read off the degrees of
     the planted edges that carry H (no other degree involves 1/p), each
@@ -79,15 +81,18 @@ class Model:
     its cell; the value computed at the first 1/p asked in a cell
     serves every other 1/p in it, bit for bit.  An H-free tree has one
     cell.
-    A phased spectrum with Delta(sub) = sub (x) 1 is keyed without 1/p,
-    since it phases ``spectrum(sub)`` at any 1/p.  The preparation map
-    must keep these cells: its terms of a tree may plant only decorated
-    branches of that tree, as R_c's terms do.
-    A weighted sum or product of cached fields is formed afresh on each
-    call, so ``pi_x`` and ``pi_x_hat`` return new arrays the caller may
-    change.  ``interp`` and ``spectrum`` hand out their cached arrays,
-    which are read-only: a write into one raises ValueError instead of
-    changing every later result built from it."""
+    A phased spectrum with Delta(sub) = sub (x) 1 is keyed without a
+    cell, since it phases ``spectrum(sub)`` at any 1/p.  The preparation
+    map must keep these cells: its terms of a tree may plant only
+    decorated branches of that tree, as R_c's terms do.
+    ``pi_x`` and ``pi_x_hat`` each remember one field: the last one they
+    formed, with its tree, base point and cell.  A request with the same
+    three, at any 1/p of that cell, gets a copy of it; any other request
+    forms its weighted sum or product of cached fields afresh and takes
+    the slot.  Both return new arrays the caller may change.
+    ``interp`` and ``spectrum`` hand out their cached arrays, which are
+    read-only: a write into one raises ValueError instead of changing
+    every later result built from it."""
 
     def __init__(self, sector: Sector, hopf: Hopf, ctx: OperatorContext,
                  xi: np.ndarray | None = None, h: np.ndarray | None = None,
@@ -120,6 +125,10 @@ class Model:
         self._hat2_pl = {}
         # (lab, sub, 1/p) and (lab, sub, cell signature) -> _Cell
         self._cells = {}
+        # the last (tree, x, cell) asked of each route and its field
+        self._pi_x_last = self._pi_x_hat_last = (None, None)
+        # planted tree -> the 1/p at which lambda_x evaluates it
+        self._lambda_invp = {}
         self._i_eps = None
 
     @property
@@ -224,14 +233,19 @@ class Model:
 
     def pi_x(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via (interp x g_x^-1) o coproduct."""
-        invp = self._cell(invp, t).invp
+        cell = self._cell(invp, t)
         x = tuple(x)
-        out = np.zeros(self.ctx.grid.sizes)
-        for (sigma, forest), c in self.hopf.coproduct(t, self.eps, invp):
-            g = self.g_inv(forest, x, invp)
-            if g:
-                out += (float(c) * g) * self.interp(sigma)
-        return out
+        key = (t, x, cell)
+        last_key, out = self._pi_x_last
+        if last_key != key:
+            invp = cell.invp
+            out = np.zeros(self.ctx.grid.sizes)
+            for (sigma, forest), c in self.hopf.coproduct(t, self.eps, invp):
+                g = self.g_inv(forest, x, invp)
+                if g:
+                    out += (float(c) * g) * self.interp(sigma)
+            self._pi_x_last = key, out
+        return out.copy()
 
     def g_inv(self, forest: Tree, x, invp) -> float:
         """The inverse character g_x^-1 on a forest."""
@@ -247,10 +261,11 @@ class Model:
         return val
 
     def _g_inv_planted(self, lab, e, sub, x, invp) -> float:
-        invp = self._cell(invp, sub, lab).invp
-        key = (lab, tuple(e), sub, tuple(x), invp)
+        cell = self._cell(invp, sub, lab)
+        key = (lab, tuple(e), sub, tuple(x), cell)
         out = self._ginv_pl.get(key)
         if out is None:
+            invp = cell.invp
             xc = self.base_coord(x)
             out = 0.0
             for l, _c in self.hopf._decoration_candidates(
@@ -270,10 +285,11 @@ class Model:
         Zero unless the planted degree is positive; then the k-th
         derivative of h at x for an H edge, or the kernel of the
         recentered interpretation of the argument at x for a K edge."""
-        invp = self._cell(invp, sub, lab).invp
-        key = (lab, tuple(k), sub, tuple(x), invp)
+        cell = self._cell(invp, sub, lab)
+        key = (lab, tuple(k), sub, tuple(x), cell)
         out = self._f.get(key)
         if out is None:
+            invp = cell.invp
             tr = self.hopf.truncation(self.eps, invp)
             if self.hopf._planted_num(lab, k, sub, tr) <= 0:
                 out = 0.0
@@ -296,7 +312,7 @@ class Model:
         fields against reflected kernels instead.
 
         When Delta(sub) = sub (x) 1, pi_x(sub) is interp(sub) bit for bit,
-        and the tree's own spectrum is phased, under a key without 1/p.
+        and the tree's own spectrum is phased, under a key without a cell.
         The test is made once per cell."""
         cell = self._cell(invp, sub)
         invp = cell.invp
@@ -304,7 +320,7 @@ class Model:
             cell.trivial = (self.hopf.coproduct(sub, self.eps, invp).terms
                             == {(sub, self._unit): 1})
         x = tuple(x)
-        key = (sub, x) if cell.trivial else (sub, x, invp)
+        key = (sub, x) if cell.trivial else (sub, x, cell)
         out = self._kf1.get(key)
         if out is None:
             if cell.trivial:
@@ -318,12 +334,16 @@ class Model:
 
     def pi_x_hat(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via the Taylor-subtraction recursion."""
-        invp = self._cell(invp, t).invp
+        cell = self._cell(invp, t)
         x = tuple(x)
-        out = np.zeros(self.ctx.grid.sizes)
-        for s, c in self.prep.apply(t):
-            out += float(c) * self._hat_x(s, x, invp)
-        return out
+        key = (t, x, cell)
+        last_key, out = self._pi_x_hat_last
+        if last_key != key:
+            out = np.zeros(self.ctx.grid.sizes)
+            for s, c in self.prep.apply(t):
+                out += float(c) * self._hat_x(s, x, cell.invp)
+            self._pi_x_hat_last = key, out
+        return out.copy()
 
     def _hat_x(self, t: Tree, x, invp) -> np.ndarray:
         factors = [self.poly_field(t.n, x)] if any(t.n) else []
@@ -332,10 +352,11 @@ class Model:
         return _product(factors, self.ctx.grid.sizes)
 
     def _hat_x_planted(self, lab, e, sub, x, invp) -> np.ndarray:
-        invp = self._cell(invp, sub, lab).invp
-        key = (lab, tuple(e), sub, x, invp)
+        cell = self._cell(invp, sub, lab)
+        key = (lab, tuple(e), sub, x, cell)
         out = self._hat2_pl.get(key)
         if out is None:
+            invp = cell.invp
             if lab == OMEGA:
                 base = self.xi
 
@@ -384,9 +405,12 @@ class Model:
         r_2 = hopf.degree_num(mu, hopf.truncation(self.eps, Fraction(1, 2)))
         if not (r_p <= 0 < r_2):
             return 0.0
-        p_mu = p_transition(mu, self.params, self.eps)
-        lower = [q for q in self.phase_points() if q < p_mu]
-        q = max([Fraction(2)] + lower)
-        invp_cell = (to_invp(p_mu) + to_invp(q)) / 2
+        invp_cell = self._lambda_invp.get(mu)
+        if invp_cell is None:
+            p_mu = p_transition(mu, self.params, self.eps)
+            lower = [q for q in self.phase_points() if q < p_mu]
+            q = max([Fraction(2)] + lower)
+            invp_cell = self._lambda_invp[mu] = \
+                (to_invp(p_mu) + to_invp(q)) / 2
         (lab, k, sub), = mu.children
         return self.f_x(lab, k, sub, x, invp_cell)

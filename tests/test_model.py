@@ -17,6 +17,7 @@ from ristruct.analytic.checks import (check_comparison,
 from ristruct.analytic.grid import (GridSpec, OperatorContext,
                                     QuadratureSpec, fourth_order_op,
                                     second_order_op)
+from ristruct.analytic import model as model_module
 from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field, white_noise
 from ristruct.config import NUMERIC2D
@@ -247,6 +248,85 @@ def test_recentered_fields_are_fresh(setup):
         first = f.copy()
         f[...] = 0
         assert np.array_equal(route(t, X0, F(1, 10)), first)
+
+
+def test_repeated_request_matches_a_cold_model(setup):
+    """A repeated recentering request, also at another 1/p of the same
+    cell, is served from the remembered field, and equals the field of
+    a cold model bit for bit."""
+    sector, hopf, ctx, xi, hf, _m = setup
+    model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+    t = parse("(O() K(H()))", dim=2)
+    a, b = F(1, 10), F(1, 9)
+    assert model._cell(a, t) is model._cell(b, t)
+    for route, slot in ((model.pi_x, "_pi_x_last"),
+                        (model.pi_x_hat, "_pi_x_hat_last")):
+        first = route(t, X0, a)
+        kept = getattr(model, slot)
+        again = [route(t, X0, a), route(t, X0, b)]
+        assert getattr(model, slot) is kept
+        for invp, got in zip((a, a, b), [first] + again):
+            cold = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+            assert np.array_equal(got, getattr(cold, route.__name__)(
+                t, X0, invp))
+        assert all(f is not kept[1] for f in [first] + again)
+
+
+def test_each_route_remembers_one_field(setup):
+    """Over a sweep of trees, points and 1/p, each route holds at most
+    one field it formed: the one in its slot."""
+    sector, hopf, ctx, xi, hf, _m = setup
+    model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+    formed = {"_pi_x_last": [], "_pi_x_hat_last": []}
+    for x in (X0, Y0):
+        for t in sector.members():
+            for invp in (F(0), F(1, 5), F(1, 2)):
+                for route, slot in ((model.pi_x, "_pi_x_last"),
+                                    (model.pi_x_hat, "_pi_x_hat_last")):
+                    route(t, x, invp)
+                    formed[slot].append(weakref.ref(getattr(model, slot)[1]))
+    for slot, refs in formed.items():
+        alive = {id(r()) for r in refs if r() is not None}
+        assert alive == {id(getattr(model, slot)[1])}
+
+
+def test_comparison_sweep_order_is_free(setup):
+    """The comparison checks over the integrability cells give the same
+    errors, bit for bit, swept forward and in reverse on fresh models."""
+    sector, hopf, ctx, xi, hf, model = setup
+    bounds = [F(1, 2)] + sorted((1 / F(p) for p in model.phase_points()),
+                                reverse=True) + [F(0)]
+    cells = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+    sweeps = []
+    for order in (cells, cells[::-1]):
+        fresh = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+        sweeps.append({(t, invp): check_comparison(fresh, t, X0, invp)
+                       for t in sector.dot_basis for invp in order})
+    assert sweeps[0] == sweeps[1]
+
+
+def test_comparison_exponent_is_found_once_per_planted_tree(setup,
+                                                            monkeypatch):
+    """lambda_x finds the evaluation 1/p of a planted tree once per
+    model, however many cells and base points ask for it."""
+    sector, hopf, ctx, xi, hf, model = setup
+    calls = []
+    original = model_module.p_transition
+
+    def counted(mu, *a):
+        calls.append(mu)
+        return original(mu, *a)
+    monkeypatch.setattr(model_module, "p_transition", counted)
+    bounds = [F(1, 2)] + sorted((1 / F(p) for p in model.phase_points()),
+                                reverse=True) + [F(0)]
+    cells = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+    fresh = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+    for x in (X0, Y0):
+        for t in sector.dot_basis:
+            for invp in cells:
+                check_comparison(fresh, t, x, invp)
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def test_cached_fields_are_read_only(setup):

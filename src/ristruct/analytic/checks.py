@@ -12,9 +12,14 @@ from .model import Model
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Max deviation relative to the larger field magnitude."""
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
-    return float(np.max(np.abs(a - b))) / scale
+    """Max deviation relative to the larger field magnitude.
+
+    max|a| is read as max(max a, -min a), so a - b is the only array
+    formed; its absolute value is taken in place."""
+    scale = max(float(max(a.max(), -a.min())),
+                float(max(b.max(), -b.min())), 1e-300)
+    diff = a - b
+    return float(np.abs(diff, out=diff).max()) / scale
 
 
 def check_route_equivalence(model: Model, t: Tree, x, invp) -> float:
@@ -33,7 +38,9 @@ def check_comparison(model: Model, t: Tree, x, invp) -> float:
         if forest.is_planted():
             lam = model.lambda_x(forest, x, invp)
             if lam:
-                rhs = rhs + (float(c) * lam) * model.pi_x(sigma, x, invp)
+                term = model.pi_x(sigma, x, invp)
+                term *= float(c) * lam
+                rhs += term
     return relative_error(lhs, rhs)
 
 
@@ -80,10 +87,14 @@ def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
             continue
         pert = base if j == 0 else Model(sector, hopf, ctx,
                                          xi + float(j) * h, eps=eps)
-        lhs = lhs + float(w) * pert.pi_x(t, x, 0)
+        term = pert.pi_x(t, x, 0)
+        term *= float(w)
+        lhs += term
     rhs = np.zeros(ctx.grid.sizes)
     for s, c in sector.derive(t):
-        rhs = rhs + float(c) * base.pi_x(s, x, 0)
+        term = base.pi_x(s, x, 0)
+        term *= float(c)
+        rhs += term
     return relative_error(lhs, rhs)
 
 

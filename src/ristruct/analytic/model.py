@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..grading import p_transition, phase_points, to_invp
-from ..hopf import Hopf
+from ..hopf import Hopf, _Truncation
 from ..renorm import IdentityMap, PreparationMap
 from ..sector import Sector
 from ..trees import H, K, OMEGA, Tree, mi_add, mi_factorial, noise, unit
@@ -29,24 +29,28 @@ from .grid import OperatorContext, _read_only
 def _product(factors, sizes) -> np.ndarray:
     """The pointwise product of the fields, left to right; all ones when
     there are none.  A leading all-ones factor would change no bit, so
-    callers leave it out."""
+    callers leave it out.  A single factor is returned as it is, so the
+    result may be a cached array."""
     if not factors:
         return np.ones(sizes)
     out = factors[0]
-    for f in factors[1:]:
-        out = out * f
+    if len(factors) > 1:
+        out = out * factors[1]
+        for f in factors[2:]:
+            out *= f
     return out
 
 
 class _Cell:
     """One truncation cell of a tree, or of a tree planted along a
-    label: the 1/p its values are computed at, the first one asked, and
-    whether Delta(tree) = tree (x) 1 there (None until asked)."""
+    label: the _Truncation its values are computed at, that of the
+    first 1/p asked, and whether Delta(tree) = tree (x) 1 there (None
+    until asked)."""
 
-    __slots__ = ("invp", "trivial")
+    __slots__ = ("tr", "trivial")
 
-    def __init__(self, invp):
-        self.invp = Fraction(invp)
+    def __init__(self, tr: _Truncation):
+        self.tr = tr
         self.trivial = None
 
 
@@ -66,8 +70,8 @@ class Model:
     transform (``interp``, ``spectrum``, the kernel fields, the
     derivatives of h, the recentered planted fields of the oracle route
     and the phased spectra), and exact or scalar values (the characters
-    f_x and g_x^-1 on planted trees, and the 1/p at which ``lambda_x``
-    evaluates each planted tree).
+    f_x and g_x^-1 on planted trees, and the truncation at which
+    ``lambda_x`` evaluates each planted tree).
     Each recentering value is stored once per truncation cell, under a
     key that holds the cell object itself, which hashes by identity.
     1/p changes the recentering of a tree only through the truncations:
@@ -81,6 +85,11 @@ class Model:
     its cell; the value computed at the first 1/p asked in a cell
     serves every other 1/p in it, bit for bit.  An H-free tree has one
     cell.
+    Each cell carries the ``Hopf`` truncation of that first 1/p.  A
+    public method looks its 1/p up once (``Hopf.truncation``); the
+    recursion below it hands the cell's truncation down in place of
+    1/p, and the cells are found under (label, tree, truncation), which
+    hashes no Fraction.
     A phased spectrum with Delta(sub) = sub (x) 1 is keyed without a
     cell, since it phases ``spectrum(sub)`` at any 1/p.  The preparation
     map must keep these cells: its terms of a tree may plant only
@@ -92,7 +101,9 @@ class Model:
     the slot.  Both return new arrays the caller may change.
     ``interp`` and ``spectrum`` hand out their cached arrays, which are
     read-only: a write into one raises ValueError instead of changing
-    every later result built from it."""
+    every later result built from it.  The model itself never writes
+    into a cached array: its sums add each weighted term through one
+    scratch buffer, and a one-factor product is the cached factor."""
 
     def __init__(self, sector: Sector, hopf: Hopf, ctx: OperatorContext,
                  xi: np.ndarray | None = None, h: np.ndarray | None = None,
@@ -123,12 +134,13 @@ class Model:
         self._ginv_pl = {}
         self._kf1 = {}
         self._hat2_pl = {}
-        # (lab, sub, 1/p) and (lab, sub, cell signature) -> _Cell
+        # (lab, sub, _Truncation) and (lab, sub, cell signature) -> _Cell
         self._cells = {}
         # the last (tree, x, cell) asked of each route and its field
         self._pi_x_last = self._pi_x_hat_last = (None, None)
-        # planted tree -> the 1/p at which lambda_x evaluates it
-        self._lambda_invp = {}
+        # planted tree -> the _Truncation at which lambda_x evaluates it,
+        # None when its degree at p = 2 is not positive
+        self._lambda_tr = {}
         self._i_eps = None
 
     @property
@@ -214,20 +226,27 @@ class Model:
 
     # recentering, coproduct route ---------------------------------------
 
+    def _truncation(self, invp) -> _Truncation:
+        """The _Truncation at 1/p; one handed down the recursion is used
+        as it is, so that 1/p is looked up once per outside call."""
+        if isinstance(invp, _Truncation):
+            return invp
+        return self.hopf.truncation(self.eps, invp)
+
     def _cell(self, invp, sub: Tree, lab=None) -> _Cell:
         """The truncation cell of sub, or of sub planted along lab, that
-        holds invp; the recentering values at invp are those computed
-        and cached at the cell's 1/p.  invp is checked first, so a 1/p
+        holds invp (a 1/p or a _Truncation); the recentering values there
+        are those computed and cached at the cell's truncation.  A 1/p
         outside [0, 1/2] raises on every call; the signature is taken
-        once per (lab, sub, invp)."""
-        tr = self.hopf.truncation(self.eps, invp)
-        key = (lab, sub, invp)
+        once per (lab, sub, truncation)."""
+        tr = self._truncation(invp)
+        key = (lab, sub, tr)
         cell = self._cells.get(key)
         if cell is None:
             sig = (lab, sub, self.hopf.cell_signature(sub, lab, tr))
             cell = self._cells.get(sig)
             if cell is None:
-                cell = self._cells[sig] = _Cell(invp)
+                cell = self._cells[sig] = _Cell(tr)
             self._cells[key] = cell
         return cell
 
@@ -238,44 +257,51 @@ class Model:
         key = (t, x, cell)
         last_key, out = self._pi_x_last
         if last_key != key:
-            invp = cell.invp
-            out = np.zeros(self.ctx.grid.sizes)
-            for (sigma, forest), c in self.hopf.coproduct(t, self.eps, invp):
-                g = self.g_inv(forest, x, invp)
+            tr = cell.tr
+            # the weights first: g_inv may recurse into pi_x, and no
+            # field of this call is held meanwhile
+            weights = []
+            for (sigma, forest), c in self.hopf._coproduct(t, tr):
+                g = self.g_inv(forest, x, tr)
                 if g:
-                    out += (float(c) * g) * self.interp(sigma)
+                    weights.append((sigma, float(c) * g))
+            out = np.zeros(self.ctx.grid.sizes)
+            term = np.empty_like(out)
+            for sigma, w in weights:
+                np.multiply(self.interp(sigma), w, out=term)
+                out += term
             self._pi_x_last = key, out
         return out.copy()
 
     def g_inv(self, forest: Tree, x, invp) -> float:
         """The inverse character g_x^-1 on a forest."""
+        tr = self._truncation(invp)
         xc = self.base_coord(x)
         val = 1.0
         for j, nj in enumerate(forest.n):
             if nj:
                 val *= (-xc[j]) ** nj
         for lab, e, sub in forest.children:
-            val *= self._g_inv_planted(lab, e, sub, x, invp)
+            val *= self._g_inv_planted(lab, e, sub, x, tr)
             if not val:
                 return 0.0
         return val
 
-    def _g_inv_planted(self, lab, e, sub, x, invp) -> float:
-        cell = self._cell(invp, sub, lab)
+    def _g_inv_planted(self, lab, e, sub, x, tr) -> float:
+        cell = self._cell(tr, sub, lab)
         key = (lab, tuple(e), sub, tuple(x), cell)
         out = self._ginv_pl.get(key)
         if out is None:
-            invp = cell.invp
+            tr = cell.tr
             xc = self.base_coord(x)
             out = 0.0
-            for l, _c in self.hopf._decoration_candidates(
-                    lab, e, sub, self.hopf.truncation(self.eps, invp)):
+            for l, _c in self.hopf._decoration_candidates(lab, e, sub, tr):
                 w = 1.0
                 for j, lj in enumerate(l):
                     if lj:
                         w *= (-xc[j]) ** lj
                 out -= (w / mi_factorial(l)) * self.f_x(
-                    lab, mi_add(e, l), sub, x, invp)
+                    lab, mi_add(e, l), sub, x, tr)
             self._ginv_pl[key] = out
         return out
 
@@ -289,15 +315,14 @@ class Model:
         key = (lab, tuple(k), sub, tuple(x), cell)
         out = self._f.get(key)
         if out is None:
-            invp = cell.invp
-            tr = self.hopf.truncation(self.eps, invp)
+            tr = cell.tr
             if self.hopf._planted_num(lab, k, sub, tr) <= 0:
                 out = 0.0
             elif lab == H:
                 out = self.at(self._dhfield(k), x)
             elif lab == K:
                 out = self.ctx.phased_point(
-                    self.phased_spectrum(sub, x, invp),
+                    self.phased_spectrum(sub, x, tr),
                     *self.ctx.kernel_parts(k))
             else:
                 raise ValueError("noise edges have negative degree")
@@ -315,9 +340,9 @@ class Model:
         and the tree's own spectrum is phased, under a key without a cell.
         The test is made once per cell."""
         cell = self._cell(invp, sub)
-        invp = cell.invp
+        tr = cell.tr
         if cell.trivial is None:
-            cell.trivial = (self.hopf.coproduct(sub, self.eps, invp).terms
+            cell.trivial = (self.hopf._coproduct(sub, tr).terms
                             == {(sub, self._unit): 1})
         x = tuple(x)
         key = (sub, x) if cell.trivial else (sub, x, cell)
@@ -326,7 +351,7 @@ class Model:
             if cell.trivial:
                 spec = self.spectrum(sub)
             else:
-                spec = self.ctx.grid.rfft(self.pi_x(sub, x, invp))
+                spec = self.ctx.grid.rfft(self.pi_x(sub, x, tr))
             out = self._kf1[key] = self.ctx.phased(spec, x)
         return out
 
@@ -339,24 +364,29 @@ class Model:
         key = (t, x, cell)
         last_key, out = self._pi_x_hat_last
         if last_key != key:
+            # the fields first, as in pi_x
+            fields = [(self._hat_x(s, x, cell.tr), float(c))
+                      for s, c in self.prep.apply(t)]
             out = np.zeros(self.ctx.grid.sizes)
-            for s, c in self.prep.apply(t):
-                out += float(c) * self._hat_x(s, x, cell.invp)
+            term = np.empty_like(out)
+            for field, c in fields:
+                np.multiply(field, c, out=term)
+                out += term
             self._pi_x_hat_last = key, out
         return out.copy()
 
-    def _hat_x(self, t: Tree, x, invp) -> np.ndarray:
+    def _hat_x(self, t: Tree, x, tr) -> np.ndarray:
         factors = [self.poly_field(t.n, x)] if any(t.n) else []
-        factors += [self._hat_x_planted(lab, e, sub, x, invp)
+        factors += [self._hat_x_planted(lab, e, sub, x, tr)
                     for lab, e, sub in t.children]
         return _product(factors, self.ctx.grid.sizes)
 
-    def _hat_x_planted(self, lab, e, sub, x, invp) -> np.ndarray:
-        cell = self._cell(invp, sub, lab)
+    def _hat_x_planted(self, lab, e, sub, x, tr) -> np.ndarray:
+        cell = self._cell(tr, sub, lab)
         key = (lab, tuple(e), sub, x, cell)
         out = self._hat2_pl.get(key)
         if out is None:
-            invp = cell.invp
+            tr = cell.tr
             if lab == OMEGA:
                 base = self.xi
 
@@ -368,14 +398,13 @@ class Model:
                 def point(k):
                     return self.at(self._dhfield(k), x)
             else:
-                src = self.pi_x_hat(sub, x, invp)
+                src = self.pi_x_hat(sub, x, tr)
                 base = self.ctx.kernel_apply(src, e)
 
                 def point(k):
                     return self.ctx.kernel_point(src, k, x)
             out = base
-            for l, _c in self.hopf._decoration_candidates(
-                    lab, e, sub, self.hopf.truncation(self.eps, invp)):
+            for l, _c in self.hopf._decoration_candidates(lab, e, sub, tr):
                 out = out - (self.poly_field(l, x) / mi_factorial(l)) \
                     * point(mi_add(e, l))
             self._hat2_pl[key] = out
@@ -401,16 +430,23 @@ class Model:
         if not mu.is_planted():
             return 0.0
         hopf = self.hopf
-        r_p = hopf.degree_num(mu, hopf.truncation(self.eps, invp))
-        r_2 = hopf.degree_num(mu, hopf.truncation(self.eps, Fraction(1, 2)))
-        if not (r_p <= 0 < r_2):
+        if hopf.degree_num(mu, hopf.truncation(self.eps, invp)) > 0:
             return 0.0
-        invp_cell = self._lambda_invp.get(mu)
-        if invp_cell is None:
-            p_mu = p_transition(mu, self.params, self.eps)
-            lower = [q for q in self.phase_points() if q < p_mu]
-            q = max([Fraction(2)] + lower)
-            invp_cell = self._lambda_invp[mu] = \
-                (to_invp(p_mu) + to_invp(q)) / 2
+        if mu not in self._lambda_tr:
+            self._lambda_tr[mu] = self._lambda_truncation(mu)
+        tr = self._lambda_tr[mu]
+        if tr is None:
+            return 0.0
         (lab, k, sub), = mu.children
-        return self.f_x(lab, k, sub, x, invp_cell)
+        return self.f_x(lab, k, sub, x, tr)
+
+    def _lambda_truncation(self, mu: Tree):
+        """The _Truncation at which lambda_x evaluates mu, or None when
+        mu's degree is not positive at p = 2."""
+        hopf = self.hopf
+        if hopf.degree_num(mu, hopf.truncation(self.eps, Fraction(1, 2))) <= 0:
+            return None
+        p_mu = p_transition(mu, self.params, self.eps)
+        lower = [q for q in self.phase_points() if q < p_mu]
+        q = max([Fraction(2)] + lower)
+        return hopf.truncation(self.eps, (to_invp(p_mu) + to_invp(q)) / 2)

@@ -9,6 +9,9 @@ independent of the code they check:
 - ``DictPreparationMap``, a preparation map given by a table;
 - ``check_recentering_consistency`` with the characters ``g_plain`` and
   ``g_recentered`` of a model;
+- ``relative_error_reference``, ``pi_x_reference`` and
+  ``check_comparison_reference``, the relative error, the coproduct
+  route and the comparison check summed with a new array per term;
 - the grid references ``heat_apply``, ``time_integral_reference``,
   ``time_integral_per_mode`` and ``freq_mesh``;
 - ``builtin_sector``, a builtin rule's sector at other generation
@@ -137,6 +140,40 @@ def check_recentering_consistency(model, t: Tree, x, y, invp) -> float:
         if g:
             rhs = rhs + (float(c) * g) * model.pi_x(sigma, y, invp)
     return relative_error(lhs, rhs)
+
+
+# sums with a new array per term -----------------------------------------
+
+def relative_error_reference(a, b) -> float:
+    """Max deviation relative to the larger field magnitude, formed from
+    the absolute values of a, b and a - b."""
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) / scale
+
+
+def pi_x_reference(model, t: Tree, x, invp) -> np.ndarray:
+    """pi_x(t) as the sum over the public coproduct at 1/p of
+    g_x^-1(forest) interp(sigma)."""
+    out = np.zeros(model.ctx.grid.sizes)
+    for (sigma, forest), c in model.hopf.coproduct(t, model.eps, invp):
+        g = model.g_inv(forest, x, invp)
+        if g:
+            out += (float(c) * g) * model.interp(sigma)
+    return out
+
+
+def check_comparison_reference(model, t: Tree, x, invp) -> float:
+    """``check_comparison``, each comparison term added as a new array."""
+    invp = Fraction(invp)
+    half = Fraction(1, 2)
+    lhs = model.pi_x(t, x, invp)
+    rhs = model.pi_x(t, x, half)
+    for (sigma, forest), c in model.hopf.coproduct(t, model.eps, half):
+        if forest.is_planted():
+            lam = model.lambda_x(forest, x, invp)
+            if lam:
+                rhs = rhs + (float(c) * lam) * model.pi_x(sigma, x, invp)
+    return relative_error_reference(lhs, rhs)
 
 
 # grid references ----------------------------------------------------------

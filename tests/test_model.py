@@ -2,6 +2,7 @@
 across integrability cells, recentering characters and norms."""
 
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction as F
@@ -29,8 +30,10 @@ from ristruct.sector import _derive
 from ristruct.trees import H, K, LinComb, X, noise, parse, unit
 
 from reference import (DictPreparationMap, Renormalizer, builtin_sector,
+                       check_comparison_reference,
                        check_recentering_consistency, freq_mesh,
-                       g_recentered)
+                       g_recentered, pi_x_reference,
+                       relative_error_reference)
 
 EPS = F(1, 100)
 
@@ -654,3 +657,87 @@ def test_qnorm_series_matches_full_inverse(setup):
             expect = (max(vals) if p is None
                       else np.mean([v ** p for v in vals]) ** (1.0 / p))
             assert abs(norm - expect) <= 1e-12 * expect
+
+
+# sums through one buffer against a new array per term ---------------------
+
+def _pam3d_model():
+    """The pam3d model on a 16^3 grid with smooth noise and h."""
+    sector = builtin_sector("pam3d")
+    grid = GridSpec((16,) * 3, (2 * np.pi,) * 3, (1.0,) * 3)
+    ctx = OperatorContext(grid, fourth_order_op(3), QuadratureSpec())
+    return sector, Model(sector, Hopf(sector.params), ctx,
+                         smooth_field(grid, 5, 0, 0.7),
+                         smooth_field(grid, 5, 1, 0.7), eps=EPS)
+
+
+def test_relative_error_matches_the_reference_bit_for_bit():
+    """relative_error reads max|a| as max(max a, -min a) and forms only
+    a - b; it gives the value of the formula over |a|, |b| and |a - b|
+    bit for bit: on random 32^3 fields, on equal fields (+0.0, also from
+    -0.0 - 0.0), on zero fields (the 1e-300 floor) and with NaN or an
+    infinity in either field."""
+    rng = np.random.default_rng(3)
+    shape = (32, 32, 32)
+    zero = np.zeros(shape)
+    cases, equal = [], [(zero, zero.copy()), (zero, -zero), (-zero, zero)]
+    for scale in (1e-3, 1.0, 1e3):
+        a = scale * rng.standard_normal(shape)
+        cases += [(a, a + 1e-9 * rng.standard_normal(shape)),
+                  (a, rng.standard_normal(shape)), (a, zero), (zero, a)]
+        equal.append((a, a.copy()))
+    broken = []
+    for bad in (np.nan, np.inf, -np.inf):
+        odd = a.copy()
+        odd[1, 2, 3] = bad
+        broken += [(odd, a), (a, odd), (odd, odd.copy())]
+    with np.errstate(invalid="ignore"):
+        for u, v in cases + equal + broken:
+            assert relative_error(u, v).hex() \
+                == relative_error_reference(u, v).hex()
+        assert all(math.isnan(relative_error(u, v)) for u, v in broken)
+    assert {relative_error(u, v).hex() for u, v in equal} == {"0x0.0p+0"}
+    assert relative_error(zero, a) == relative_error(a, zero) == 1.0
+
+
+def test_sums_match_the_new_array_per_term_references():
+    """pi_x and check_comparison add their terms through one buffer; on
+    the pam3d 16^3 smooth model they equal the sums that form a new
+    array per term, bit for bit, over the members, 1/p in {0, 1/5, 1/2}
+    and two base points; 1/5 and 21/50 are asked second in the cells of
+    some trees, whose values are computed at the first 1/p."""
+    sector, model = _pam3d_model()
+    for x in ((3, 5, 7), (12, 0, 9)):
+        for invp in (F(0), F(1, 5), F(1, 2), F(21, 50)):
+            for t in sector.members():
+                assert model.pi_x(t, x, invp).tobytes() \
+                    == pi_x_reference(model, t, x, invp).tobytes()
+                assert check_comparison(model, t, x, invp).hex() \
+                    == check_comparison_reference(model, t, x, invp).hex()
+    hopf = model.hopf
+    seconds = [(parse("(H() K(O()))", dim=3), F(1, 5), F(0)),
+               (parse("(O() K(H()))", dim=3), F(21, 50), F(1, 2))]
+    for t, second, first in seconds:
+        assert model._cell(second, t).tr is hopf.truncation(EPS, first)
+
+
+def test_one_truncation_lookup_per_recentering_call(monkeypatch):
+    """pi_x and pi_x_hat look their 1/p up once per call, on a cold model
+    and a warm one: the recursion below them hands the truncation down."""
+    sector, model = _pam3d_model()
+    members = sector.members()
+    calls = []
+    original = Hopf.truncation
+
+    def counted(self, eps, invp):
+        calls.append(invp)
+        return original(self, eps, invp)
+    monkeypatch.setattr(Hopf, "truncation", counted)
+    for _sweep in ("cold", "warm"):
+        for x in ((3, 5, 7), (12, 0, 9)):
+            for t in members:
+                for invp in (F(0), F(1, 5), F(1, 2)):
+                    for route in (model.pi_x, model.pi_x_hat):
+                        calls.clear()
+                        route(t, x, invp)
+                        assert calls == [invp]

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..grading import INF, integrability
 from ..trees import Tree
-from .model import Model
+from .model import Model, weighted_sum
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -33,15 +33,15 @@ def check_comparison(model: Model, t: Tree, x, invp) -> float:
     invp = Fraction(invp)
     half = Fraction(1, 2)
     lhs = model.pi_x(t, x, invp)
-    rhs = model.pi_x(t, x, half)
-    for (sigma, forest), c in model.hopf.coproduct(t, model.eps, half):
-        if forest.is_planted():
-            lam = model.lambda_x(forest, x, invp)
-            if lam:
-                term = model.pi_x(sigma, x, invp)
-                term *= float(c) * lam
-                rhs += term
-    return relative_error(lhs, rhs)
+
+    def rhs():  # lazy: listing the terms first faults in a field per call
+        yield model.pi_x(t, x, half), 1.0
+        for (sigma, forest), c in model.hopf.coproduct(t, model.eps, half):
+            if forest.is_planted():
+                lam = model.lambda_x(forest, x, invp)
+                if lam:
+                    yield model.pi_x(sigma, x, invp), float(c) * lam
+    return relative_error(lhs, weighted_sum(rhs(), model.ctx.grid.sizes))
 
 
 def _derivative_weights(nodes):
@@ -81,20 +81,15 @@ def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
     nodes = list(range(-m, deg - m + 1))
     weights = _derivative_weights(nodes)
     base = Model(sector, hopf, ctx, xi, h=h, eps=eps)
-    lhs = np.zeros(ctx.grid.sizes)
-    for j, w in zip(nodes, weights):
-        if w == 0:
-            continue
-        pert = base if j == 0 else Model(sector, hopf, ctx,
+
+    def perturbed(j):
+        return base if j == 0 else Model(sector, hopf, ctx,
                                          xi + float(j) * h, eps=eps)
-        term = pert.pi_x(t, x, 0)
-        term *= float(w)
-        lhs += term
-    rhs = np.zeros(ctx.grid.sizes)
-    for s, c in sector.derive(t):
-        term = base.pi_x(s, x, 0)
-        term *= float(c)
-        rhs += term
+    lhs = weighted_sum(((perturbed(j).pi_x(t, x, 0), float(w))
+                        for j, w in zip(nodes, weights) if w),
+                       ctx.grid.sizes)
+    rhs = weighted_sum(((base.pi_x(s, x, 0), float(c))
+                        for s, c in sector.derive(t)), ctx.grid.sizes)
     return relative_error(lhs, rhs)
 
 

@@ -41,6 +41,18 @@ def _product(factors, sizes) -> np.ndarray:
     return out
 
 
+def weighted_sum(terms, sizes) -> np.ndarray:
+    """The read-only sum of w f over the (field, weight) pairs, which may
+    be given lazily.  Each term is scaled into one scratch buffer and
+    added, so no field is written."""
+    out = np.zeros(sizes)
+    term = np.empty_like(out)
+    for f, w in terms:
+        np.multiply(f, w, out=term)
+        out += term
+    return _read_only(out)
+
+
 class _Cell:
     """One truncation cell of a tree, or of a tree planted along a
     label: the _Truncation its values are computed at, that of the
@@ -96,14 +108,14 @@ class Model:
     decorated branches of that tree, as R_c's terms do.
     ``pi_x`` and ``pi_x_hat`` each remember one field: the last one they
     formed, with its tree, base point and cell.  A request with the same
-    three, at any 1/p of that cell, gets a copy of it; any other request
-    forms its weighted sum or product of cached fields afresh and takes
-    the slot.  Both return new arrays the caller may change.
-    ``interp`` and ``spectrum`` hand out their cached arrays, which are
-    read-only: a write into one raises ValueError instead of changing
-    every later result built from it.  The model itself never writes
-    into a cached array: its sums add each weighted term through one
-    scratch buffer, and a one-factor product is the cached factor."""
+    three, at any 1/p of that cell, gets that field itself; any other
+    request forms its weighted sum of cached fields afresh and takes the
+    slot.
+    Every array the model forms and hands out is read-only, and the
+    model never writes into one, nor into the caller's ``xi``, ``h`` or
+    ``xi_hat``: a write raises ValueError instead of changing every later
+    result built from it.  Its sums go through ``weighted_sum``, and a
+    one-factor product is the cached factor."""
 
     def __init__(self, sector: Sector, hopf: Hopf, ctx: OperatorContext,
                  xi: np.ndarray | None = None, h: np.ndarray | None = None,
@@ -121,7 +133,7 @@ class Model:
         self.prep = prep if prep is not None else IdentityMap()
         self._xi = None if xi is None else np.asarray(xi, dtype=float)
         self._xi_hat = xi_hat
-        self.h = (np.zeros(ctx.grid.sizes) if h is None
+        self.h = (_read_only(np.zeros(ctx.grid.sizes)) if h is None
                   else np.asarray(h, dtype=float))
         self._axes = ctx.grid.axes()
         self._noise = noise(ctx.grid.d)
@@ -147,7 +159,7 @@ class Model:
     def xi(self) -> np.ndarray:
         """The noise field (built from ``xi_hat`` on first use)."""
         if self._xi is None:
-            self._xi = self.ctx.grid.irfft(self._xi_hat)
+            self._xi = _read_only(self.ctx.grid.irfft(self._xi_hat))
         return self._xi
 
     # geometry -----------------------------------------------------------
@@ -164,7 +176,7 @@ class Model:
             if kj:
                 c = self.ctx.coords()[j]
                 out = out * (c - xc[j] if xc else c) ** kj
-        return out
+        return _read_only(out)
 
     @staticmethod
     def at(field, x) -> float:
@@ -184,10 +196,9 @@ class Model:
         """The (renormalized) interpretation of a sector tree."""
         out = self._interp.get(t)
         if out is None:
-            out = np.zeros(self.ctx.grid.sizes)
-            for s, c in self.prep.apply(t):
-                out += float(c) * self._interp_hat(s)
-            self._interp[t] = out = _read_only(out)
+            out = self._interp[t] = weighted_sum(
+                [(self._interp_hat(s), float(c))
+                 for s, c in self.prep.apply(t)], self.ctx.grid.sizes)
         return out
 
     def spectrum(self, t: Tree) -> np.ndarray:
@@ -265,13 +276,10 @@ class Model:
                 g = self.g_inv(forest, x, tr)
                 if g:
                     weights.append((sigma, float(c) * g))
-            out = np.zeros(self.ctx.grid.sizes)
-            term = np.empty_like(out)
-            for sigma, w in weights:
-                np.multiply(self.interp(sigma), w, out=term)
-                out += term
+            out = weighted_sum(((self.interp(sigma), w)
+                                for sigma, w in weights), self.ctx.grid.sizes)
             self._pi_x_last = key, out
-        return out.copy()
+        return out
 
     def g_inv(self, forest: Tree, x, invp) -> float:
         """The inverse character g_x^-1 on a forest."""
@@ -365,15 +373,11 @@ class Model:
         last_key, out = self._pi_x_hat_last
         if last_key != key:
             # the fields first, as in pi_x
-            fields = [(self._hat_x(s, x, cell.tr), float(c))
-                      for s, c in self.prep.apply(t)]
-            out = np.zeros(self.ctx.grid.sizes)
-            term = np.empty_like(out)
-            for field, c in fields:
-                np.multiply(field, c, out=term)
-                out += term
+            out = weighted_sum([(self._hat_x(s, x, cell.tr), float(c))
+                                for s, c in self.prep.apply(t)],
+                               self.ctx.grid.sizes)
             self._pi_x_hat_last = key, out
-        return out.copy()
+        return out
 
     def _hat_x(self, t: Tree, x, tr) -> np.ndarray:
         factors = [self.poly_field(t.n, x)] if any(t.n) else []

@@ -9,9 +9,11 @@ independent of the code they check:
 - ``DictPreparationMap``, a preparation map given by a table;
 - ``check_recentering_consistency`` with the characters ``g_plain`` and
   ``g_recentered`` of a model;
-- ``relative_error_reference``, ``pi_x_reference`` and
-  ``check_comparison_reference``, the relative error, the coproduct
-  route and the comparison check summed with a new array per term;
+- ``relative_error_reference``, ``pi_x_reference``,
+  ``check_comparison_reference`` and
+  ``check_derivative_identity_reference``, the relative error, the
+  coproduct route, the comparison check and the derivative check summed
+  with a new array per term;
 - the grid references ``heat_apply``, ``time_integral_reference``,
   ``time_integral_per_mode`` and ``freq_mesh``;
 - ``builtin_sector``, a builtin rule's sector at other generation
@@ -26,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ristruct.analytic.checks import relative_error
+from ristruct.analytic.checks import _derivative_weights, relative_error
+from ristruct.analytic.model import Model
 from ristruct.config import builtin_rule_config
 from ristruct.renorm import PreparationMap
 from ristruct.sector import load_sector
@@ -173,6 +176,31 @@ def check_comparison_reference(model, t: Tree, x, invp) -> float:
             lam = model.lambda_x(forest, x, invp)
             if lam:
                 rhs = rhs + (float(c) * lam) * model.pi_x(sigma, x, invp)
+    return relative_error_reference(lhs, rhs)
+
+
+def check_derivative_identity_reference(sector, hopf, ctx, xi, h, t: Tree,
+                                        x, eps) -> float:
+    """``check_derivative_identity``, each term a new array scaled in
+    place and added."""
+    deg = t.omega_count()
+    m = deg // 2
+    nodes = list(range(-m, deg - m + 1))
+    base = Model(sector, hopf, ctx, xi, h=h, eps=eps)
+    lhs = np.zeros(ctx.grid.sizes)
+    for j, w in zip(nodes, _derivative_weights(nodes)):
+        if w == 0:
+            continue
+        pert = base if j == 0 else Model(sector, hopf, ctx,
+                                         xi + float(j) * h, eps=eps)
+        term = pert.pi_x(t, x, 0).copy()
+        term *= float(w)
+        lhs += term
+    rhs = np.zeros(ctx.grid.sizes)
+    for s, c in sector.derive(t):
+        term = base.pi_x(s, x, 0).copy()
+        term *= float(c)
+        rhs += term
     return relative_error_reference(lhs, rhs)
 
 

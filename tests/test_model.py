@@ -31,6 +31,7 @@ from ristruct.trees import H, K, LinComb, X, noise, parse, unit
 
 from reference import (DictPreparationMap, Renormalizer, builtin_sector,
                        check_comparison_reference,
+                       check_derivative_identity_reference,
                        check_recentering_consistency, freq_mesh,
                        g_recentered, pi_x_reference,
                        relative_error_reference)
@@ -241,22 +242,10 @@ def test_used_model_is_freed_by_reference_counting(setup, monkeypatch):
         gc.enable()
 
 
-def test_recentered_fields_are_fresh(setup):
-    """Changing a returned recentered field changes no later result."""
-    sector, hopf, ctx, xi, hf, _m = setup
-    model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
-    t = parse("(O() K(H()))", dim=2)
-    for route in (model.pi_x, model.pi_x_hat):
-        f = route(t, X0, F(1, 10))
-        first = f.copy()
-        f[...] = 0
-        assert np.array_equal(route(t, X0, F(1, 10)), first)
-
-
 def test_repeated_request_matches_a_cold_model(setup):
     """A repeated recentering request, also at another 1/p of the same
-    cell, is served from the remembered field, and equals the field of
-    a cold model bit for bit."""
+    cell, is served the remembered field itself, which equals the field
+    of a cold model bit for bit."""
     sector, hopf, ctx, xi, hf, _m = setup
     model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
     t = parse("(O() K(H()))", dim=2)
@@ -272,7 +261,7 @@ def test_repeated_request_matches_a_cold_model(setup):
             cold = Model(sector, hopf, ctx, xi, hf, eps=EPS)
             assert np.array_equal(got, getattr(cold, route.__name__)(
                 t, X0, invp))
-        assert all(f is not kept[1] for f in [first] + again)
+        assert all(f is kept[1] for f in [first] + again)
 
 
 def test_each_route_remembers_one_field(setup):
@@ -333,15 +322,22 @@ def test_comparison_exponent_is_found_once_per_planted_tree(setup,
 
 
 def test_cached_fields_are_read_only(setup):
-    """interp and spectrum hand out their cached arrays read-only, so a
-    write raises instead of changing later results; the caller's noise
-    spectrum stays writable."""
+    """interp, spectrum, pi_x and pi_x_hat hand out their cached or
+    remembered arrays read-only, so a write raises instead of changing
+    later results; the caller's noise spectrum stays writable."""
     sector, hopf, ctx, xi, hf, _m = setup
     xi_hat = ctx.grid.rfft(xi)
     t = parse("(O() K(O()))", dim=2)
+    th = parse("(O() K(H()))", dim=2)
     for model in (Model(sector, hopf, ctx, xi, hf, eps=EPS),
                   Model(sector, hopf, ctx, h=hf, eps=EPS, xi_hat=xi_hat)):
         before = model.pi_x(t, X0, 0)
+        for route in (model.pi_x, model.pi_x_hat):
+            field = route(th, X0, F(1, 10))
+            first = field.copy()
+            with pytest.raises(ValueError):
+                field[...] = 0
+            assert np.array_equal(route(th, X0, F(1, 10)), first)
         for cached in (model.interp(t), model.spectrum(t),
                        model.interp(noise(2)), model.spectrum(noise(2))):
             with pytest.raises(ValueError):
@@ -719,6 +715,19 @@ def test_sums_match_the_new_array_per_term_references():
                (parse("(O() K(H()))", dim=3), F(21, 50), F(1, 2))]
     for t, second, first in seconds:
         assert model._cell(second, t).tr is hopf.truncation(EPS, first)
+
+
+def test_derivative_check_matches_the_new_array_per_term_reference():
+    """check_derivative_identity sums through weighted_sum; on the pam3d
+    16^3 smooth model it equals the sums that scale a new array per term,
+    bit for bit, over the basis trees at two base points."""
+    sector, model = _pam3d_model()
+    for x in ((3, 5, 7), (12, 0, 9)):
+        for t in sector.basis_o:
+            args = (sector, model.hopf, model.ctx, model.xi, model.h, t, x,
+                    EPS)
+            assert check_derivative_identity(*args).hex() \
+                == check_derivative_identity_reference(*args).hex()
 
 
 def test_one_truncation_lookup_per_recentering_call(monkeypatch):

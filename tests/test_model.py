@@ -242,6 +242,25 @@ def test_used_model_is_freed_by_reference_counting(setup, monkeypatch):
         gc.enable()
 
 
+def test_recentered_fields_are_fresh(setup):
+    """Changing a returned recentered field changes no later result:
+    pi_x and pi_x_hat hand out their remembered field read-only, so a
+    write raises, and a writable copy of it may be changed freely."""
+    sector, hopf, ctx, xi, hf, _m = setup
+    t = parse("(O() K(H()))", dim=2)
+    for model in (Model(sector, hopf, ctx, xi, hf, eps=EPS),
+                  Model(sector, hopf, ctx, h=hf, eps=EPS,
+                        xi_hat=ctx.grid.rfft(xi))):
+        for route in (model.pi_x, model.pi_x_hat):
+            f = route(t, X0, F(1, 10))
+            first = f.copy()
+            with pytest.raises(ValueError):
+                f[...] = 0
+            mine = np.array(f)
+            mine[...] = 0
+            assert np.array_equal(route(t, X0, F(1, 10)), first)
+
+
 def test_repeated_request_matches_a_cold_model(setup):
     """A repeated recentering request, also at another 1/p of the same
     cell, is served the remembered field itself, which equals the field
@@ -322,22 +341,15 @@ def test_comparison_exponent_is_found_once_per_planted_tree(setup,
 
 
 def test_cached_fields_are_read_only(setup):
-    """interp, spectrum, pi_x and pi_x_hat hand out their cached or
-    remembered arrays read-only, so a write raises instead of changing
-    later results; the caller's noise spectrum stays writable."""
+    """interp and spectrum hand out their cached arrays read-only, so a
+    write raises instead of changing later results; the caller's noise
+    spectrum stays writable."""
     sector, hopf, ctx, xi, hf, _m = setup
     xi_hat = ctx.grid.rfft(xi)
     t = parse("(O() K(O()))", dim=2)
-    th = parse("(O() K(H()))", dim=2)
     for model in (Model(sector, hopf, ctx, xi, hf, eps=EPS),
                   Model(sector, hopf, ctx, h=hf, eps=EPS, xi_hat=xi_hat)):
         before = model.pi_x(t, X0, 0)
-        for route in (model.pi_x, model.pi_x_hat):
-            field = route(th, X0, F(1, 10))
-            first = field.copy()
-            with pytest.raises(ValueError):
-                field[...] = 0
-            assert np.array_equal(route(th, X0, F(1, 10)), first)
         for cached in (model.interp(t), model.spectrum(t),
                        model.interp(noise(2)), model.spectrum(noise(2))):
             with pytest.raises(ValueError):

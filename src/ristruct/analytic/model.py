@@ -53,19 +53,6 @@ def weighted_sum(terms, sizes) -> np.ndarray:
     return _read_only(out)
 
 
-class _Cell:
-    """One truncation cell of a tree, or of a tree planted along a
-    label: the _Truncation its values are computed at, that of the
-    first 1/p asked, and whether Delta(tree) = tree (x) 1 there (None
-    until asked)."""
-
-    __slots__ = ("tr", "trivial")
-
-    def __init__(self, tr: _Truncation):
-        self.tr = tr
-        self.trivial = None
-
-
 class Model:
     """Interpretation of a sector on a grid, with recentering caches.
 
@@ -84,28 +71,14 @@ class Model:
     and the phased spectra), and exact or scalar values (the characters
     f_x and g_x^-1 on planted trees, and the truncation at which
     ``lambda_x`` evaluates each planted tree).
-    Each recentering value is stored once per truncation cell, under a
-    key that holds the cell object itself, which hashes by identity.
-    1/p changes the recentering of a tree only through the truncations:
-    which Taylor terms the Delta and g_x^-1 sums keep, and which planted
-    factors f_x counts as positive.  Those are read off the degrees of
-    the planted edges that carry H (no other degree involves 1/p), each
-    one only through floor(D deg) and whether D deg is an integer (D
-    the scaling's denominator), and a negative degree only through its
-    sign; ``Hopf.cell_signature`` collects these facts.  The 1/p that
-    agree on them for a tree, or for a tree planted along a label, form
-    its cell; the value computed at the first 1/p asked in a cell
-    serves every other 1/p in it, bit for bit.  An H-free tree has one
-    cell.
-    Each cell carries the ``Hopf`` truncation of that first 1/p.  A
-    public method looks its 1/p up once (``Hopf.truncation``); the
+    Each recentering value is computed once per truncation cell of its
+    tree, or of its tree planted along a label, at the truncation that
+    stands for the cell (``Hopf.cell``), and is keyed by that
+    truncation; every model on one ``Hopf`` shares its cells.  A public
+    method looks its 1/p up once (``Hopf.truncation``), and the
     recursion below it hands the cell's truncation down in place of
-    1/p, and the cells are found under (label, tree, truncation), which
-    hashes no Fraction.
-    A phased spectrum with Delta(sub) = sub (x) 1 is keyed without a
-    cell, since it phases ``spectrum(sub)`` at any 1/p.  The preparation
-    map must keep these cells: its terms of a tree may plant only
-    decorated branches of that tree, as R_c's terms do.
+    1/p.  The preparation map must keep these cells: its terms of a tree
+    may plant only decorated branches of that tree, as R_c's terms do.
     ``pi_x`` and ``pi_x_hat`` each remember one field: the last one they
     formed, with its tree, base point and cell.  A request with the same
     three, at any 1/p of that cell, gets that field itself; any other
@@ -146,8 +119,6 @@ class Model:
         self._ginv_pl = {}
         self._kf1 = {}
         self._hat2_pl = {}
-        # (lab, sub, _Truncation) and (lab, sub, cell signature) -> _Cell
-        self._cells = {}
         # the last (tree, x, cell) asked of each route and its field
         self._pi_x_last = self._pi_x_hat_last = (None, None)
         # planted tree -> the _Truncation at which lambda_x evaluates it,
@@ -244,31 +215,18 @@ class Model:
             return invp
         return self.hopf.truncation(self.eps, invp)
 
-    def _cell(self, invp, sub: Tree, lab=None) -> _Cell:
-        """The truncation cell of sub, or of sub planted along lab, that
-        holds invp (a 1/p or a _Truncation); the recentering values there
-        are those computed and cached at the cell's truncation.  A 1/p
-        outside [0, 1/2] raises on every call; the signature is taken
-        once per (lab, sub, truncation)."""
-        tr = self._truncation(invp)
-        key = (lab, sub, tr)
-        cell = self._cells.get(key)
-        if cell is None:
-            sig = (lab, sub, self.hopf.cell_signature(sub, lab, tr))
-            cell = self._cells.get(sig)
-            if cell is None:
-                cell = self._cells[sig] = _Cell(tr)
-            self._cells[key] = cell
-        return cell
+    def _cell(self, invp, sub: Tree, lab=None) -> _Truncation:
+        """The truncation that stands for the cell of sub, or of sub
+        planted along lab, that holds invp (a 1/p or a _Truncation)."""
+        return self.hopf.cell(sub, lab, self._truncation(invp))
 
     def pi_x(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via (interp x g_x^-1) o coproduct."""
-        cell = self._cell(invp, t)
+        tr = self._cell(invp, t)
         x = tuple(x)
-        key = (t, x, cell)
+        key = (t, x, tr)
         last_key, out = self._pi_x_last
         if last_key != key:
-            tr = cell.tr
             # the weights first: g_inv may recurse into pi_x, and no
             # field of this call is held meanwhile
             weights = []
@@ -296,11 +254,10 @@ class Model:
         return val
 
     def _g_inv_planted(self, lab, e, sub, x, tr) -> float:
-        cell = self._cell(tr, sub, lab)
-        key = (lab, tuple(e), sub, tuple(x), cell)
+        tr = self._cell(tr, sub, lab)
+        key = (lab, tuple(e), sub, tuple(x), tr)
         out = self._ginv_pl.get(key)
         if out is None:
-            tr = cell.tr
             xc = self.base_coord(x)
             out = 0.0
             for l, _c in self.hopf._decoration_candidates(lab, e, sub, tr):
@@ -319,11 +276,10 @@ class Model:
         Zero unless the planted degree is positive; then the k-th
         derivative of h at x for an H edge, or the kernel of the
         recentered interpretation of the argument at x for a K edge."""
-        cell = self._cell(invp, sub, lab)
-        key = (lab, tuple(k), sub, tuple(x), cell)
+        tr = self._cell(invp, sub, lab)
+        key = (lab, tuple(k), sub, tuple(x), tr)
         out = self._f.get(key)
         if out is None:
-            tr = cell.tr
             if self.hopf._planted_num(lab, k, sub, tr) <= 0:
                 out = 0.0
             elif lab == H:
@@ -345,18 +301,13 @@ class Model:
         fields against reflected kernels instead.
 
         When Delta(sub) = sub (x) 1, pi_x(sub) is interp(sub) bit for bit,
-        and the tree's own spectrum is phased, under a key without a cell.
-        The test is made once per cell."""
-        cell = self._cell(invp, sub)
-        tr = cell.tr
-        if cell.trivial is None:
-            cell.trivial = (self.hopf._coproduct(sub, tr).terms
-                            == {(sub, self._unit): 1})
+        and the tree's own spectrum is phased."""
+        tr = self._cell(invp, sub)
         x = tuple(x)
-        key = (sub, x) if cell.trivial else (sub, x, cell)
+        key = (sub, x, tr)
         out = self._kf1.get(key)
         if out is None:
-            if cell.trivial:
+            if self.hopf._coproduct(sub, tr).terms == {(sub, self._unit): 1}:
                 spec = self.spectrum(sub)
             else:
                 spec = self.ctx.grid.rfft(self.pi_x(sub, x, tr))
@@ -367,13 +318,13 @@ class Model:
 
     def pi_x_hat(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via the Taylor-subtraction recursion."""
-        cell = self._cell(invp, t)
+        tr = self._cell(invp, t)
         x = tuple(x)
-        key = (t, x, cell)
+        key = (t, x, tr)
         last_key, out = self._pi_x_hat_last
         if last_key != key:
             # the fields first, as in pi_x
-            out = weighted_sum([(self._hat_x(s, x, cell.tr), float(c))
+            out = weighted_sum([(self._hat_x(s, x, tr), float(c))
                                 for s, c in self.prep.apply(t)],
                                self.ctx.grid.sizes)
             self._pi_x_hat_last = key, out
@@ -386,11 +337,10 @@ class Model:
         return _product(factors, self.ctx.grid.sizes)
 
     def _hat_x_planted(self, lab, e, sub, x, tr) -> np.ndarray:
-        cell = self._cell(tr, sub, lab)
-        key = (lab, tuple(e), sub, x, cell)
+        tr = self._cell(tr, sub, lab)
+        key = (lab, tuple(e), sub, x, tr)
         out = self._hat2_pl.get(key)
         if out is None:
-            tr = cell.tr
             if lab == OMEGA:
                 base = self.xi
 

@@ -43,12 +43,14 @@ class _Truncation:
     need no Fraction.
     ``label`` maps an edge label to M times its degree form.  The memos
     of M times the degree and of Delta, Delta+ and S+ at this point are
-    keyed by tree alone."""
+    keyed by tree alone; ``eps`` tells the cells of two eps apart
+    (``Hopf.cell``)."""
 
-    __slots__ = ("M", "m", "r", "beta0", "s_invp", "label", "degree",
+    __slots__ = ("eps", "M", "m", "r", "beta0", "s_invp", "label", "degree",
                  "cop", "cop_plus", "antipode", "antipode_planted")
 
     def __init__(self, params: Params, eps, invp):
+        self.eps = eps
         D = params.weights[0]
         consts = degree_consts(params, eps, invp)
         self.M = lcm(D, *(c.denominator for c in consts))
@@ -74,6 +76,9 @@ class Hopf:
         self._w = params.weights[1]
         self._truncations = {}
         self._lattices = {}
+        # (lab, sub, _Truncation) and (lab, sub, eps, signature) -> the
+        # _Truncation that stands for the cell
+        self._cells = {}
 
     def truncation(self, eps, invp) -> _Truncation:
         """The _Truncation at (eps, 1/p), built on first use.
@@ -159,7 +164,27 @@ class Hopf:
                     f"planted degree vanishes: label {lab}, k+l={mi_add(k, l)}")
             yield l, inv_fact
 
-    def cell_signature(self, sub: Tree, lab, tr: _Truncation) -> tuple:
+    def cell(self, sub: Tree, lab, tr: _Truncation) -> _Truncation:
+        """The truncation that stands for tr's cell of sub, or of sub
+        planted along lab: the first one asked in that cell.
+
+        1/p changes the recentering of a tree only through the
+        truncations: which Taylor terms the Delta and g_x^-1 sums keep,
+        and which planted factors f_x counts as positive.  Those facts
+        are the signature (``_cell_signature``); the truncations at one
+        eps that share it form the cell, and a value computed at the
+        cell's truncation serves every other 1/p in it, bit for bit.  An
+        H-free tree has one cell per eps.  The signature is taken once
+        per (lab, sub, tr).  The memo is kept here: kept on a truncation,
+        which stands for its own cells, it would form a reference cycle."""
+        key = (lab, sub, tr)
+        out = self._cells.get(key)
+        if out is None:
+            sig = (lab, sub, tr.eps, self._cell_signature(sub, lab, tr))
+            out = self._cells[key] = self._cells.setdefault(sig, tr)
+        return out
+
+    def _cell_signature(self, sub: Tree, lab, tr: _Truncation) -> tuple:
         """What the truncations inside sub, or inside sub planted along
         lab, read of 1/p at tr: for every planted edge that carries H,
         (floor(D deg), D deg integral), or None for a negative degree.

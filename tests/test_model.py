@@ -23,7 +23,7 @@ from ristruct.analytic.model import Model
 from ristruct.analytic.noise import smooth_field, white_noise
 from ristruct.config import NUMERIC2D
 from ristruct.grading import GenericityError
-from ristruct.hopf import Hopf
+from ristruct.hopf import Hopf, _Truncation
 from ristruct.renorm import (CounterTerms, IdentityMap, RcMap,
                              negative_basis, verify_preparation)
 from ristruct.sector import _derive
@@ -212,8 +212,11 @@ def test_used_model_is_freed_by_reference_counting(setup, monkeypatch):
     """A model holds no reference cycle after every check has run on it,
     nor do the perturbed models of the derivative check: each is freed
     when its last reference goes, with the cyclic collector off, so a
-    sweep over many models holds the caches of one at a time."""
-    sector, hopf, ctx, xi, hf, _m = setup
+    sweep over many models holds the caches of one at a time.  Nor do
+    their Hopf and its truncations, which hold the truncation cells: they
+    are freed once the models are."""
+    sector, _h, ctx, xi, hf, _m = setup
+    hopf = Hopf(sector.params)
     made = weakref.WeakSet()
     init = Model.__init__
 
@@ -238,6 +241,13 @@ def test_used_model_is_freed_by_reference_counting(setup, monkeypatch):
         del model
         assert freed() is None
         assert not made
+        assert hopf._cells
+        truncations = {id(tr) for tr in hopf._truncations.values()}
+        freed = weakref.ref(hopf)
+        del hopf
+        assert freed() is None
+        assert not [o for o in gc.get_objects() if isinstance(o, _Truncation)
+                    and id(o) in truncations]
     finally:
         gc.enable()
 
@@ -264,7 +274,7 @@ def test_recentered_fields_are_fresh(setup):
 def test_repeated_request_matches_a_cold_model(setup):
     """A repeated recentering request, also at another 1/p of the same
     cell, is served the remembered field itself, which equals the field
-    of a cold model bit for bit."""
+    of a cold model on a fresh Hopf bit for bit."""
     sector, hopf, ctx, xi, hf, _m = setup
     model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
     t = parse("(O() K(H()))", dim=2)
@@ -277,7 +287,7 @@ def test_repeated_request_matches_a_cold_model(setup):
         again = [route(t, X0, a), route(t, X0, b)]
         assert getattr(model, slot) is kept
         for invp, got in zip((a, a, b), [first] + again):
-            cold = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+            cold = Model(sector, Hopf(sector.params), ctx, xi, hf, eps=EPS)
             assert np.array_equal(got, getattr(cold, route.__name__)(
                 t, X0, invp))
         assert all(f is kept[1] for f in [first] + again)
@@ -303,17 +313,39 @@ def test_each_route_remembers_one_field(setup):
 
 def test_comparison_sweep_order_is_free(setup):
     """The comparison checks over the integrability cells give the same
-    errors, bit for bit, swept forward and in reverse on fresh models."""
-    sector, hopf, ctx, xi, hf, model = setup
+    errors, bit for bit, swept forward and in reverse on fresh models,
+    each on a fresh Hopf, so that neither sweep reuses the truncation
+    cells of the other."""
+    sector, _h, ctx, xi, hf, model = setup
     bounds = [F(1, 2)] + sorted((1 / F(p) for p in model.phase_points()),
                                 reverse=True) + [F(0)]
     cells = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
     sweeps = []
     for order in (cells, cells[::-1]):
-        fresh = Model(sector, hopf, ctx, xi, hf, eps=EPS)
+        fresh = Model(sector, Hopf(sector.params), ctx, xi, hf, eps=EPS)
         sweeps.append({(t, invp): check_comparison(fresh, t, X0, invp)
                        for t in sector.dot_basis for invp in order})
     assert sweeps[0] == sweeps[1]
+
+
+def test_models_on_one_hopf_share_its_cells(setup):
+    """The truncation cells live on the Hopf: a second model on it,
+    asked at 1/p = 1/9, gets the truncation of 1/10, which another model
+    asked first in that cell of (O() K(H())); 1/p = 0, another cell, and
+    eps = 0 get their own.  On both routes each field equals, bit for
+    bit, that of a model on a fresh Hopf asked at that 1/p first."""
+    sector, _h, ctx, xi, hf, _m = setup
+    t = parse("(O() K(H()))", dim=2)
+    hopf = Hopf(sector.params)
+    Model(sector, hopf, ctx, xi, hf, eps=EPS).pi_x(t, X0, F(1, 10))
+    for eps, invp, stands in ((EPS, F(1, 9), F(1, 10)), (EPS, F(0), F(0)),
+                              (F(0), F(1, 9), F(1, 9))):
+        model = Model(sector, hopf, ctx, xi, hf, eps=eps)
+        assert model._cell(invp, t) is hopf.truncation(eps, stands)
+        for route in ("pi_x", "pi_x_hat"):
+            cold = Model(sector, Hopf(sector.params), ctx, xi, hf, eps=eps)
+            assert np.array_equal(getattr(model, route)(t, X0, invp),
+                                  getattr(cold, route)(t, X0, invp))
 
 
 def test_comparison_exponent_is_found_once_per_planted_tree(setup,
@@ -726,7 +758,7 @@ def test_sums_match_the_new_array_per_term_references():
     seconds = [(parse("(H() K(O()))", dim=3), F(1, 5), F(0)),
                (parse("(O() K(H()))", dim=3), F(21, 50), F(1, 2))]
     for t, second, first in seconds:
-        assert model._cell(second, t).tr is hopf.truncation(EPS, first)
+        assert model._cell(second, t) is hopf.truncation(EPS, first)
 
 
 def test_derivative_check_matches_the_new_array_per_term_reference():

@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .config import builtin_rule_config
+from .config import builtin_rule_config, json_integer
 from .grading import (GenericityError, INF, degree, from_invp, phase_sets,
                       to_invp)
 from .hopf import Hopf
@@ -206,25 +206,26 @@ def cmd_verify_triangularity(args):
 
 # numeric commands -------------------------------------------------------
 
-def _section(cfg: dict, name: str, keys) -> dict:
-    """A config sub-object, refusing keys outside ``keys``."""
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
+# the top-level keys some numeric command reads: one set for all of
+# them, so that one config serves every numeric command
+_NUMERIC_KEYS = ("rule", "grid", "operator", "quad", "noise", "seed",
+                "basePoints", "tolerance", "eps", "p", "mollify", "samples",
+                "stderrThreshold", "tGrid")
+
+
+def _object(obj, name: str, keys) -> dict:
+    """A JSON object, refusing keys outside ``keys``."""
+    if not isinstance(obj, dict):
         raise ValueError(f"{name} must be a JSON object")
-    unknown = sorted(set(sec) - set(keys))
+    unknown = sorted(set(obj) - set(keys))
     if unknown:
         raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
-    return sec
+    return obj
 
 
-def _integer(value, name: str, low: int = 0, high: int | None = None) -> int:
-    """A JSON integer in [low, high); booleans, floats and strings are
-    refused."""
-    if type(value) is not int or value < low or (
-            high is not None and value >= high):
-        bound = f"[{low}, {high})" if high is not None else f">= {low}"
-        raise ValueError(f"{name} must be an integer {bound}, not {value!r}")
-    return value
+def _section(cfg: dict, name: str, keys) -> dict:
+    """A config sub-object, refusing keys outside ``keys``."""
+    return _object(cfg.get(name, {}), name, keys)
 
 
 def _positive(value, name: str) -> float:
@@ -258,14 +259,16 @@ def _coefficient(value, name: str) -> complex:
 
 def _numeric_setup(args, cfg: dict):
     """Load the fields every numeric command shares, converting and
-    checking each before any numeric work; a bad value is a ValueError
-    (exit 1).  The noise fields are built by ``_noise_fields``."""
+    checking each before any numeric work; a bad value, or a top-level
+    key no numeric command reads, is a ValueError (exit 1).  The noise
+    fields are built by ``_noise_fields``."""
     import numpy as np
 
     from .analytic.grid import (GridSpec, OperatorContext, OperatorSpec,
                                 QuadratureSpec, fourth_order_op,
                                 second_order_op)
 
+    _object(cfg, "config", _NUMERIC_KEYS)
     rule = cfg.get("rule", "numeric2d")
     if not isinstance(rule, (str, dict)):
         raise ValueError(f"rule must be a name, a path or a JSON object, "
@@ -274,7 +277,7 @@ def _numeric_setup(args, cfg: dict):
     params = sector.params
     d = params.d
     gcfg = _section(cfg, "grid", ("sizes", "period"))
-    sizes = tuple(_integer(n, "grid.sizes entry") for n in _array(
+    sizes = tuple(json_integer(n, "grid.sizes entry") for n in _array(
         gcfg.get("sizes", [32] * d), "grid.sizes", d))
     period = tuple(_positive(p, "grid.period entry") for p in _array(
         gcfg.get("period", [2.0 * np.pi] * d), "grid.period", d))
@@ -284,7 +287,7 @@ def _numeric_setup(args, cfg: dict):
     qcfg = _section(cfg, "quad", tuple(least) + ("tol",))
     quad = QuadratureSpec(**{
         key: (_positive(v, "quad.tol") if key == "tol"
-              else _integer(v, f"quad.{key}", least[key]))
+              else json_integer(v, f"quad.{key}", least[key]))
         for key, v in qcfg.items()})
     ncfg = _section(cfg, "noise", ("kind", "scale", "mollify"))
     kind = ncfg.get("kind", "smooth")
@@ -292,9 +295,9 @@ def _numeric_setup(args, cfg: dict):
         raise ValueError(f"unknown noise kind {kind!r} "
                          "(expected \"smooth\" or \"white\")")
     scale = _positive(ncfg.get("scale", 0.7), "noise.scale")
-    level = _integer(ncfg.get("mollify", 4), "noise.mollify")
-    seed = args.seed = _integer(cfg.get("seed", 0), "seed", 0, 2 ** 64)
-    points = [tuple(_integer(xj, "basePoints entry", 0, n)
+    level = json_integer(ncfg.get("mollify", 4), "noise.mollify")
+    seed = args.seed = json_integer(cfg.get("seed", 0), "seed", 0, 2 ** 64)
+    points = [tuple(json_integer(xj, "basePoints entry", 0, n)
                     for xj, n in zip(_array(x, "base point", d), sizes))
               for x in _array(cfg.get("basePoints",
                                       [[n // 3 for n in sizes]]),
@@ -306,7 +309,7 @@ def _numeric_setup(args, cfg: dict):
     grid = GridSpec(sizes, period, tuple(float(s) for s in params.scaling))
     if "symbol" in ocfg:
         symbol = tuple(
-            (tuple(_integer(kj, "operator.symbol index")
+            (tuple(json_integer(kj, "operator.symbol index")
                    for kj in _array(k, "operator.symbol index", d)),
              _coefficient(c, "operator.symbol coefficient"))
             for k, c in (_array(term, "operator.symbol term", 2)
@@ -417,8 +420,8 @@ def cmd_bphz_solve(args):
 
     cfg = _load_cfg(args)
     num = _numeric_setup(args, cfg)
-    level = _integer(cfg.get("mollify", 4), "mollify")
-    samples = _integer(cfg.get("samples", 64), "samples", 1)
+    level = json_integer(cfg.get("mollify", 4), "mollify")
+    samples = json_integer(cfg.get("samples", 64), "samples", 1)
     threshold = cfg.get("stderrThreshold")
     if threshold is not None:
         threshold = _positive(threshold, "stderrThreshold")
@@ -438,8 +441,8 @@ def cmd_scaling_fit(args):
 
     cfg = _load_cfg(args)
     num = _numeric_setup(args, cfg)
-    level = _integer(cfg.get("mollify", 8), "mollify")
-    samples = _integer(cfg.get("samples", 16), "samples", 1)
+    level = json_integer(cfg.get("mollify", 8), "mollify")
+    samples = json_integer(cfg.get("samples", 16), "samples", 1)
     t_grid = [_positive(v, "tGrid entry") for v in _array(
         cfg.get("tGrid", [2.0 ** (-j) for j in range(10, 1, -1)]),
         "tGrid")]

@@ -5,7 +5,8 @@ setup used by the algebraic test batteries, and a two-dimensional setup
 with a mildly negative product tree used by the numerical pipelines.
 Each is defined once, as the rule config ``builtin_rule_config``
 returns; its sector is generated from that config.  Numeric parameter
-values are configuration choices, not claims."""
+values are configuration choices, not claims.  ``json_integer`` is the
+integer check every config reader shares."""
 
 PAM3D = {
     "d": 3,
@@ -38,3 +39,14 @@ def builtin_rule_config(name: str) -> dict:
     z = [0] * params["d"]
     return {"K": [[["O", z], ["K", z], ["K", z]]], "maxOmega": max_omega,
             "L": "2", "maxEdges": max_edges, "params": params}
+
+
+def json_integer(value, name: str, low: int = 0,
+                 high: int | None = None) -> int:
+    """A JSON integer in [low, high); booleans, floats and strings are
+    refused, where int() would read 7.9 as 7 and true as 1."""
+    if type(value) is not int or value < low or (
+            high is not None and value >= high):
+        bound = f"[{low}, {high})" if high is not None else f">= {low}"
+        raise ValueError(f"{name} must be an integer {bound}, not {value!r}")
+    return value

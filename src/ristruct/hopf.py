@@ -47,7 +47,7 @@ class _Truncation:
     (``Hopf.cell``)."""
 
     __slots__ = ("eps", "M", "m", "r", "beta0", "s_invp", "label", "degree",
-                 "cop", "cop_plus", "antipode", "antipode_planted")
+                 "cop", "cop_plus", "antipode")
 
     def __init__(self, params: Params, eps, invp):
         self.eps = eps
@@ -58,8 +58,7 @@ class _Truncation:
         self.r, self.beta0, self.s_invp = (int(c * self.M) for c in consts)
         self.label = {OMEGA: self.r, H: self.r + self.s_invp,
                       K: self.beta0}
-        self.degree, self.cop, self.cop_plus = {}, {}, {}
-        self.antipode, self.antipode_planted = {}, {}
+        self.degree, self.cop, self.cop_plus, self.antipode = {}, {}, {}, {}
 
 
 class Hopf:
@@ -317,7 +316,8 @@ class Hopf:
 
     def _antipode(self, f: Tree, tr: _Truncation) -> LinComb:
         """S+ of f at tr, multiplicative over the factors of f; the
-        polynomial factor is left out when f.n is zero, as in Delta."""
+        polynomial factor is left out when f.n is zero, and the memo is
+        kept per forest, as in Delta."""
         cached = tr.antipode.get(f)
         if cached is not None:
             return cached
@@ -329,10 +329,6 @@ class Hopf:
         return out
 
     def _antipode_planted(self, lab, k, sub, tr: _Truncation) -> LinComb:
-        key = (lab, k, sub)
-        cached = tr.antipode_planted.get(key)
-        if cached is not None:
-            return cached
         out = LinComb()
         for (sigma, forest), c in self._coproduct(sub, tr):
             s_forest = None
@@ -346,7 +342,6 @@ class Hopf:
                     inv_fact if mi_abs(l) % 2 else -inv_fact, c)
                 for g, cg in s_forest:
                     out.add(tree_product(left, g), coeff_mul(coeff, cg))
-        tr.antipode_planted[key] = out
         return out
 
     # identity checks ----------------------------------------------------

@@ -74,7 +74,8 @@ class RcMap(PreparationMap):
         self._members = set(sector.members())
         self._memo = {}
         self._tr = hopf.truncation(0, Fraction(1, 2))
-        self._value = c.values.get
+        self._value = {t: v if type(v) in (int, Fraction) else Fraction(v)
+                       for t, v in c.values.items()}.get
 
     def apply(self, t: Tree) -> LinComb:
         cached = self._memo.get(t)
@@ -86,8 +87,6 @@ class RcMap(PreparationMap):
             for (left, right), coeff in self.hopf._coproduct(t, self._tr):
                 cv = value(left, 0)
                 if cv:
-                    if type(cv) is not int and type(cv) is not Fraction:
-                        cv = Fraction(cv)
                     out.add(right, coeff_mul(cv, coeff))
         if self.strict_sector:
             # the formula extends beyond the basis, so the input itself

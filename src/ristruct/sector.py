@@ -13,59 +13,53 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
+from .config import json_integer
 from .grading import Params, degree
 from .hopf import Hopf
 from .trees import (H, K, OMEGA, LinComb, Tree, X, dot_noise, mi_zero,
                     noise, plant_tree, unit, weighted_range)
 
 
-def _normalize_type(entries, d: int):
-    out = []
-    for lab, k in entries:
-        k = tuple(k)
-        if len(k) != d:
-            raise ValueError("edge decoration of wrong dimension in rule")
-        if lab not in (OMEGA, K):
-            raise ValueError(f"rule node types may not contain label {lab}")
-        out.append((lab, k))
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class Rule:
     """Node types allowed below a K edge; the Omega label admits none."""
-    d: int
     for_k: frozenset
 
     @classmethod
     def from_types(cls, d: int, types) -> "Rule":
-        base = {_normalize_type(t, d) for t in types}
+        """The rule allowing the given node types and their sub-multisets;
+        the one place a rule is checked, since sub-multisets of a valid
+        type are valid."""
         closed = set()
-        for t in base:
-            for r in range(len(t) + 1):
-                for sub in combinations(t, r):
-                    closed.add(tuple(sorted(sub)))
-        rule = cls(d, frozenset(closed))
-        rule.validate()
-        return rule
-
-    def validate(self) -> None:
-        for t in self.for_k:
-            omegas = [(lab, k) for lab, k in t if lab == OMEGA]
+        for entries in types:
+            t = [(lab, tuple(k)) for lab, k in entries]
+            for lab, k in t:
+                if len(k) != d:
+                    raise ValueError(
+                        "edge decoration of wrong dimension in rule")
+                if lab not in (OMEGA, K):
+                    raise ValueError(
+                        f"rule node types may not contain label {lab}")
+            omegas = [k for lab, k in t if lab == OMEGA]
             if len(omegas) > 1:
                 raise ValueError("node type with more than one Omega edge")
-            if omegas and any(omegas[0][1]):
+            if omegas and any(omegas[0]):
                 raise ValueError("Omega edge in a rule must carry zero "
                                  "decoration")
+            t.sort()
+            for r in range(len(t) + 1):
+                closed.update(combinations(t, r))
+        return cls(frozenset(closed))
 
 
 def load_rule_config(cfg: dict):
     """Read a rule config: K node types, bounds and parameters."""
+    json_integer(cfg["params"]["d"], "params.d", 1)
     params = Params.from_dict(cfg["params"])
-    rule = Rule.from_types(params.d, [
-        [(lab, tuple(k)) for lab, k in t] for t in cfg["K"]])
-    return (rule, int(cfg["maxOmega"]), Fraction(cfg["L"]), params,
-            int(cfg.get("maxEdges", 5)))
+    rule = Rule.from_types(params.d, cfg["K"])
+    return (rule, json_integer(cfg["maxOmega"], "maxOmega"),
+            Fraction(cfg["L"]), params,
+            json_integer(cfg.get("maxEdges", 5), "maxEdges"))
 
 
 def load_sector(cfg: dict) -> "Sector":
@@ -194,7 +188,6 @@ def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
     have fewer than max_omega Omega edges and at most max_edges edges."""
     if max_omega < 2:
         raise ValueError("maxOmega must be at least 2")
-    rule.validate()
     d = params.d
     z = mi_zero(d)
 

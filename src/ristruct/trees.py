@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, prod
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator
+from typing import Iterator
 
 OMEGA = "O"
 H = "H"
@@ -196,25 +196,6 @@ def has_k_leaf(t: Tree) -> bool:
     return False
 
 
-def canonicalize(n: Iterable[int], children: Iterable[tuple]) -> Tree:
-    """Build the canonical tree from a raw (possibly unsorted) node.
-
-    ``children`` are ``(label, edge_decoration, subtree)`` triples where
-    subtrees are already Tree values (build bottom-up).  Raises
-    ValueError on dimension mismatches.
-    """
-    n = tuple(n)
-    cs = []
-    for lab, e, sub in children:
-        e = tuple(e)
-        if lab not in _LABEL_RANK:
-            raise ValueError(f"unknown edge label {lab!r}")
-        if len(e) != len(n) or sub.dim != len(n):
-            raise ValueError("dimension mismatch in multi-index")
-        cs.append((lab, e, sub))
-    return Tree(n, tuple(cs))
-
-
 def tree_product(a: Tree, b: Tree) -> Tree:
     """Product by root identification; root decorations add.
 
@@ -352,6 +333,8 @@ def dot_noise(d: int, k: MultiIndex = None) -> Tree:
 #   label := "O" | "H" | "K"
 #   mi    := "(" int {"," int} ")"
 # "O()" / "H()" denote leaf children (label + empty subtree).
+# The parser alone checks its input (labels in ``child``, every length
+# against dim, given or fixed by the first one read, in ``_mi``).
 
 class ParseError(ValueError):
     def __init__(self, msg: str, pos: int):
@@ -426,7 +409,7 @@ class _Parser:
                 raise ParseError(
                     "dimension undetermined; pass dim or decorate", self.pos)
             n = mi_zero(self.dim)
-        return canonicalize(n, children)
+        return Tree(n, tuple(children))
 
     def child(self):
         ch = self._peek()

@@ -319,6 +319,13 @@ def test_bad_config_exit(capsys, tmp_path):
     bad.write_text("{not json")
     code, _o, _e = run(capsys, "sector", "gen", str(bad))
     assert code == EXIT_CONFIG
+    # a fractional count is refused, not truncated
+    bad.write_text(json.dumps(dict(builtin_rule_config("pam3d"),
+                                   maxEdges=7.5)))
+    code, out, err = run(capsys, "sector", "gen", str(bad))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "maxEdges" in json.loads(err)["error"]
 
 
 def test_usage_error_exit(capsys):
@@ -344,6 +351,25 @@ def test_unknown_quad_key_exit(capsys, small_cfg, tmp_path):
         path.write_text(json.dumps(cfg))
         code, _o, err = run(capsys, "model", "build", str(path))
         assert code == EXIT_CONFIG
+        assert named in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("model", "build"), ("verify", "comparison"), ("verify", "dpidd"),
+    ("bphz", "solve"), ("scaling", "fit")], ids=" ".join)
+def test_unknown_top_level_key_exit(capsys, small_cfg, tmp_path, argv):
+    """Every numeric command refuses a top-level key that none of them
+    reads, such as a misspelt "samples", which would otherwise leave the
+    default in force, and a config that is not a JSON object."""
+    extra = ("(O())",) if argv[0] == "scaling" else ()
+    cfg = json.loads(open(small_cfg).read())
+    for bad, named in ((dict(cfg, sampels=2), "sampels"),
+                       ([cfg], "config")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, *argv, str(path), *extra)
+        assert code == EXIT_CONFIG
+        assert out == ""
         assert named in json.loads(err)["error"]
 
 

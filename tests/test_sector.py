@@ -154,6 +154,22 @@ def test_rule_closure_and_validation():
         Rule.from_types(2, [[("H", z)]])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("maxEdges", 7.9), ("maxEdges", True), ("maxEdges", 7.0),
+    ("maxEdges", "7"), ("maxOmega", 4.5), ("maxOmega", False),
+    ("params.d", 3.0), ("params.d", True)])
+def test_rule_config_counts_are_json_integers(key, value):
+    """The counts of a rule config must be JSON integers, and the error
+    names the key: int() would read 7.9 as 7 and true as 1."""
+    cfg = builtin_rule_config("pam3d")
+    if key == "params.d":
+        cfg["params"] = dict(cfg["params"], d=value)
+    else:
+        cfg[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        load_rule_config(cfg)
+
+
 def test_load_rule_config_matches_builtin():
     rule, max_omega, L, params, max_edges = load_rule_config(
         builtin_rule_config("numeric2d"))

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ristruct.trees import (H, K, OMEGA, LinComb, ParseError, Tree, X,
-                            canonicalize, dot_noise, format_tree,
-                            has_k_leaf, mi_add, mi_binom, mi_factorial,
-                            mi_range, noise, parse, plant_tree,
-                            tree_product, unit, weighted_range)
+                            dot_noise, format_tree, has_k_leaf, mi_add,
+                            mi_binom, mi_factorial, mi_range, noise, parse,
+                            plant_tree, tree_product, unit, weighted_range)
 from ristruct.trees import _LABEL_RANK
 
 from reference import plant
@@ -123,6 +122,13 @@ def test_parse_errors_carry_position():
     for text in ("(n=(-) O())", "(O^(-) ())", "(n=(\u00b2) O())"):
         with pytest.raises(ParseError, match="expected integer at byte 4"):
             parse(text)
+    # the parser is the only check on decoration lengths: an edge
+    # decoration against a given dim, and a node decoration against the
+    # dim an earlier edge decoration fixed
+    with pytest.raises(ParseError, match="length 2, expected 3 at byte 12$"):
+        parse("(O() K^(1,0)(O()))", dim=3)
+    with pytest.raises(ParseError, match="length 3, expected 2 at byte 22$"):
+        parse("(O^(1,0)() K(n=(1,0,0) O()))")
 
 
 def test_format_canonical_roundtrip():
@@ -145,7 +151,7 @@ def trees(draw, depth=0, d=2, max_n=2, max_depth=3):
             if lab == K and sub.is_poly():
                 continue
             children.append((lab, e, sub))
-    return canonicalize(n, children)
+    return Tree(n, tuple(children))
 
 
 @given(trees())
@@ -179,8 +185,8 @@ def test_tree_product_builds_a_new_tree_once(monkeypatch):
     def refuse(cls, n, children):
         raise AssertionError("an interned product was rebuilt")
 
-    c = canonicalize((1, 1), [(K, (0, 0), a), (H, (0, 1), unit(2)),
-                              (OMEGA, (0, 0), unit(2))])
+    c = Tree((1, 1), ((K, (0, 0), a), (H, (0, 1), unit(2)),
+                      (OMEGA, (0, 0), unit(2))))
 
     # once interned, the product is found from the merged encodings
     monkeypatch.setattr(Tree, "__new__", refuse)
@@ -209,7 +215,7 @@ def test_tree_product_is_the_canonical_tree(a, b):
     assert tree_product(a, b) is p
     assert tree_product(b, a) is p
     # a product with a root decoration no earlier tree has is a miss
-    fresh = canonicalize((next(_FRESH), 0), a.children)
+    fresh = Tree((next(_FRESH), 0), a.children)
     if not b.is_unit():
         size = len(Tree._intern)
         q = tree_product(b, fresh)

@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .config import builtin_rule_config, json_integer
+from .config import builtin_rule_config, json_array, json_integer, json_object
 from .grading import (GenericityError, INF, degree, from_invp, phase_sets,
                       to_invp)
 from .hopf import Hopf
@@ -166,7 +166,7 @@ def cmd_prep_verify(args):
     with open(args.counterterms) as fh:
         raw = args.inputs["counterterms"] = json.load(fh)
     values = {parse(k, dim=sector.params.d): Fraction(str(v))
-              for k, v in raw.items()}
+              for k, v in json_object(raw, "counterterms").items()}
     R = RcMap(CounterTerms(values), hopf, sector)
     report = verify_preparation(R, sector, hopf)
     doc = {"ok": report.ok,
@@ -215,9 +215,7 @@ _NUMERIC_KEYS = ("rule", "grid", "operator", "quad", "noise", "seed",
 
 def _object(obj, name: str, keys) -> dict:
     """A JSON object, refusing keys outside ``keys``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{name} must be a JSON object")
-    unknown = sorted(set(obj) - set(keys))
+    unknown = sorted(set(json_object(obj, name)) - set(keys))
     if unknown:
         raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
     return obj
@@ -233,16 +231,6 @@ def _positive(value, name: str) -> float:
     if type(value) not in (int, float) or not 0 < value < float("inf"):
         raise ValueError(f"{name} must be a positive number, not {value!r}")
     return float(value)
-
-
-def _array(value, name: str, length: int | None = None) -> list:
-    """A non-empty JSON array, of exactly ``length`` items if given."""
-    if not isinstance(value, (list, tuple)) or not value or (
-            length is not None and len(value) != length):
-        size = length if length is not None else "at least 1"
-        raise ValueError(f"{name} must be an array of {size} item(s), "
-                         f"not {value!r}")
-    return list(value)
 
 
 def _coefficient(value, name: str) -> complex:
@@ -277,9 +265,9 @@ def _numeric_setup(args, cfg: dict):
     params = sector.params
     d = params.d
     gcfg = _section(cfg, "grid", ("sizes", "period"))
-    sizes = tuple(json_integer(n, "grid.sizes entry") for n in _array(
+    sizes = tuple(json_integer(n, "grid.sizes entry") for n in json_array(
         gcfg.get("sizes", [32] * d), "grid.sizes", d))
-    period = tuple(_positive(p, "grid.period entry") for p in _array(
+    period = tuple(_positive(p, "grid.period entry") for p in json_array(
         gcfg.get("period", [2.0 * np.pi] * d), "grid.period", d))
     ocfg = _section(cfg, "operator", ("symbol", "ell", "cutoffWidth"))
     width = _positive(ocfg.get("cutoffWidth", 1.0), "operator.cutoffWidth")
@@ -298,10 +286,10 @@ def _numeric_setup(args, cfg: dict):
     level = json_integer(ncfg.get("mollify", 4), "noise.mollify")
     seed = args.seed = json_integer(cfg.get("seed", 0), "seed", 0, 2 ** 64)
     points = [tuple(json_integer(xj, "basePoints entry", 0, n)
-                    for xj, n in zip(_array(x, "base point", d), sizes))
-              for x in _array(cfg.get("basePoints",
-                                      [[n // 3 for n in sizes]]),
-                              "basePoints")]
+                    for xj, n in zip(json_array(x, "base point", d), sizes))
+              for x in json_array(cfg.get("basePoints",
+                                          [[n // 3 for n in sizes]]),
+                                  "basePoints")]
     tol = _positive(cfg.get("tolerance", 1e-9), "tolerance")
     eps = Fraction(str(cfg.get("eps", "1/100")))
     invp = _parse_p(str(cfg.get("p", "inf")))
@@ -310,11 +298,11 @@ def _numeric_setup(args, cfg: dict):
     if "symbol" in ocfg:
         symbol = tuple(
             (tuple(json_integer(kj, "operator.symbol index")
-                   for kj in _array(k, "operator.symbol index", d)),
+                   for kj in json_array(k, "operator.symbol index", d)),
              _coefficient(c, "operator.symbol coefficient"))
-            for k, c in (_array(term, "operator.symbol term", 2)
-                         for term in _array(ocfg["symbol"],
-                                            "operator.symbol")))
+            for k, c in (json_array(term, "operator.symbol term", 2)
+                         for term in json_array(ocfg["symbol"],
+                                                "operator.symbol")))
         ell = (_positive(ocfg["ell"], "operator.ell") if "ell" in ocfg
                else float(params.ell))
         op = OperatorSpec(symbol=symbol, ell=ell, cutoff_width=width)
@@ -443,7 +431,7 @@ def cmd_scaling_fit(args):
     num = _numeric_setup(args, cfg)
     level = json_integer(cfg.get("mollify", 8), "mollify")
     samples = json_integer(cfg.get("samples", 16), "samples", 1)
-    t_grid = [_positive(v, "tGrid entry") for v in _array(
+    t_grid = [_positive(v, "tGrid entry") for v in json_array(
         cfg.get("tGrid", [2.0 ** (-j) for j in range(10, 1, -1)]),
         "tGrid")]
     if len(set(t_grid)) < 2:

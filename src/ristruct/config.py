@@ -5,8 +5,11 @@ setup used by the algebraic test batteries, and a two-dimensional setup
 with a mildly negative product tree used by the numerical pipelines.
 Each is defined once, as the rule config ``builtin_rule_config``
 returns; its sector is generated from that config.  Numeric parameter
-values are configuration choices, not claims.  ``json_integer`` is the
-integer check every config reader shares."""
+values are configuration choices, not claims.  The ``json_*``
+functions are the shape checks every config reader shares; each error
+names the offending key."""
+
+from fractions import Fraction
 
 PAM3D = {
     "d": 3,
@@ -50,3 +53,33 @@ def json_integer(value, name: str, low: int = 0,
         bound = f"[{low}, {high})" if high is not None else f">= {low}"
         raise ValueError(f"{name} must be an integer {bound}, not {value!r}")
     return value
+
+
+def json_rational(value, name: str) -> Fraction:
+    """A rational from a finite JSON number or a string such as "-3/2"."""
+    if type(value) in (int, float, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ArithmeticError):  # "x", "1/0", nan, inf
+            pass
+    raise ValueError(f"{name} must be a number or a string such as "
+                     f"\"-3/2\", not {value!r}")
+
+
+def json_object(value, name: str) -> dict:
+    """A JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    return value
+
+
+def json_array(value, name: str, length: int | None = None,
+               least: int = 1) -> list:
+    """A JSON array of exactly ``length`` items if given, else of at
+    least ``least``."""
+    if not isinstance(value, (list, tuple)) or (
+            len(value) < least if length is None else len(value) != length):
+        size = (f" of {length} item(s)" if length is not None
+                else f" of at least {least} item(s)" if least else "")
+        raise ValueError(f"{name} must be an array{size}, not {value!r}")
+    return list(value)

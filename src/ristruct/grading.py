@@ -15,6 +15,7 @@ from itertools import combinations
 from math import lcm
 from operator import mul
 
+from .config import json_array, json_integer, json_object, json_rational
 from .trees import Tree
 
 
@@ -56,9 +57,16 @@ class Params:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Params":
-        """Parameters from a config mapping; rationals may be strings."""
-        return cls(int(cfg["d"]), tuple(cfg["scaling"]), cfg["r0"],
-                   cfg["beta0"], cfg["ell"], cfg["ell1"], cfg.get("s0", 0))
+        """Parameters from the ``params`` mapping of a rule config;
+        rationals may be strings."""
+        cfg = json_object(cfg, "params")
+        return cls(json_integer(cfg["d"], "params.d", 1),
+                   tuple(json_rational(s, "params.scaling entry")
+                         for s in json_array(cfg["scaling"],
+                                             "params.scaling")),
+                   *(json_rational(cfg[key], f"params.{key}")
+                     for key in ("r0", "beta0", "ell", "ell1")),
+                   json_rational(cfg.get("s0", 0), "params.s0"))
 
     @cached_property
     def abs_scaling(self) -> Fraction:

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from math import lcm
 
 from .grading import GenericityError, Params, degree_consts
-from .trees import (H, K, OMEGA, LinComb, Tree, X, coeff_mul, has_k_leaf,
+from .trees import (H, K, LETTERS, LinComb, Tree, X, coeff_mul, has_k_leaf,
                     mi_abs, mi_add, mi_binom, mi_factorial, mi_range, mi_sub,
                     mi_zero, plant_tree, tree_product, unit, weighted_range)
 
@@ -41,10 +41,10 @@ class _Truncation:
     denominator is D of ``Params.weights``, with m = M / D): M times the
     degree of a tree is an integer, so sign tests and decoration bounds
     need no Fraction.
-    ``label`` maps an edge label to M times its degree form.  The memos
-    of M times the degree and of Delta, Delta+ and S+ at this point are
-    keyed by tree alone; ``eps`` tells the cells of two eps apart
-    (``Hopf.cell``)."""
+    ``label[lab]`` is M times the degree form of the edge label lab.
+    The memos of M times the degree and of Delta, Delta+ and S+ at this
+    point are keyed by tree alone; ``eps`` tells the cells of two eps
+    apart (``Hopf.cell``)."""
 
     __slots__ = ("eps", "M", "m", "r", "beta0", "s_invp", "label", "degree",
                  "cop", "cop_plus", "antipode")
@@ -56,8 +56,7 @@ class _Truncation:
         self.M = lcm(D, *(c.denominator for c in consts))
         self.m = self.M // D
         self.r, self.beta0, self.s_invp = (int(c * self.M) for c in consts)
-        self.label = {OMEGA: self.r, H: self.r + self.s_invp,
-                      K: self.beta0}
+        self.label = (self.r, self.r + self.s_invp, self.beta0)
         self.degree, self.cop, self.cop_plus, self.antipode = {}, {}, {}, {}
 
 
@@ -107,12 +106,12 @@ class Hopf:
                 + h * tr.s_invp + tr.m * self._dot(t.net()))
         return out
 
-    def _planted_num(self, lab: str, k, sub: Tree, tr: _Truncation) -> int:
+    def _planted_num(self, lab: int, k, sub: Tree, tr: _Truncation) -> int:
         """M times the degree of the planted tree I_k^lab(sub)."""
         return (self.degree_num(sub, tr) + tr.label[lab]
                 - tr.m * self._dot(k))
 
-    def planted_degree(self, lab: str, k, sub: Tree, eps, invp) -> Fraction:
+    def planted_degree(self, lab: int, k, sub: Tree, eps, invp) -> Fraction:
         """Degree of the planted tree I_k^lab(sub) at (eps, 1/p).
 
         Nothing in the package calls it; it stays because bench/tracing.py
@@ -120,7 +119,7 @@ class Hopf:
         tr = self.truncation(eps, invp)
         return Fraction(self._planted_num(lab, k, sub, tr), tr.M)
 
-    def _positive(self, lab: str, k, sub: Tree, tr: _Truncation) -> bool:
+    def _positive(self, lab: int, k, sub: Tree, tr: _Truncation) -> bool:
         """Whether I_k^lab(sub) survives P+; refuses a zero degree."""
         num = self._planted_num(lab, k, sub, tr)
         if num == 0:
@@ -160,7 +159,8 @@ class Hopf:
         for l, wl, inv_fact in self._lattice(cap):
             if wl == cap and not rem:
                 raise GenericityError(
-                    f"planted degree vanishes: label {lab}, k+l={mi_add(k, l)}")
+                    f"planted degree vanishes: label {LETTERS[lab]}, "
+                    f"k+l={mi_add(k, l)}")
             yield l, inv_fact
 
     def cell(self, sub: Tree, lab, tr: _Truncation) -> _Truncation:

@@ -13,33 +13,37 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .config import json_integer
+from .config import json_array, json_integer, json_object, json_rational
 from .grading import Params, degree
 from .hopf import Hopf
-from .trees import (H, K, OMEGA, LinComb, Tree, X, dot_noise, mi_zero,
-                    noise, plant_tree, unit, weighted_range)
+from .trees import (H, K, LABELS, OMEGA, LinComb, Tree, X, dot_noise,
+                    mi_zero, noise, plant_tree, unit, weighted_range)
 
 
 @dataclass(frozen=True)
 class Rule:
-    """Node types allowed below a K edge; the Omega label admits none."""
+    """Node types allowed below a K edge; the Omega label admits none.
+    Each node type is a sorted tuple of (label, decoration) pairs."""
     for_k: frozenset
 
     @classmethod
     def from_types(cls, d: int, types) -> "Rule":
-        """The rule allowing the given node types and their sub-multisets;
-        the one place a rule is checked, since sub-multisets of a valid
-        type are valid."""
+        """The rule allowing the given node types, lists of [letter,
+        decoration] pairs as in a rule config's K, and their
+        sub-multisets; the one place a rule is checked, since
+        sub-multisets of a valid type are valid."""
         closed = set()
-        for entries in types:
-            t = [(lab, tuple(k)) for lab, k in entries]
-            for lab, k in t:
-                if len(k) != d:
-                    raise ValueError(
-                        "edge decoration of wrong dimension in rule")
+        for entries in json_array(types, "K", least=0):
+            t = []
+            for entry in json_array(entries, "K node type", least=0):
+                letter, k = json_array(entry, "K node type entry", 2)
+                lab = LABELS.get(letter) if type(letter) is str else None
                 if lab not in (OMEGA, K):
                     raise ValueError(
-                        f"rule node types may not contain label {lab}")
+                        f"rule node types may not contain label {letter}")
+                t.append((lab, tuple(
+                    json_integer(x, "K node type decoration entry")
+                    for x in json_array(k, "K node type decoration", d))))
             omegas = [k for lab, k in t if lab == OMEGA]
             if len(omegas) > 1:
                 raise ValueError("node type with more than one Omega edge")
@@ -54,11 +58,11 @@ class Rule:
 
 def load_rule_config(cfg: dict):
     """Read a rule config: K node types, bounds and parameters."""
-    json_integer(cfg["params"]["d"], "params.d", 1)
+    cfg = json_object(cfg, "rule")
     params = Params.from_dict(cfg["params"])
     rule = Rule.from_types(params.d, cfg["K"])
     return (rule, json_integer(cfg["maxOmega"], "maxOmega"),
-            Fraction(cfg["L"]), params,
+            json_rational(cfg["L"], "L"), params,
             json_integer(cfg.get("maxEdges", 5), "maxEdges"))
 
 

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterator
 
-OMEGA = "O"
-H = "H"
-K = "K"
-_LABEL_RANK = {OMEGA: 0, H: 1, K: 2}
+# An edge label is its rank in the fixed order of labels, so a tree's
+# sorted child tuple is its encoding.  The letters are the text form only:
+# LETTERS[lab] is the letter of label lab, LABELS maps a letter back.
+OMEGA, H, K = 0, 1, 2
+LETTERS = "OHK"
+LABELS = {ch: lab for lab, ch in enumerate(LETTERS)}
 
 MultiIndex = tuple
 
@@ -70,26 +72,23 @@ def weighted_range(w: tuple, cap: int) -> Iterator[tuple]:
 class Tree:
     """Canonical decorated rooted tree.
 
-    ``n`` is the root decoration; ``children`` is a tuple of
-    ``(label, edge_decoration, subtree)`` triples sorted canonically.
+    ``n`` is the root decoration; ``children`` is the sorted tuple of
+    ``(label, edge_decoration, subtree)`` triples, one per child.
     Instances are interned: equality is identity, and hashing and
     ``==`` are the identity defaults of ``object``.  Iterating a set of
     trees therefore follows memory addresses, which differ between
     runs, so a set of trees is sorted before it is iterated.
 
-    The encoding ``_enc`` is ``(n, entries)`` with one entry
-    ``(label rank, edge decoration, subtree)`` per child, holding the
-    interned subtree itself.  An intern lookup thus hashes one level of
-    the tree, not the whole tree.  Trees are ordered by their encodings
-    (``__lt__``); since equal subtrees are one object, this is the
-    lexicographic order of the fully nested encodings.
+    The encoding ``_enc`` is ``(n, children)``, holding the child tuple
+    itself: a label is its rank, and each triple holds the interned
+    subtree, so an intern lookup hashes one level of the tree, not the
+    whole tree.  Trees are ordered by their encodings (``__lt__``);
+    since equal subtrees are one object, this is the lexicographic order
+    of the fully nested encodings.
 
     There are two constructors.  ``Tree(n, children)`` takes the
-    children in any order, sorts them and builds the encoding.
-    ``Tree._presorted(n, children, enc)`` interns a node whose encoding
-    ``enc`` is already built, and relies on ``children`` being in
-    encoding order already: the i-th child is the one whose entry is
-    the i-th of ``enc[1]``, which is the sort key ``Tree()`` uses.  It
+    children in any order and sorts them.  ``Tree._presorted(n,
+    children)`` interns a node whose children are sorted already; it
     neither sorts nor checks, so only builders that know the order
     (``tree_product``, ``plant_tree``, ``X``) call it.
 
@@ -106,16 +105,14 @@ class Tree:
     _intern: dict = {}
 
     def __new__(cls, n: MultiIndex, children: tuple):
-        children = tuple(sorted(
-            children, key=lambda c: (_LABEL_RANK[c[0]], c[1], c[2])))
-        enc = (tuple(n), tuple(
-            (_LABEL_RANK[lab], tuple(e), sub) for lab, e, sub in children))
-        return cls._presorted(enc[0], children, enc)
+        return cls._presorted(tuple(n), tuple(sorted(
+            (lab, tuple(e), sub) for lab, e, sub in children)))
 
     @classmethod
-    def _presorted(cls, n: MultiIndex, children: tuple, enc: tuple):
-        """The interned tree with encoding ``enc``; on a miss it is built
-        from ``n`` and ``children`` as given (see the class docstring)."""
+    def _presorted(cls, n: MultiIndex, children: tuple):
+        """The interned tree with root decoration ``n`` and the sorted
+        child tuple ``children`` (see the class docstring)."""
+        enc = (n, children)
         cached = cls._intern.get(enc)
         if cached is not None:
             return cached
@@ -181,8 +178,7 @@ class Tree:
 
 
 def X(k: MultiIndex) -> Tree:
-    k = tuple(k)
-    return Tree._presorted(k, (), (k, ()))
+    return Tree._presorted(tuple(k), ())
 
 def unit(d: int) -> Tree:
     return X(mi_zero(d))
@@ -199,25 +195,17 @@ def has_k_leaf(t: Tree) -> bool:
 def tree_product(a: Tree, b: Tree) -> Tree:
     """Product by root identification; root decorations add.
 
-    A unit factor returns the other one.  Otherwise both child lists are
-    already in canonical order, so merging their encodings gives the
-    product's encoding, which is looked up in the interning table.  A
-    new product is built from that encoding, with the children put in
-    the same order, without going through Tree()."""
+    A unit factor returns the other one.  Otherwise the product's
+    children are the sorted union of both child tuples, interned without
+    going through Tree()."""
     if len(a.n) != len(b.n):
         raise ValueError("dimension mismatch")
     if not b.children and not any(b.n):
         return a
     if not a.children and not any(a.n):
         return b
-    enc = (mi_add(a.n, b.n), tuple(sorted(a._enc[1] + b._enc[1])))
-    cached = Tree._intern.get(enc)
-    if cached is not None:
-        return cached
-    # a stable sort by the encoding entry, the key Tree() sorts by
-    merged = sorted(zip(a._enc[1] + b._enc[1], a.children + b.children),
-                    key=itemgetter(0))
-    return Tree._presorted(enc[0], tuple(c for _e, c in merged), enc)
+    return Tree._presorted(mi_add(a.n, b.n),
+                           tuple(sorted(a.children + b.children)))
 
 
 def coeff_mul(a, b):
@@ -304,16 +292,14 @@ class LinComb:
         return out
 
 
-def plant_tree(label: str, k: MultiIndex, t: Tree) -> Tree:
+def plant_tree(label: int, k: MultiIndex, t: Tree) -> Tree:
     """Planting that must not vanish; raises if it falls in the ideal."""
     k = tuple(k)
     if len(k) != t.dim:
         raise ValueError("dimension mismatch")
     if label == K and t.is_poly():
         raise ValueError("planted tree lies in the K-leaf ideal")
-    root = mi_zero(t.dim)
-    return Tree._presorted(root, ((label, k, t),),
-                           (root, ((_LABEL_RANK[label], k, t),)))
+    return Tree._presorted(mi_zero(t.dim), ((label, k, t),))
 
 
 def noise(d: int) -> Tree:
@@ -412,8 +398,8 @@ class _Parser:
         return Tree(n, tuple(children))
 
     def child(self):
-        ch = self._peek()
-        if ch not in _LABEL_RANK:
+        lab = LABELS.get(self._peek())
+        if lab is None:
             raise ParseError("expected edge label O, H or K", self.pos)
         self.pos += 1
         e = None
@@ -423,7 +409,7 @@ class _Parser:
         sub = self.tree()
         if e is None:
             e = mi_zero(self.dim)
-        return (ch, e, sub)
+        return (lab, e, sub)
 
 
 def parse(text: str, dim: int | None = None) -> Tree:
@@ -444,7 +430,7 @@ def format_tree(t: Tree) -> str:
     if any(t.n):
         parts.append("n=" + _fmt_mi(t.n))
     for lab, e, sub in t.children:
-        s = lab
+        s = LETTERS[lab]
         if any(e):
             s += "^" + _fmt_mi(e)
         s += format_tree(sub)

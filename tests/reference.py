@@ -36,7 +36,7 @@ from ristruct.sector import load_sector
 from ristruct.trees import K, LinComb, Tree, X, plant_tree
 
 
-def plant(label: str, k, t: Tree) -> LinComb:
+def plant(label: int, k, t: Tree) -> LinComb:
     """Graft t below a new root along a label edge with decoration k.
 
     Returns the zero combination when planting a bare polynomial along a

@@ -23,7 +23,7 @@ from ristruct.hopf import Hopf
 from ristruct.renorm import (CounterTerms, RcMap, negative_basis,
                              verify_preparation)
 from ristruct.sector import check_triangular
-from ristruct.trees import (OMEGA, Tree, dot_noise, noise, parse,
+from ristruct.trees import (K, OMEGA, Tree, dot_noise, noise, parse,
                             plant_tree, unit)
 
 from reference import builtin_sector
@@ -81,7 +81,7 @@ def test_criterion_02_worked_coproduct_threshold(hopf3):
         below = 1 / (threshold - 1)
         two = {
             (t, unit(3)),
-            (noise(3), plant_tree("K", (0, 0, 0), dot_noise(3))),
+            (noise(3), plant_tree(K, (0, 0, 0), dot_noise(3))),
         }
         cop_above = hopf3.coproduct(t, eps, above)
         assert set(cop_above.terms) == two
@@ -90,7 +90,7 @@ def test_criterion_02_worked_coproduct_threshold(hopf3):
         for j in range(3):
             e = tuple(1 if i == j else 0 for i in range(3))
             extra.add((Tree(e, ((OMEGA, (0, 0, 0), unit(3)),)),
-                       plant_tree("K", e, dot_noise(3))))
+                       plant_tree(K, e, dot_noise(3))))
         cop_below = hopf3.coproduct(t, eps, below)
         assert set(cop_below.terms) == two | extra
         assert all(abs(c) == 1 for c in cop_below.terms.values())

@@ -326,6 +326,13 @@ def test_bad_config_exit(capsys, tmp_path):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "maxEdges" in json.loads(err)["error"]
+    # a counterterm file must be a JSON object mapping trees to values
+    bad.write_text(json.dumps([["(O() K(O()))", "-1/3"]]))
+    code, out, err = run(capsys, "prep", "verify", str(bad),
+                         "--rule", "numeric2d")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "counterterms" in json.loads(err)["error"]
 
 
 def test_usage_error_exit(capsys):

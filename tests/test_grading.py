@@ -9,7 +9,7 @@ from ristruct.grading import (DegreeForm, GenericityError, INF, Params,
                               degree, degree_form, epsilon0_from_forms,
                               from_invp, integrability, p_transition,
                               phase_sets, to_invp)
-from ristruct.trees import X, dot_noise, noise, parse, plant_tree
+from ristruct.trees import K, X, dot_noise, noise, parse, plant_tree
 
 from reference import mi_weight
 
@@ -32,7 +32,7 @@ def test_label_degrees_pam3d():
     assert degree(noise(3), p, eps, 0) == p.r0 - eps
     assert degree(dot_noise(3), p, eps, F(1, 4)) \
         == p.r0 - eps + F(3, 4)
-    k_planted = plant_tree("K", (0, 0, 0), noise(3))
+    k_planted = plant_tree(K, (0, 0, 0), noise(3))
     assert degree(k_planted, p, eps, 0) == p.r0 - eps + p.beta0
 
 
@@ -81,36 +81,36 @@ def test_integrability():
 def test_p_transition_worked_example():
     """The derivative-kernel planting crosses zero at p = 6/(1+2eps)."""
     p = Params.from_dict(PAM3D)
-    mu = plant_tree("K", (1, 0, 0), dot_noise(3))
+    mu = plant_tree(K, (1, 0, 0), dot_noise(3))
     for eps in (F(0), F(1, 10), F(1, 4)):
         assert p_transition(mu, p, eps) == F(6, 1 + 2 * eps)
 
 
 def test_p_transition_none_when_positive():
     p = Params.from_dict(PAM3D)
-    mu = plant_tree("K", (0, 0, 0), dot_noise(3))
+    mu = plant_tree(K, (0, 0, 0), dot_noise(3))
     # degree 1/2 - eps + 3/p stays positive on [2, inf]
     assert p_transition(mu, p, F(1, 100)) is None
 
 
 def test_phase_sets():
     p = Params.from_dict(PAM3D)
-    mu = plant_tree("K", (1, 0, 0), dot_noise(3))
+    mu = plant_tree(K, (1, 0, 0), dot_noise(3))
     i_eps, _j_p = phase_sets([mu], p, F(0), F(0))
     assert i_eps == [F(6)]
 
 
 def test_phase_sets_genericity_error():
     p = Params.from_dict(PAM3D)
-    mu = plant_tree("K", (1, 0, 0), dot_noise(3))
+    mu = plant_tree(K, (1, 0, 0), dot_noise(3))
     with pytest.raises(GenericityError):
         phase_sets([mu], p, F(0), F(1, 6))  # sits exactly on the line
 
 
 def test_phase_sets_dedup():
     p = Params.from_dict(PAM3D)
-    mu = plant_tree("K", (1, 0, 0), dot_noise(3))
-    mu2 = plant_tree("K", (0, 1, 0), dot_noise(3))
+    mu = plant_tree(K, (1, 0, 0), dot_noise(3))
+    mu2 = plant_tree(K, (0, 1, 0), dot_noise(3))
     i_eps, _ = phase_sets([mu, mu2], p, F(0), F(0))
     assert i_eps == [F(6)]
 

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from ristruct.config import PAM3D
 from ristruct.grading import GenericityError, Params, degree
 from ristruct.hopf import Hopf, pair_product
-from ristruct.trees import (OMEGA, Tree, X, dot_noise, format_tree, mi_zero,
-                            noise, parse, plant_tree, unit)
+from ristruct.trees import (K, OMEGA, Tree, X, dot_noise, format_tree,
+                            mi_zero, noise, parse, plant_tree, unit)
 
 from reference import builtin_sector, lincomb
 from test_trees import trees
@@ -43,7 +43,7 @@ def test_threshold_example_above(hopf):
     cop = hopf.coproduct(t, 0, F(1, 7))
     expect = lincomb([
         ((t, unit(3)), 1),
-        ((noise(3), plant_tree("K", (0, 0, 0), dot_noise(3))), 1),
+        ((noise(3), plant_tree(K, (0, 0, 0), dot_noise(3))), 1),
     ])
     assert cop == expect
 
@@ -54,12 +54,12 @@ def test_threshold_example_below(hopf):
     cop = hopf.coproduct(t, 0, F(1, 5))
     expect = lincomb([
         ((t, unit(3)), 1),
-        ((noise(3), plant_tree("K", (0, 0, 0), dot_noise(3))), 1),
+        ((noise(3), plant_tree(K, (0, 0, 0), dot_noise(3))), 1),
     ])
     for j in range(3):
         e = tuple(1 if i == j else 0 for i in range(3))
         decorated_noise = Tree(e, ((OMEGA, (0, 0, 0), unit(3)),))
-        expect.add((decorated_noise, plant_tree("K", e, dot_noise(3))), 1)
+        expect.add((decorated_noise, plant_tree(K, e, dot_noise(3))), 1)
     assert cop == expect
 
 
@@ -79,7 +79,7 @@ def test_genericity_refusal_at_threshold(hopf):
 
 def test_genericity_refusal_in_antipode(hopf):
     """A planted factor of degree exactly zero stops the S+ recursion."""
-    k_noise = plant_tree("K", (0, 0, 0), noise(3))   # degree 1/2 - eps
+    k_noise = plant_tree(K, (0, 0, 0), noise(3))   # degree 1/2 - eps
     with pytest.raises(GenericityError):
         hopf.antipode(k_noise, F(1, 2), 0)
     with pytest.raises(GenericityError):               # -3/2 + 3/p
@@ -98,9 +98,9 @@ def test_genericity_ties_with_fractional_scaling():
     """Ties at eps = 1/10 and nonzero extra decorations l = (3, 0) and
     (0, 1), where |l|_s = 3/2."""
     h = _anisotropic()
-    k_noise = plant_tree("K", (0, 0), noise(2))
+    k_noise = plant_tree(K, (0, 0), noise(2))
     t = parse("(O() K(O()))", dim=2)
-    assert h.planted_degree("K", (0, 0), noise(2), F(1, 7), 0) \
+    assert h.planted_degree(K, (0, 0), noise(2), F(1, 7), 0) \
         == F(8, 5) - F(1, 7)
     with pytest.raises(GenericityError):
         h.coproduct(t, F(1, 10), 0)
@@ -144,7 +144,7 @@ def test_integer_degree_with_fractional_scaling():
         "(O())", "(H())", "(O() K(O()))", "(n=(1,0) O() K^(0,1)(O()))",
         "(K^(3,0)(O()))", "(K^(0,1)(H^(1,1)() O()))",
         "(n=(0,2) O() H() K^(1,1)(O() K^(2,0)(H())))")]
-    trees += [plant_tree("K", (0, 0), t) for t in trees]
+    trees += [plant_tree(K, (0, 0), t) for t in trees]
     _assert_integer_degrees(h, trees, ((F(1, 7), F(0)), (F(1, 10), F(0)),
                                        (F(1, 20), F(1, 3)),
                                        (F(0), F(1, 2))))
@@ -218,7 +218,7 @@ def test_two_sided_checks_see_a_dropped_term(monkeypatch):
 
     eps, invp = F(1, 100), F(1, 5)
     t = parse("(O() K(O()))", dim=3)
-    g = plant_tree("K", (0, 0, 0), t)
+    g = plant_tree(K, (0, 0, 0), t)
     assert h.comodule_check(t, eps, invp)
     assert h.coassociativity_plus_check(g, eps, invp)
     monkeypatch.setattr(h, "_coproduct", lossy)

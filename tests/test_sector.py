@@ -12,8 +12,8 @@ from ristruct.hopf import Hopf
 from ristruct.sector import (Rule, Sector, check_differentiable,
                              check_triangular, derive, epsilon0,
                              generate_from_rule, key_of, load_rule_config)
-from ristruct.trees import (OMEGA, Tree, X, format_tree, mi_range, noise,
-                            parse, plant_tree, unit)
+from ristruct.trees import (K, OMEGA, Tree, X, format_tree, mi_range,
+                            noise, parse, plant_tree, unit)
 
 from reference import builtin_sector, mi_weight
 
@@ -142,10 +142,10 @@ def test_rule_closure_and_validation():
     r = load_rule_config(builtin_rule_config("numeric2d"))[0]
     z = (0, 0)
     assert () in r.for_k
-    assert (("K", z),) in r.for_k
-    assert (("K", z), ("O", z)) in r.for_k
-    assert (("K", z), ("K", z), ("O", z)) in r.for_k
-    assert (("K", z), ("K", z), ("K", z)) not in r.for_k
+    assert ((K, z),) in r.for_k
+    assert ((OMEGA, z), (K, z)) in r.for_k
+    assert ((OMEGA, z), (K, z), (K, z)) in r.for_k
+    assert ((K, z), (K, z), (K, z)) not in r.for_k
     with pytest.raises(ValueError):
         Rule.from_types(2, [[("O", z), ("O", z)]])
     with pytest.raises(ValueError):
@@ -167,6 +167,38 @@ def test_rule_config_counts_are_json_integers(key, value):
     else:
         cfg[key] = value
     with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        load_rule_config(cfg)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("", [1, 2], "rule"),
+    ("params", [1], "params"),
+    ("K", 5, "K"),
+    ("K", [[["O", 5]]], "K node type decoration"),
+    ("K", [[["O"]]], "K node type entry"),
+    ("params.scaling", 5, "params.scaling"),
+    ("L", [2], "L"),
+    ("L", "1/0", "L"),
+    ("params.r0", ["-3/2"], "params.r0"),
+    ("K", [[["O", [0, 0, 0]], ["K", [-1, 0, 0]]]],
+     "K node type decoration entry"),
+    ("K", [[["O", [0, 0, 0]], ["K", [True, 0, 0]]]],
+     "K node type decoration entry"),
+    ("K", [[["O", [0, 0, 0]], ["K", [0.5, 0, 0]]]],
+     "K node type decoration entry")])
+def test_malformed_rule_config_names_the_key(key, value, named):
+    """A rule config of the wrong shape is refused with an error that
+    names the key, not a TypeError from deep inside the reader; a node
+    type's decoration entries are non-negative JSON integers, as the
+    parser requires of a tree's."""
+    cfg = builtin_rule_config("pam3d")
+    if not key:
+        cfg = value
+    elif key.startswith("params."):
+        cfg["params"] = dict(cfg["params"], **{key[len("params."):]: value})
+    else:
+        cfg[key] = value
+    with pytest.raises(ValueError, match=f"^{named} must be"):
         load_rule_config(cfg)
 
 
@@ -222,5 +254,5 @@ def test_epsilon0_values():
 
 def test_w_plus_generators(sector):
     w = sector.w_plus_generators(F(1, 100), F(1, 5))
-    assert plant_tree("K", (0, 0, 0), noise(3)) in w
-    assert plant_tree("K", (0, 0, 0), parse("(H())", dim=3)) in w
+    assert plant_tree(K, (0, 0, 0), noise(3)) in w
+    assert plant_tree(K, (0, 0, 0), parse("(H())", dim=3)) in w

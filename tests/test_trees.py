@@ -12,7 +12,6 @@ from ristruct.trees import (H, K, OMEGA, LinComb, ParseError, Tree, X,
                             dot_noise, format_tree, has_k_leaf, mi_add,
                             mi_binom, mi_factorial, mi_range, noise, parse,
                             plant_tree, tree_product, unit, weighted_range)
-from ristruct.trees import _LABEL_RANK
 
 from reference import plant
 
@@ -20,25 +19,28 @@ from reference import plant
 def _tree_order(child):
     """A key that orders children as Tree() sorts them."""
     lab, e, sub = child
-    return (_LABEL_RANK[lab], e, sub._enc)
+    return (lab, e, sub._enc)
 
 
 def assert_canonical_node(t, n, raw_children):
     """t is the node n over raw_children exactly as Tree() would build it:
-    children in Tree()'s sort order, the encoding entry i belonging to
-    child i, and the format of the sorted node built without interning.
-    Identity alone would not show this, since the intern table is looked
-    up by encoding."""
+    children in Tree()'s sort order, an encoding that holds the child
+    tuple itself, and the format of the sorted node built without
+    interning.  Identity alone would not show this, since the intern
+    table is looked up by encoding."""
     assert t.n == tuple(n)
     assert list(t.children) == sorted(t.children, key=_tree_order)
-    assert t._enc == (t.n, tuple((_LABEL_RANK[lab], e, sub)
-                                 for lab, e, sub in t.children))
-    assert all(entry[2] is child[2]
-               for entry, child in zip(t._enc[1], t.children))
+    assert_one_tuple(t)
     rebuilt = SimpleNamespace(n=tuple(n),
                               children=sorted(raw_children, key=_tree_order))
     assert format_tree(t) == format_tree(rebuilt)
     assert t is Tree(n, tuple(raw_children))
+
+
+def assert_one_tuple(t):
+    """The encoding is (n, children) and holds the child tuple itself."""
+    assert t._enc == (t.n, t.children)
+    assert t._enc[1] is t.children
 
 
 _FRESH = count(10 ** 6, 10)  # decorations no other tree carries
@@ -165,6 +167,25 @@ def test_product_roundtrip(a, b):
     assert parse(format_tree(p), dim=2) is p
 
 
+def test_every_constructor_keeps_one_child_tuple():
+    """A node stores its children once: the tuple in ``children`` is the
+    one in the encoding, whichever constructor built the node, and every
+    interned tree is keyed by its own encoding."""
+    a = parse("(n=(2,1) O() K^(0,1)(O() H()))")
+    b = Tree([0, 3], [(H, [1, 0], unit(2)), (OMEGA, (0, 0), unit(2))])
+    fresh = Tree((next(_FRESH), 0), b.children)
+    hit = parse("(n=(2,4) O() O() H^(1,0)() K^(0,1)(O() H()))")
+    size = len(Tree._intern)
+    assert tree_product(a, b) is hit
+    miss = tree_product(a, fresh)
+    assert len(Tree._intern) == size + 1
+    for t in (a, a.children[-1][2], b, fresh, miss, hit,
+              plant_tree(K, (1, 1), a), X((next(_FRESH), 2))):
+        assert_one_tuple(t)
+    assert all(key is t._enc and t._enc[1] is t.children
+               for key, t in Tree._intern.items())
+
+
 def test_tree_product_unit_returns_operand():
     t = parse("(n=(1,0) O() K(O()))")
     assert tree_product(t, unit(2)) is t
@@ -227,7 +248,7 @@ def test_tree_product_is_the_canonical_tree(a, b):
 
 def _nested_encoding(t):
     """The encoding with every subtree replaced by its own encoding."""
-    return (t.n, tuple((_LABEL_RANK[lab], e, _nested_encoding(sub))
+    return (t.n, tuple((lab, e, _nested_encoding(sub))
                        for lab, e, sub in t.children))
 
 

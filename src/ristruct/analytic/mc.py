@@ -113,8 +113,6 @@ def scaling_fit(t_values, series, seed: int = 0):
     200 bootstrap resamples of the ensemble."""
     logt = np.log(np.asarray(t_values, dtype=float))
     logs = np.log(np.asarray(series, dtype=float))
-    if logs.ndim == 1:
-        logs = logs[None, :]
     n = logs.shape[0]
 
     def fit(rows):

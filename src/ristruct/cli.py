@@ -19,26 +19,19 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .config import builtin_rule_config, json_array, json_integer, json_object
-from .grading import (GenericityError, INF, degree, from_invp, phase_sets,
-                      to_invp)
+from .config import (builtin_rule_config, json_array, json_integer,
+                     json_object, json_rational)
+from .grading import (GenericityError, degree, degree_consts, degree_form,
+                      epsilon0_from_forms, from_invp, phase_sets, to_invp)
 from .hopf import Hopf
 from .renorm import CounterTerms, RcMap, verify_preparation
 from .sector import (HOPF_CHECKS, HOPF_TREE_SETS, check_differentiable,
-                     check_triangular, epsilon0, key_of, load_sector)
+                     check_triangular, key_of, load_sector)
 from .trees import format_tree, parse
 
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
-
-
-def _frac_str(x) -> str:
-    return str(Fraction(x))
-
-
-def _parse_p(text: str) -> Fraction:
-    return to_invp(INF if text in ("inf", "infinity") else Fraction(text))
 
 
 def _worst(errors):
@@ -114,7 +107,7 @@ def cmd_sector_gen(args):
         listing.append({
             "index": i + 1,
             "tree": format_tree(t),
-            "omega": k[0], "edges": k[1], "degree": _frac_str(k[2]),
+            "omega": k[0], "edges": k[1], "degree": str(k[2]),
             "derivatives": [format_tree(s)
                             for s in sector.dot_basis_by_index[i]],
         })
@@ -129,31 +122,32 @@ def cmd_sector_gen(args):
 
 
 def cmd_coproduct(args):
-    invp = _parse_p(args.p)
-    eps = Fraction(args.eps)
+    invp = to_invp(args.p)
+    eps = json_rational(args.eps, "--eps")
     sector, hopf = _load_sector(args, args.rule or "pam3d")
     t = parse(args.tree, dim=sector.params.d)
     cop = (hopf.coproduct_graphical(t, eps, invp) if args.graphical
            else hopf.coproduct(t, eps, invp))
     terms = [{"left": format_tree(a), "right": format_tree(b),
-              "coeff": _frac_str(c)}
+              "coeff": str(c)}
              for (a, b), c in sorted(cop, key=lambda kv: (
                  kv[0][0]._enc, kv[0][1]._enc))]
-    _emit(args, {"tree": format_tree(t), "eps": _frac_str(eps),
+    _emit(args, {"tree": format_tree(t), "eps": str(eps),
                  "p": args.p, "terms": terms})
     return 0
 
 
 def cmd_phase(args):
     sector, _hopf = _load_sector(args, args.rule)
-    eps = Fraction(args.eps)
-    invp = _parse_p(args.p)
+    params = sector.params
+    eps = json_rational(args.eps, "--eps")
+    invp = to_invp(args.p)
     gens = sector.w_plus_generators(Fraction(0), Fraction(1, 2))
-    i_eps, j_p = phase_sets(gens, sector.params, eps, invp)
-    doc = {"I_eps": [_frac_str(q) for q in i_eps],
-           "J_p": [_frac_str(e) for e in j_p]}
+    i_eps, j_p = phase_sets(gens, params, eps, invp)
+    doc = {"I_eps": [str(q) for q in i_eps], "J_p": [str(e) for e in j_p]}
     try:
-        doc["epsilon0"] = _frac_str(epsilon0(gens, sector.params))
+        doc["epsilon0"] = str(epsilon0_from_forms(
+            [degree_form(g, params) for g in gens], params))
     except GenericityError as exc:
         doc["epsilon0"] = None
         doc["epsilon0_error"] = str(exc)
@@ -165,7 +159,8 @@ def cmd_prep_verify(args):
     sector, hopf = _load_sector(args, args.rule)
     with open(args.counterterms) as fh:
         raw = args.inputs["counterterms"] = json.load(fh)
-    values = {parse(k, dim=sector.params.d): Fraction(str(v))
+    values = {parse(k, dim=sector.params.d):
+              json_rational(v, f"counterterm of {k}")
               for k, v in json_object(raw, "counterterms").items()}
     R = RcMap(CounterTerms(values), hopf, sector)
     report = verify_preparation(R, sector, hopf)
@@ -178,8 +173,8 @@ def cmd_prep_verify(args):
 
 def cmd_verify_hopf(args):
     sector, hopf = _load_sector(args, args.rule)
-    eps = Fraction(args.eps)
-    invp = _parse_p(args.p)
+    eps = json_rational(args.eps, "--eps")
+    invp = to_invp(args.p)
     failures = []  # tree by tree, each tree's checks in table order
     for tree_set, trees in HOPF_TREE_SETS.items():
         checks = [(name, holds) for name, s, holds in HOPF_CHECKS
@@ -194,8 +189,8 @@ def cmd_verify_hopf(args):
 
 def cmd_verify_triangularity(args):
     sector, hopf = _load_sector(args, args.rule)
-    eps = Fraction(args.eps)
-    invp = _parse_p(args.p)
+    eps = json_rational(args.eps, "--eps")
+    invp = to_invp(args.p)
     r1 = check_differentiable(sector, hopf, eps, invp)
     r2 = check_triangular(sector, hopf, eps, invp)
     failures = [{"property": f["check"], "tree": format_tree(f["tree"]),
@@ -291,8 +286,9 @@ def _numeric_setup(args, cfg: dict):
                                           [[n // 3 for n in sizes]]),
                                   "basePoints")]
     tol = _positive(cfg.get("tolerance", 1e-9), "tolerance")
-    eps = Fraction(str(cfg.get("eps", "1/100")))
-    invp = _parse_p(str(cfg.get("p", "inf")))
+    eps = json_rational(cfg.get("eps", "1/100"), "eps")
+    invp = to_invp(cfg.get("p", "inf"))
+    degree_consts(params, eps, invp)  # the range check
 
     grid = GridSpec(sizes, period, tuple(float(s) for s in params.scaling))
     if "symbol" in ocfg:
@@ -362,7 +358,7 @@ def cmd_model_build(args):
         trees[format_tree(t)] = per_point
     _emit(args, {"trees": trees,
                  "route_equivalence_error": _worst(errors),
-                 "eps": _frac_str(num.eps), "p": str(from_invp(invp))})
+                 "eps": str(num.eps), "p": str(from_invp(invp))})
     return 0
 
 

@@ -56,10 +56,11 @@ def json_integer(value, name: str, low: int = 0,
 
 
 def json_rational(value, name: str) -> Fraction:
-    """A rational from a finite JSON number or a string such as "-3/2"."""
-    if type(value) in (int, float, str):
+    """A rational from a Fraction, a finite JSON number or a string such
+    as "-3/2"; a float is the decimal it is written as (0.01 is 1/100)."""
+    if type(value) in (int, float, str, Fraction):
         try:
-            return Fraction(value)
+            return Fraction(repr(value) if type(value) is float else value)
         except (ValueError, ArithmeticError):  # "x", "1/0", nan, inf
             pass
     raise ValueError(f"{name} must be a number or a string such as "

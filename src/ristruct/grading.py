@@ -3,7 +3,8 @@
 Degrees are affine forms in (r0, beta0, scaling, eps, 1/p).  The
 integrability exponent p ranges over [2, infinity] and is represented by
 1/p throughout, so p = infinity is the exact rational 0 and every
-comparison stays exact.
+comparison stays exact.  ``to_invp`` is the one exponent reader and
+``degree_consts`` the one range check, eps >= 0 and 1/p in [0, 1/2].
 """
 
 from __future__ import annotations
@@ -106,8 +107,11 @@ def degree_form(t: Tree, params: Params) -> DegreeForm:
 
 
 def degree_consts(params: Params, eps, invp) -> tuple:
-    """(r0 - eps, beta0, |s|/p): what cR0, cBeta0 and cInvP multiply."""
+    """(r0 - eps, beta0, |s|/p): what cR0, cBeta0 and cInvP multiply;
+    eps < 0 or a 1/p outside [0, 1/2] is a ValueError."""
     eps, invp = Fraction(eps), Fraction(invp)
+    if eps < 0:
+        raise ValueError(f"eps must be at least 0, not {eps}")
     if not 0 <= invp <= Fraction(1, 2):
         raise ValueError("1/p must lie in [0, 1/2]")
     return params.r0 - eps, params.beta0, params.abs_scaling * invp
@@ -127,12 +131,13 @@ INF = "inf"
 
 
 def to_invp(p) -> Fraction:
-    """Convert an exponent p in [2, inf] to its reciprocal."""
-    if p == INF or p is None:
+    """1/p of an exponent p in [2, inf] given as "inf", "infinity" or a
+    rational that ``json_rational`` reads."""
+    if p in (INF, "infinity"):
         return Fraction(0)
-    p = Fraction(p)
+    p = json_rational(p, "p")
     if p < 2:
-        raise ValueError("p must be at least 2")
+        raise ValueError(f"p must be at least 2 or inf, not {p}")
     return 1 / p
 
 
@@ -206,7 +211,8 @@ def epsilon0_from_forms(forms, params: Params) -> Fraction:
     intersections inside the strip and each line's hits on the
     boundaries 1/p = 0 and 1/p = 1/2.  A line may cross eps = 0 inside
     the strip: that is an ordinary p-phase transition, not a violation;
-    only candidate abscissae landing exactly at eps = 0 are refused."""
+    only candidate abscissae landing exactly at eps = 0 are refused.
+    A repeated form adds no candidate, so each is scanned once."""
     S = params.abs_scaling
     half = Fraction(1, 2)
 
@@ -217,7 +223,7 @@ def epsilon0_from_forms(forms, params: Params) -> Fraction:
         return degree_eval(form, params, 0, invp) / form.cR0
 
     candidates = []
-    lines = [f for f in forms if f.cR0 != 0 or f.cInvP != 0]
+    lines = [f for f in dict.fromkeys(forms) if f.cR0 != 0 or f.cInvP != 0]
     for f in lines:
         for invp in (Fraction(0), half):
             e = eps_at(f, invp)

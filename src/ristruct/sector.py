@@ -173,15 +173,6 @@ class Sector:
         return gens
 
 
-def epsilon0(gens, params: Params) -> Fraction:
-    """Largest guaranteed-generic band: least intersection abscissa of
-    the degree-zero lines of the given positive generators (the W+
-    generators at (0, 1/2)) in the (eps, 1/p) strip."""
-    from .grading import degree_form, epsilon0_from_forms
-    forms = [degree_form(g, params) for g in gens]
-    return epsilon0_from_forms(forms, params)
-
-
 def generate_from_rule(rule: Rule, max_omega: int, poly_bound, params: Params,
                        max_edges: int = 5) -> Sector:
     """Enumerate the strongly conforming noise trees up to the bounds.

@@ -333,6 +333,46 @@ def test_bad_config_exit(capsys, tmp_path):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "counterterms" in json.loads(err)["error"]
+    # so must each value be a rational: a "1/0" names its tree
+    bad.write_text(json.dumps({"(O() K(O()))": "1/0"}))
+    code, out, err = run(capsys, "prep", "verify", str(bad),
+                         "--rule", "numeric2d")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "(O() K(O()))" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("verify", "hopf", "numeric2d", "--eps", "1/0"), "--eps"),
+    (("verify", "hopf", "numeric2d", "--eps=-1"), "eps must be at least 0"),
+    (("verify", "hopf", "numeric2d", "--p", "1/0"), "p must"),
+    (("verify", "triangularity", "numeric2d", "--eps=-1"), "eps"),
+    (("coproduct", "(O() K(H()))", "--eps=-1/100"), "eps"),
+    (("coproduct", "(O() K(H()))", "--p", "infinit"), "p must"),
+    (("phase", "numeric2d", "--eps=-1"), "eps"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_bad_plane_point_exit(capsys, argv, named):
+    """An (eps, p) off the plane eps >= 0, p in [2, inf], or not a
+    rational, exits 1 with a JSON error naming it, not a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert named in json.loads(err)["error"]
+
+
+def test_json_float_reads_as_its_decimal(capsys, tmp_path):
+    """A rule file's JSON float is the decimal it is written as: -1.05
+    is -21/20, not the nearest binary fraction."""
+    cfg = builtin_rule_config("numeric2d")
+    outs = []
+    for r0, beta0 in (("-21/20", "19/10"), (-1.05, 1.9)):
+        cfg["params"] = dict(cfg["params"], r0=r0, beta0=beta0)
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _err = run(capsys, "sector", "gen", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_usage_error_exit(capsys):
@@ -405,6 +445,11 @@ def test_unknown_top_level_key_exit(capsys, small_cfg, tmp_path, argv):
     ({"mollify": "4"}, "mollify", "scaling"),
     ({"tGrid": [0.25]}, "tGrid", "scaling"),
     ({"tGrid": [0.25, 0.25]}, "tGrid", "scaling"),
+    ({"eps": "1/0"}, "eps", "model"),
+    ({"eps": [1]}, "eps", "model"),
+    ({"eps": "-3"}, "eps", "model"),
+    ({"p": "1/0"}, "p must", "model"),
+    ({"p": None}, "p must", "model"),
 ])
 def test_bad_numeric_config_exit(capsys, small_cfg, tmp_path, change, named,
                                  command):

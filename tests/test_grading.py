@@ -9,6 +9,7 @@ from ristruct.grading import (DegreeForm, GenericityError, INF, Params,
                               degree, degree_form, epsilon0_from_forms,
                               from_invp, integrability, p_transition,
                               phase_sets, to_invp)
+from ristruct.hopf import Hopf
 from ristruct.trees import K, X, dot_noise, noise, parse, plant_tree
 
 from reference import mi_weight
@@ -62,12 +63,26 @@ def test_weights_match_the_scaling():
 
 
 def test_to_from_invp():
-    assert to_invp(INF) == 0
-    assert to_invp(4) == F(1, 4)
+    assert to_invp(INF) == to_invp("infinity") == 0
+    assert to_invp(4) == to_invp("4") == F(1, 4)
+    assert to_invp(F(5)) == to_invp(5.0) == F(1, 5)
     assert from_invp(F(1, 4)) == 4
     assert from_invp(F(0)) == INF
-    with pytest.raises(ValueError):
-        to_invp(1)
+    for bad in (1, "1/0", "x", None, [5], True, float("inf")):
+        with pytest.raises(ValueError, match="p must"):
+            to_invp(bad)
+
+
+def test_range_check():
+    """degree_consts refuses eps < 0 and a 1/p outside [0, 1/2], so
+    every degree evaluation and every Hopf truncation does."""
+    p = Params.from_dict(NUMERIC2D)
+    for eps, invp, named in ((F(-1, 100), 0, "eps"), (0, F(3, 5), "1/p"),
+                             (0, F(-1, 5), "1/p")):
+        with pytest.raises(ValueError, match=named):
+            degree(noise(2), p, eps, invp)
+        with pytest.raises(ValueError, match=named):
+            Hopf(p).truncation(eps, invp)
 
 
 def test_integrability():

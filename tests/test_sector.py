@@ -7,11 +7,12 @@ from itertools import product
 import pytest
 
 from ristruct.config import PAM3D, builtin_rule_config
-from ristruct.grading import GenericityError, Params
+from ristruct.grading import (GenericityError, Params, degree_form,
+                              epsilon0_from_forms)
 from ristruct.hopf import Hopf
 from ristruct.sector import (Rule, Sector, check_differentiable,
-                             check_triangular, derive, epsilon0,
-                             generate_from_rule, key_of, load_rule_config)
+                             check_triangular, derive, generate_from_rule,
+                             key_of, load_rule_config)
 from ristruct.trees import (K, OMEGA, Tree, X, format_tree, mi_range,
                             noise, parse, plant_tree, unit)
 
@@ -245,11 +246,14 @@ def test_check_triangular_passes(sector, hopf):
 
 
 def test_epsilon0_values():
-    s = builtin_sector("pam3d")
+    def epsilon0(s):
+        forms = [degree_form(g, s.params)
+                 for g in s.w_plus_generators(0, F(1, 2))]
+        return epsilon0_from_forms(forms, s.params)
+
     with pytest.raises(GenericityError):
-        epsilon0(s.w_plus_generators(0, F(1, 2)), s.params)
-    s = builtin_sector("numeric2d")
-    assert epsilon0(s.w_plus_generators(0, F(1, 2)), s.params) == F(7, 20)
+        epsilon0(builtin_sector("pam3d"))
+    assert epsilon0(builtin_sector("numeric2d")) == F(7, 20)
 
 
 def test_w_plus_generators(sector):

@@ -133,7 +133,7 @@ def cmd_coproduct(args):
              for (a, b), c in sorted(cop, key=lambda kv: (
                  kv[0][0]._enc, kv[0][1]._enc))]
     _emit(args, {"tree": format_tree(t), "eps": str(eps),
-                 "p": args.p, "terms": terms})
+                 "p": str(from_invp(invp)), "terms": terms})
     return 0
 
 

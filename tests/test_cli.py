@@ -67,6 +67,16 @@ def test_coproduct_graphical_agrees(capsys):
     assert a["terms"] == b["terms"]
 
 
+def test_coproduct_echoes_p_canonically(capsys):
+    """Two spellings of one 1/p print the same bytes."""
+    for spelt, canonical in (("5.0", "5"), ("infinity", "inf")):
+        _c, out, _e = run(capsys, "coproduct", "(O() K(H()))", "--eps", "0",
+                          "--p", spelt)
+        assert out == run(capsys, "coproduct", "(O() K(H()))", "--eps", "0",
+                          "--p", canonical)[1]
+        assert json.loads(out)["p"] == canonical
+
+
 def test_coproduct_genericity_exit(capsys):
     code, _out, err = run(capsys, "coproduct", "(O() K(H()))", "--p", "6")
     assert code == EXIT_CONFIG

@@ -1,9 +1,11 @@
 """Recentered interpretations on the grid: dual routes, comparison
 across integrability cells, recentering characters and norms."""
 
+import ctypes
 import gc
 import math
 import random
+import resource
 import weakref
 from fractions import Fraction as F
 
@@ -794,3 +796,31 @@ def test_one_truncation_lookup_per_recentering_call(monkeypatch):
                         calls.clear()
                         route(t, x, invp)
                         assert calls == [invp]
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no mallopt in the C library")
+def test_cold_models_reuse_freed_pages():
+    """A cold pam3d model on 32^3 takes one pi_x and is dropped, five
+    times over: after the first, each build finds its field pages freed
+    by the one before still in the process.  With glibc's default
+    thresholds each build faulted about 560 pages in afresh."""
+    sector = builtin_sector("pam3d")
+    hopf = Hopf(sector.params)
+    grid = GridSpec((32,) * 3, (2 * np.pi,) * 3, (1.0,) * 3)
+    ctx = OperatorContext(grid, fourth_order_op(3), QuadratureSpec())
+    xi, h = smooth_field(grid, 5, 0, 0.7), smooth_field(grid, 5, 1, 0.7)
+    t = parse("(O() K(O() K(O())))", dim=3)
+    faults = []
+    for _build in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        Model(sector, hopf, ctx, xi, h, eps=EPS).pi_x(t, (3, 5, 7), F(0))
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    assert max(faults[1:]) < 64, faults

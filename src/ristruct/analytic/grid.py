@@ -52,8 +52,8 @@ therefore fixes M_MMAP_THRESHOLD at 32 MiB and M_TRIM_THRESHOLD at
 64 MiB, the ceiling glibc's own threshold reaches on 64-bit and its 2x
 trim rule, from the start; setting only the trim threshold would freeze
 the mmap threshold, possibly at 128 KiB.  One recenter-3d run (seed 5)
-made 59 279 minor faults in its ops before (dpidd 33 771, route 24 536,
-comparison 972) and 11 848 after; a 32^3 ``rfftn`` made 104 per call
+made 59 359 minor faults in its ops before (dpidd 33 772, route 24 618,
+comparison 969) and 11 848 after; a 32^3 ``rfftn`` made 104 per call
 and makes none.  Where the C library has no ``mallopt`` nothing changes,
 and no value is computed differently either way.
 """
@@ -231,17 +231,17 @@ def _read_only(a):
 
 
 @lru_cache(maxsize=None)
-def _keep_freed_pages() -> bool:
-    """Fix glibc's mmap and trim thresholds (see the module docstring);
-    False where the C library has no ``mallopt``."""
+def _keep_freed_pages() -> None:
+    """Fix glibc's mmap and trim thresholds, once per process (see the
+    module docstring); nothing where the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
-        return False
+        return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    return True
 
 
 def _dot(a, b) -> float:

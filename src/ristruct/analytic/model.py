@@ -71,6 +71,12 @@ class Model:
     and the phased spectra), and exact or scalar values (the characters
     f_x and g_x^-1 on planted trees, and the truncation at which
     ``lambda_x`` evaluates each planted tree).
+    The phased spectra and the oracle's planted fields depend on the
+    base point and are kept for one point only: a request at another
+    point drops them, so a caller that visits many points should finish
+    each before the next.  Every other cache outlives a base point: the
+    point-free fields, the scalars f_x and g_x^-1 (keyed by their point)
+    and the truncations of ``lambda_x``.
     Each recentering value is computed once per truncation cell of its
     tree, or of its tree planted along a label, at the truncation that
     stands for the cell (``Hopf.cell``), and is keyed by that
@@ -117,6 +123,8 @@ class Model:
         self._dh = {}
         self._f = {}
         self._ginv_pl = {}
+        # per-point caches, holding the entries of base point _x only
+        self._x = None
         self._kf1 = {}
         self._hat2_pl = {}
         # the last (tree, x, cell) asked of each route and its field
@@ -220,10 +228,20 @@ class Model:
         planted along lab, that holds invp (a 1/p or a _Truncation)."""
         return self.hopf.cell(sub, lab, self._truncation(invp))
 
+    def _at_point(self, x) -> None:
+        """Drop the per-point caches when x is not the base point they
+        hold.  Every call below a request passes the request's x, so
+        nothing a request is building is dropped."""
+        if x != self._x:
+            self._kf1.clear()
+            self._hat2_pl.clear()
+            self._x = x
+
     def pi_x(self, t: Tree, x, invp) -> np.ndarray:
         """Recentered interpretation via (interp x g_x^-1) o coproduct."""
         tr = self._cell(invp, t)
         x = tuple(x)
+        self._at_point(x)
         key = (t, x, tr)
         last_key, out = self._pi_x_last
         if last_key != key:
@@ -304,6 +322,7 @@ class Model:
         and the tree's own spectrum is phased."""
         tr = self._cell(invp, sub)
         x = tuple(x)
+        self._at_point(x)
         key = (sub, x, tr)
         out = self._kf1.get(key)
         if out is None:
@@ -320,6 +339,7 @@ class Model:
         """Recentered interpretation via the Taylor-subtraction recursion."""
         tr = self._cell(invp, t)
         x = tuple(x)
+        self._at_point(x)
         key = (t, x, tr)
         last_key, out = self._pi_x_hat_last
         if last_key != key:

@@ -346,16 +346,22 @@ def cmd_model_build(args):
     invp = num.invp
     model = Model(num.sector, num.hopf, num.ctx, *_noise_fields(num),
                   eps=num.eps)
+    members = num.sector.members()
+
+    def entry(t, x):
+        f = model.pi_x(t, x, invp)
+        return ({"min": float(f.min()), "max": float(f.max()),
+                 "mean": float(f.mean())},
+                check_route_equivalence(model, t, x, invp))
+    # point-major, so that the model's per-point caches serve every tree
+    # at a base point before they move on; emitted tree-major
+    rows = [[entry(t, x) for t in members] for x in num.points]
     trees, errors = {}, []
-    for t in num.sector.members():
-        per_point = {}
-        for x in num.points:
-            f = model.pi_x(t, x, invp)
-            per_point[str(x)] = {
-                "min": float(f.min()), "max": float(f.max()),
-                "mean": float(f.mean())}
-            errors.append(check_route_equivalence(model, t, x, invp))
-        trees[format_tree(t)] = per_point
+    for i, t in enumerate(members):
+        per_point = trees[format_tree(t)] = {}
+        for x, row in zip(num.points, rows):
+            per_point[str(x)], err = row[i]
+            errors.append(err)
     _emit(args, {"trees": trees,
                  "route_equivalence_error": _worst(errors),
                  "eps": str(num.eps), "p": str(from_invp(invp))})
@@ -373,15 +379,19 @@ def cmd_verify_comparison(args):
         (to_invp(p) for p in model.phase_points()), reverse=True) \
         + [Fraction(0)]
     cells = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+    # point-major, as in model build; each base point keeps the
+    # (tree, 1/p) order, so the first 1/p asked in each truncation cell
+    # is the one the tree-major order asked first
+    pairs = [(t, invp) for t in num.sector.dot_basis for invp in cells]
+    rows = [[check_comparison(model, t, x, invp) for t, invp in pairs]
+            for x in num.points]
     errors, results = [], []
-    for t in num.sector.dot_basis:
-        for invp in cells:
-            for x in num.points:
-                err = check_comparison(model, t, x, invp)
-                errors.append(err)
-                results.append({"tree": format_tree(t),
-                                "p": str(from_invp(invp)),
-                                "error": _error(err)})
+    for i, (t, invp) in enumerate(pairs):
+        for row in rows:
+            errors.append(row[i])
+            results.append({"tree": format_tree(t),
+                            "p": str(from_invp(invp)),
+                            "error": _error(row[i])})
     return _emit_verdict(args, _worst(errors), num.tol, results)
 
 

@@ -212,6 +212,39 @@ def test_repeated_runs_identical(capsys, small_cfg):
     assert out1 == out2
 
 
+
+@pytest.mark.parametrize("p, command, most", [
+    ("inf", "model", (23, 18)), ("inf", "verify", (24, 10)),
+    ("2", "model", (26, 30)), ("2", "verify", (24, 10))])
+def test_numeric_commands_transform_each_field_once(capsys, monkeypatch,
+                                                    tmp_path, p, command,
+                                                    most):
+    """model build and verify comparison visit the base points outermost,
+    so the model's per-point caches serve every tree at a point and no
+    field is transformed twice: on the pam3d 16^3 config at two base
+    points they make at most the rfftn and irfftn calls counted when
+    every point's caches were kept."""
+    import numpy as np
+
+    cfg = tmp_path / "pam3d.json"
+    cfg.write_text(json.dumps({
+        "rule": "pam3d", "grid": {"sizes": [16, 16, 16]},
+        "noise": {"kind": "smooth", "scale": 0.7}, "seed": 7, "p": p,
+        "basePoints": [[0, 0, 0], [5, 9, 3]]}))
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*a, _f=original, _name=name, **k):
+            calls[_name] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(np.fft, name, counted)
+    argv = (["model", "build"] if command == "model"
+            else ["verify", "comparison"])
+    code, _out, _err = run(capsys, *argv, str(cfg))
+    assert code == 0
+    assert calls["rfftn"] <= most[0] and calls["irfftn"] <= most[1]
+
 # Trees hash by identity, so a set of trees iterates in address order.
 # The second interpreter first keeps a number of objects of the sizes
 # that trees and their tuples take, so that later objects sit elsewhere.

@@ -661,12 +661,33 @@ def test_taylor_coefficients_cost_no_transform(monkeypatch):
             return _f(*a, **k)
         monkeypatch.setattr(np.fft, name, counted)
     reads = _count_kernel_points(monkeypatch)
-    before_pl = len(model._hat2_pl)
     for t in sector.members():
         model.pi_x_hat(t, (9, 4, 14), invp)
-    k_edges = sum(key[0] == K for key in list(model._hat2_pl)[before_pl:])
+    # the planted fields of the first point are gone: those in the cache
+    # are the ones this sweep formed
+    k_edges = sum(key[0] == K for key in model._hat2_pl)
     assert reads  # Taylor coefficients were read
     assert sorted(calls) == ["irfftn"] * k_edges + ["rfftn"] * k_edges
+
+
+def test_per_point_caches_hold_one_base_point():
+    """The phased spectra and the oracle's planted fields are kept for
+    the last base point only, and a point swept again after another gets
+    every field bit for bit as it got it the first time."""
+    sector, model = _pam3d_model()
+    x0, x1 = (1, 2, 3), (9, 4, 14)
+
+    def sweep(x):
+        return [np.array(route(t, x, invp)) for t in sector.members()
+                for invp in (F(0), F(1, 5), F(1, 2))
+                for route in (model.pi_x, model.pi_x_hat)]
+    first = sweep(x0)
+    sweep(x1)
+    assert model._kf1 and model._hat2_pl
+    assert all(key[1] == x1 for key in model._kf1)
+    assert all(key[3] == x1 for key in model._hat2_pl)
+    again = sweep(x0)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def test_constant_samples_match_full_inverse(setup):

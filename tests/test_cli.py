@@ -214,8 +214,11 @@ def test_repeated_runs_identical(capsys, small_cfg):
 
 
 @pytest.mark.parametrize("p, command, most", [
-    ("inf", "model", (23, 18)), ("inf", "verify", (24, 10)),
-    ("2", "model", (26, 30)), ("2", "verify", (24, 10))])
+    ("inf", ("model", "build"), (23, 18)),
+    ("inf", ("verify", "comparison"), (24, 10)),
+    ("2", ("model", "build"), (26, 30)),
+    ("2", ("verify", "comparison"), (24, 10))],
+    ids=["model-inf", "comparison-inf", "model-p2", "comparison-p2"])
 def test_numeric_commands_transform_each_field_once(capsys, monkeypatch,
                                                     tmp_path, p, command,
                                                     most):
@@ -239,11 +242,10 @@ def test_numeric_commands_transform_each_field_once(capsys, monkeypatch,
             calls[_name] += 1
             return _f(*a, **k)
         monkeypatch.setattr(np.fft, name, counted)
-    argv = (["model", "build"] if command == "model"
-            else ["verify", "comparison"])
-    code, _out, _err = run(capsys, *argv, str(cfg))
+    code, _out, _err = run(capsys, *command, str(cfg))
     assert code == 0
     assert calls["rfftn"] <= most[0] and calls["irfftn"] <= most[1]
+
 
 # Trees hash by identity, so a set of trees iterates in address order.
 # The second interpreter first keeps a number of objects of the sizes

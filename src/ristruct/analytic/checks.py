@@ -8,7 +8,7 @@ import numpy as np
 
 from ..grading import INF, integrability
 from ..trees import Tree
-from .model import Model, weighted_sum
+from .model import _HALF, Model, weighted_sum
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -31,12 +31,11 @@ def check_route_equivalence(model: Model, t: Tree, x, invp) -> float:
 def check_comparison(model: Model, t: Tree, x, invp) -> float:
     """Recentering at p against p = 2 plus the comparison-character sum."""
     invp = Fraction(invp)
-    half = Fraction(1, 2)
     lhs = model.pi_x(t, x, invp)
 
     def rhs():  # lazy: listing the terms first faults in a field per call
-        yield model.pi_x(t, x, half), 1.0
-        for (sigma, forest), c in model.hopf.coproduct(t, model.eps, half):
+        yield model.pi_x(t, x, _HALF), 1.0
+        for (sigma, forest), c in model.hopf.coproduct(t, model.eps, _HALF):
             if forest.is_planted():
                 lam = model.lambda_x(forest, x, invp)
                 if lam:

@@ -112,10 +112,6 @@ class GridSpec:
         return [np.arange(n) * (p / n)
                 for n, p in zip(self.sizes, self.period)]
 
-    def coords(self):
-        """Full coordinate meshes (indexing='ij')."""
-        return np.meshgrid(*self.axes(), indexing="ij")
-
     def freqs(self):
         """Angular frequency arrays, one per axis (fftfreq layout)."""
         return [2.0 * np.pi * np.fft.fftfreq(n, d=p / n)
@@ -285,13 +281,6 @@ class OperatorContext:
         self._heat_mult = {}
         self._heat_kernel = {}
         self._mollify_mult = {}
-        self._coords = None
-
-    def coords(self):
-        """The grid's coordinate meshes, built once and shared read-only."""
-        if self._coords is None:
-            self._coords = [_read_only(c) for c in self.grid.coords()]
-        return self._coords
 
     # multiplier building blocks -----------------------------------------
 

@@ -25,6 +25,8 @@ from ..sector import Sector
 from ..trees import H, K, OMEGA, Tree, mi_add, mi_factorial, noise, unit
 from .grid import OperatorContext, _read_only
 
+_HALF = Fraction(1, 2)  # where the comparison formula reads every tree
+
 
 def _product(factors, sizes) -> np.ndarray:
     """The pointwise product of the fields, left to right; all ones when
@@ -43,14 +45,20 @@ def _product(factors, sizes) -> np.ndarray:
 
 def weighted_sum(terms, sizes) -> np.ndarray:
     """The read-only sum of w f over the (field, weight) pairs, which may
-    be given lazily.  Each term is scaled into one scratch buffer and
-    added, so no field is written."""
-    out = np.zeros(sizes)
-    term = np.empty_like(out)
+    be given lazily; no field is written.  It is the sum begun from zeros
+    bit for bit: it starts from f w + 0.0 (f + 0.0 at w = 1.0), since
+    0.0 + v is v + 0.0, which also turns -0.0 into +0.0."""
+    out = term = None
     for f, w in terms:
-        np.multiply(f, w, out=term)
-        out += term
-    return _read_only(out)
+        if out is None and w == 1.0:
+            out = np.add(f, 0.0)
+        elif out is None:
+            out = np.multiply(f, w)
+            out += 0.0
+        else:
+            term = np.multiply(f, w, out=term)
+            out += term
+    return _read_only(np.zeros(sizes) if out is None else out)
 
 
 class Model:
@@ -85,11 +93,10 @@ class Model:
     recursion below it hands the cell's truncation down in place of
     1/p.  The preparation map must keep these cells: its terms of a tree
     may plant only decorated branches of that tree, as R_c's terms do.
-    ``pi_x`` and ``pi_x_hat`` each remember one field: the last one they
-    formed, with its tree, base point and cell.  A request with the same
-    three, at any 1/p of that cell, gets that field itself; any other
-    request forms its weighted sum of cached fields afresh and takes the
-    slot.
+    ``pi_x_hat`` keeps the last field it formed, with its tree, base
+    point and cell, and ``pi_x`` the last one served at exactly 1/p = 1/2
+    and the last one formed otherwise; a request with the same three, at
+    any 1/p of that cell, gets that field itself, and no other is kept.
     Every array the model forms and hands out is read-only, and the
     model never writes into one, nor into the caller's ``xi``, ``h`` or
     ``xi_hat``: a write raises ValueError instead of changing every later
@@ -127,8 +134,7 @@ class Model:
         self._x = None
         self._kf1 = {}
         self._hat2_pl = {}
-        # the last (tree, x, cell) asked of each route and its field
-        self._pi_x_last = self._pi_x_hat_last = (None, None)
+        self._pi_x_last = self._pi_x_half = self._pi_x_hat_last = (None, None)
         # planted tree -> the _Truncation at which lambda_x evaluates it,
         # None when its degree at p = 2 is not positive
         self._lambda_tr = {}
@@ -148,14 +154,15 @@ class Model:
         return tuple(float(self._axes[j][x[j]]) for j in range(len(x)))
 
     def poly_field(self, k, x=None):
-        """The field y^k, or (y - x)^k for a base point x."""
-        out = np.ones(self.ctx.grid.sizes)
-        xc = self.base_coord(x) if x is not None else None
-        for j, kj in enumerate(k):
+        """The field y^k, or (y - x)^k for a base point x, formed on the
+        axes (1.0 v is v) and spread over the grid in one pass."""
+        xc = self.base_coord(x) if x is not None else (0.0,) * len(k)
+        out = 1.0
+        for c, cj, kj in zip(np.ix_(*self._axes), xc, k):
             if kj:
-                c = self.ctx.coords()[j]
-                out = out * (c - xc[j] if xc else c) ** kj
-        return _read_only(out)
+                out = out * (c - cj) ** kj
+        return _read_only(np.ascontiguousarray(
+            np.broadcast_to(out, self.ctx.grid.sizes)))
 
     @staticmethod
     def at(field, x) -> float:
@@ -243,8 +250,10 @@ class Model:
         x = tuple(x)
         self._at_point(x)
         key = (t, x, tr)
-        last_key, out = self._pi_x_last
-        if last_key != key:
+        half = not isinstance(invp, _Truncation) and invp == _HALF
+        entry = next((e for e in (self._pi_x_last, self._pi_x_half)
+                      if e[0] == key), None)
+        if entry is None:
             # the weights first: g_inv may recurse into pi_x, and no
             # field of this call is held meanwhile
             weights = []
@@ -252,10 +261,13 @@ class Model:
                 g = self.g_inv(forest, x, tr)
                 if g:
                     weights.append((sigma, float(c) * g))
-            out = weighted_sum(((self.interp(sigma), w)
-                                for sigma, w in weights), self.ctx.grid.sizes)
-            self._pi_x_last = key, out
-        return out
+            fields = ((self.interp(sigma), w) for sigma, w in weights)
+            entry = key, weighted_sum(fields, self.ctx.grid.sizes)
+            if not half:
+                self._pi_x_last = entry
+        if half:
+            self._pi_x_half = entry
+        return entry[1]
 
     def g_inv(self, forest: Tree, x, invp) -> float:
         """The inverse character g_x^-1 on a forest."""
@@ -390,7 +402,7 @@ class Model:
         """Integrability exponents where some generator degree crosses 0."""
         if self._i_eps is None:
             self._i_eps = phase_points(
-                self.sector.w_plus_generators(self.eps, Fraction(1, 2)),
+                self.sector.w_plus_generators(self.eps, _HALF),
                 self.params, self.eps)
         return self._i_eps
 
@@ -418,7 +430,7 @@ class Model:
         """The _Truncation at which lambda_x evaluates mu, or None when
         mu's degree is not positive at p = 2."""
         hopf = self.hopf
-        if hopf.degree_num(mu, hopf.truncation(self.eps, Fraction(1, 2))) <= 0:
+        if hopf.degree_num(mu, hopf.truncation(self.eps, _HALF)) <= 0:
             return None
         p_mu = p_transition(mu, self.params, self.eps)
         lower = [q for q in self.phase_points() if q < p_mu]

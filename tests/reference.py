@@ -13,9 +13,12 @@ independent of the code they check:
   ``check_comparison_reference`` and
   ``check_derivative_identity_reference``, the relative error, the
   coproduct route, the comparison check and the derivative check summed
-  with a new array per term;
+  with a new array per term, and ``weighted_sum_reference``, a weighted
+  sum begun from zeros;
 - the grid references ``heat_apply``, ``time_integral_reference``,
-  ``time_integral_per_mode`` and ``freq_mesh``;
+  ``time_integral_per_mode``, ``freq_mesh`` and ``coord_mesh``, and
+  ``poly_field_reference``, a polynomial field formed on the full
+  coordinate meshes;
 - ``builtin_sector``, a builtin rule's sector at other generation
   bounds;
 - ``mi_weight``, the scaled weight |k|_s in Fractions, the brute force
@@ -154,6 +157,15 @@ def relative_error_reference(a, b) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
+def weighted_sum_reference(terms, sizes) -> np.ndarray:
+    """The sum of w f over the (field, weight) pairs, begun from zeros,
+    each term scaled into a new array and added."""
+    out = np.zeros(sizes)
+    for f, w in terms:
+        out += np.multiply(f, w)
+    return out
+
+
 def pi_x_reference(model, t: Tree, x, invp) -> np.ndarray:
     """pi_x(t) as the sum over the public coproduct at 1/p of
     g_x^-1(forest) interp(sigma)."""
@@ -253,3 +265,19 @@ def time_integral_per_mode(ctx):
 def freq_mesh(grid):
     """Angular frequency meshes over the full fftfreq layout."""
     return np.meshgrid(*grid.freqs(), indexing="ij")
+
+
+def coord_mesh(grid):
+    """Coordinate meshes over the grid (indexing='ij')."""
+    return np.meshgrid(*grid.axes(), indexing="ij")
+
+
+def poly_field_reference(model, k, x=None) -> np.ndarray:
+    """The field y^k, or (y - x)^k, as all ones times one power of a full
+    coordinate mesh per nonzero entry of k."""
+    xc = model.base_coord(x) if x is not None else None
+    out = np.ones(model.ctx.grid.sizes)
+    for j, c in enumerate(coord_mesh(model.ctx.grid)):
+        if k[j]:
+            out = out * (c - xc[j] if xc else c) ** k[j]
+    return out

@@ -36,7 +36,8 @@ from reference import (DictPreparationMap, Renormalizer, builtin_sector,
                        check_derivative_identity_reference,
                        check_recentering_consistency, freq_mesh,
                        g_recentered, pi_x_reference,
-                       relative_error_reference)
+                       poly_field_reference, relative_error_reference,
+                       weighted_sum_reference)
 
 EPS = F(1, 100)
 
@@ -297,20 +298,73 @@ def test_repeated_request_matches_a_cold_model(setup):
 
 def test_each_route_remembers_one_field(setup):
     """Over a sweep of trees, points and 1/p, each route holds at most
-    one field it formed: the one in its slot."""
+    one field it formed per slot: pi_x holds two, the one in its slot
+    for 1/p = 1/2 and the one in its other slot, and pi_x_hat holds
+    one."""
     sector, hopf, ctx, xi, hf, _m = setup
     model = Model(sector, hopf, ctx, xi, hf, eps=EPS)
-    formed = {"_pi_x_last": [], "_pi_x_hat_last": []}
+    slots = {"pi_x": ("_pi_x_last", "_pi_x_half"),
+             "pi_x_hat": ("_pi_x_hat_last",)}
+    formed = {name: [] for name in slots}
     for x in (X0, Y0):
         for t in sector.members():
-            for invp in (F(0), F(1, 5), F(1, 2)):
-                for route, slot in ((model.pi_x, "_pi_x_last"),
-                                    (model.pi_x_hat, "_pi_x_hat_last")):
-                    route(t, x, invp)
-                    formed[slot].append(weakref.ref(getattr(model, slot)[1]))
-    for slot, refs in formed.items():
+            for invp in (F(1, 2), F(1, 5), F(0)):
+                for name in slots:
+                    out = getattr(model, name)(t, x, invp)
+                    held = [getattr(model, slot)[1] for slot in slots[name]]
+                    # a request is served from a slot, at 1/2 from either
+                    assert any(f is out for f in held)
+                    formed[name] += [weakref.ref(f) for f in held
+                                     if f is not None]
+    for name, refs in formed.items():
         alive = {id(r()) for r in refs if r() is not None}
-        assert alive == {id(getattr(model, slot)[1])}
+        held = {id(getattr(model, slot)[1]) for slot in slots[name]}
+        assert alive == held
+        assert len(held) == len(slots[name])
+
+
+def test_comparison_sweep_forms_the_half_field_once(setup, monkeypatch):
+    """check_comparison reads pi_x(t, x, 1/2) in every cell it is asked
+    at.  Over a sweep of the cells of one (tree, point), on a fresh model
+    per tree, that field is formed by one weighted_sum call and then
+    served from its slot, while the other slot takes the fields at the
+    cell's 1/p.  Every field pi_x serves to the checks equals a cold
+    model's on a fresh Hopf, bit for bit."""
+    sector, _h, ctx, xi, hf, model = setup
+    bounds = [F(1, 2)] + sorted((1 / F(p) for p in model.phase_points()),
+                                reverse=True) + [F(0)]
+    cells = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+    summed, served = [], []
+    real_sum, real_pi_x = model_module.weighted_sum, Model.pi_x
+
+    def counted_sum(terms, sizes):
+        summed.append(real_sum(terms, sizes))
+        return summed[-1]
+
+    def recorded_pi_x(self, t, x, invp):
+        out = real_pi_x(self, t, x, invp)
+        if not isinstance(invp, _Truncation):
+            served.append((t, invp, out))
+        return out
+    monkeypatch.setattr(model_module, "weighted_sum", counted_sum)
+    monkeypatch.setattr(Model, "pi_x", recorded_pi_x)
+    sweeps = []
+    for t in sector.dot_basis:
+        fresh = Model(sector, Hopf(sector.params), ctx, xi, hf, eps=EPS)
+        summed.clear()
+        served.clear()
+        for invp in cells:
+            check_comparison(fresh, t, X0, invp)
+        half = [out for s, invp, out in served if (s, invp) == (t, F(1, 2))]
+        assert len(half) == len(cells)
+        assert all(out is half[0] for out in half)
+        assert sum(f is half[0] for f in summed) == 1
+        sweeps.append(list(served))
+    monkeypatch.undo()
+    for served in sweeps:
+        for t, invp, out in served:
+            cold = Model(sector, Hopf(sector.params), ctx, xi, hf, eps=EPS)
+            assert out.tobytes() == cold.pi_x(t, X0, invp).tobytes()
 
 
 def test_comparison_sweep_order_is_free(setup):
@@ -782,6 +836,66 @@ def test_sums_match_the_new_array_per_term_references():
                (parse("(O() K(H()))", dim=3), F(21, 50), F(1, 2))]
     for t, second, first in seconds:
         assert model._cell(second, t) is hopf.truncation(EPS, first)
+
+
+def test_weighted_sum_matches_the_zeros_first_reference():
+    """weighted_sum starts from its first term, with + 0.0, and equals
+    the sum begun from zeros bit for bit, signs of zero included: on
+    fields holding +0.0, -0.0, NaN and both infinities, at weights 1.0,
+    -1.0 and 0.5, with one term and with three.  The result is
+    read-only, and no term is written."""
+    rng = np.random.default_rng(11)
+    shape = (4, 8)
+    fields = []
+    for special in (0.0, -0.0, np.nan, np.inf, -np.inf):
+        f = rng.standard_normal(shape)
+        f[::2, ::3] = special
+        f[1, 1], f[2, 5] = 0.0, -0.0
+        fields.append(f)
+    weights = (1.0, -1.0, 0.5)
+    cases = [[(f, w)] for f in fields for w in weights]
+    for w in weights:
+        for i in range(len(fields)):
+            trio = [fields[i], fields[(i + 1) % 5], fields[(i + 3) % 5]]
+            cases.append([(f, w2) for f, w2 in zip(trio, (w, -w, 0.5))])
+            cases.append([(f, w) for f in trio])
+    cases.append([])
+    with np.errstate(invalid="ignore"):
+        for terms in cases:
+            before = [f.tobytes() for f, _w in terms]
+            got = model_module.weighted_sum(iter(terms), shape)
+            assert got.tobytes() == weighted_sum_reference(
+                terms, shape).tobytes()
+            assert got.shape == shape and not got.flags.writeable
+            assert [f.tobytes() for f, _w in terms] == before
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_poly_field_matches_the_mesh_product(d):
+    """poly_field builds y^k and (y - x)^k from the axis arrays; each
+    equals, bit for bit, the product of powers of the full coordinate
+    meshes, for k = 0, one-axis, two-axis and |k| = 3, at base points
+    with coordinates zero and nonzero.  The field is read-only."""
+    if d == 2:
+        sector, grid = builtin_sector("numeric2d"), GridSpec(
+            (32, 16), (2 * np.pi, 3.0), (1.0, 1.0))
+        op = second_order_op(2)
+        ks = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (0, 3), (3, 0)]
+    else:
+        sector, grid = builtin_sector("pam3d"), GridSpec(
+            (16, 32, 16), (2 * np.pi, 2 * np.pi, 1.5), (1.0, 1.0, 1.0))
+        op = fourth_order_op(3)
+        ks = [(0, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 1), (0, 2, 1),
+              (1, 1, 1), (3, 0, 0), (0, 1, 2)]
+    ctx = OperatorContext(grid, op, QuadratureSpec())
+    model = Model(sector, Hopf(sector.params), ctx,
+                  smooth_field(grid, 3, 0, 0.7), eps=EPS)
+    for k in ks:
+        for x in (None, (0,) * d, (5, 0, 11)[:d], (15, 3, 9)[:d]):
+            got = model.poly_field(k, x)
+            assert got.tobytes() == poly_field_reference(
+                model, k, x).tobytes()
+            assert got.shape == grid.sizes and not got.flags.writeable
 
 
 def test_derivative_check_matches_the_new_array_per_term_reference():

@@ -307,7 +307,8 @@ class Model:
         derivative of h at x for an H edge, or the kernel of the
         recentered interpretation of the argument at x for a K edge."""
         tr = self._cell(invp, sub, lab)
-        key = (lab, tuple(k), sub, tuple(x), tr)
+        k = tuple(k)
+        key = (lab, k, sub, tuple(x), tr)
         out = self._f.get(key)
         if out is None:
             if self.hopf._planted_num(lab, k, sub, tr) <= 0:

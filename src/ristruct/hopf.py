@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 from math import lcm
+from operator import mul
 
 from .grading import GenericityError, Params, degree_consts
 from .trees import (H, K, LETTERS, LinComb, Tree, X, coeff_mul, has_k_leaf,
@@ -66,12 +67,17 @@ class Hopf:
     Degrees are evaluated as integers: the scaling enters through the
     integer weights ``w`` over its common denominator D
     (``Params.weights``), and each (eps, 1/p) gets a _Truncation with
-    its constants and memos."""
+    its constants and memos.  The truncations are memoized under the
+    integer key (eps.numerator, eps.denominator, 1/p.numerator,
+    1/p.denominator), in lowest terms, so finding one hashes four ints
+    and no Fraction (``truncation``).  The weighted sums w.k are
+    memoized per instance by multi-index."""
 
     def __init__(self, params: Params):
         self.params = params
         self.d = params.d
         self._w = params.weights[1]
+        self._dots = {}
         self._truncations = {}
         self._lattices = {}
         # (lab, sub, _Truncation) and (lab, sub, eps, signature) -> the
@@ -81,20 +87,31 @@ class Hopf:
     def truncation(self, eps, invp) -> _Truncation:
         """The _Truncation at (eps, 1/p), built on first use.
 
-        The arguments are tried as a key before they are converted, so
-        a repeated point costs one lookup.  Only the converted key is
-        stored: a 1/p outside [0, 1/2] is refused on every call."""
-        tr = self._truncations.get((eps, invp))
+        The memo key is (eps.numerator, eps.denominator,
+        1/p.numerator, 1/p.denominator): an ``int``, ``bool``,
+        ``Fraction`` or numpy integer gives its own, in lowest terms;
+        any other input (a ``str``, a ``float``) is converted through
+        ``Fraction`` first.  A _Truncation, whose ``eps`` is a
+        ``Fraction``, is built and range-checked only on a miss, so an
+        eps below 0 or a 1/p outside [0, 1/2] is refused on every call
+        and never stored."""
+        try:
+            key = (eps.numerator, eps.denominator,
+                   invp.numerator, invp.denominator)
+        except AttributeError:
+            return self.truncation(Fraction(eps), Fraction(invp))
+        tr = self._truncations.get(key)
         if tr is None:
-            key = (Fraction(eps), Fraction(invp))
-            tr = self._truncations.get(key)
-            if tr is None:
-                tr = self._truncations[key] = _Truncation(
-                    self.params, *key)
+            tr = _Truncation(self.params, Fraction(eps), Fraction(invp))
+            self._truncations[key] = tr
         return tr
 
     def _dot(self, k) -> int:
-        return sum(x * y for x, y in zip(k, self._w))
+        """w.k for a multi-index k (a tuple), memoized."""
+        out = self._dots.get(k)
+        if out is None:
+            out = self._dots[k] = sum(map(mul, k, self._w))
+        return out
 
     def degree_num(self, t: Tree, tr: _Truncation) -> int:
         """M times the degree of t at the truncation tr, as an integer."""
@@ -117,7 +134,7 @@ class Hopf:
         Nothing in the package calls it; it stays because bench/tracing.py
         wraps it, and that module's _resolve raises on a missing target."""
         tr = self.truncation(eps, invp)
-        return Fraction(self._planted_num(lab, k, sub, tr), tr.M)
+        return Fraction(self._planted_num(lab, tuple(k), sub, tr), tr.M)
 
     def _positive(self, lab: int, k, sub: Tree, tr: _Truncation) -> bool:
         """Whether I_k^lab(sub) survives P+; refuses a zero degree."""

@@ -197,15 +197,16 @@ def tree_product(a: Tree, b: Tree) -> Tree:
 
     A unit factor returns the other one.  Otherwise the product's
     children are the sorted union of both child tuples, interned without
-    going through Tree()."""
+    going through Tree(); when one root decoration is zero, the other
+    one is the product's, taken as it is."""
     if len(a.n) != len(b.n):
         raise ValueError("dimension mismatch")
     if not b.children and not any(b.n):
         return a
     if not a.children and not any(a.n):
         return b
-    return Tree._presorted(mi_add(a.n, b.n),
-                           tuple(sorted(a.children + b.children)))
+    n = a.n if not any(b.n) else b.n if not any(a.n) else mi_add(a.n, b.n)
+    return Tree._presorted(n, tuple(sorted(a.children + b.children)))
 
 
 def coeff_mul(a, b):
@@ -292,14 +293,21 @@ class LinComb:
         return out
 
 
+_ZEROS: dict = {}  # the zero multi-index of each dimension, one tuple
+
+
 def plant_tree(label: int, k: MultiIndex, t: Tree) -> Tree:
     """Planting that must not vanish; raises if it falls in the ideal."""
     k = tuple(k)
-    if len(k) != t.dim:
+    d = len(t.n)
+    if len(k) != d:
         raise ValueError("dimension mismatch")
     if label == K and t.is_poly():
         raise ValueError("planted tree lies in the K-leaf ideal")
-    return Tree._presorted(mi_zero(t.dim), ((label, k, t),))
+    zero = _ZEROS.get(d)
+    if zero is None:
+        zero = _ZEROS[d] = mi_zero(d)
+    return Tree._presorted(zero, ((label, k, t),))
 
 
 def noise(d: int) -> Tree:

@@ -3,13 +3,14 @@
 from fractions import Fraction as F
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ristruct.config import PAM3D
 from ristruct.grading import GenericityError, Params, degree
 from ristruct.hopf import Hopf, pair_product
-from ristruct.trees import (K, OMEGA, Tree, X, dot_noise, format_tree,
+from ristruct.trees import (H, K, OMEGA, Tree, X, dot_noise, format_tree,
                             mi_zero, noise, parse, plant_tree, unit)
 
 from reference import builtin_sector, lincomb
@@ -150,18 +151,54 @@ def test_integer_degree_with_fractional_scaling():
                                        (F(0), F(1, 2))))
 
 
+def test_weight_memo_belongs_to_one_hopf():
+    """Two Hopfs on the pam3d parameters, with scalings (1, 1, 1) and
+    (1, 1, 1/2), asked in turn for the same decorated plantings: each
+    planted degree is that Hopf's own, so neither reads the other's w.k."""
+    eps, invp = F(1, 100), F(1, 5)
+    hopfs = [Hopf(Params.from_dict(dict(PAM3D, scaling=s)))
+             for s in (["1", "1", "1"], ["1", "1", "1/2"])]
+    plantings = [(H, unit(3))] + [(K, s) for s in (
+        noise(3), dot_noise(3), parse("(O() K(H()))", dim=3))]
+    for lab, sub in plantings:
+        for k in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 1), (0, 0, 2)):
+            for h in hopfs:
+                tr = h.truncation(eps, invp)
+                assert h._planted_num(lab, k, sub, tr) == tr.M * degree(
+                    plant_tree(lab, k, sub), h.params, eps, invp)
+
+
 def test_truncation_resolves_equal_points_to_one_memo(hopf):
     t = parse("(O() K(H()))", dim=3)
     cop = hopf.coproduct(t, 0, 0)
     assert hopf.coproduct(t, F(0), F(0)) is cop
     assert hopf.coproduct(t, "0", "0") is cop
     assert hopf.truncation("0", "0") is hopf.truncation(0, 0)
+    # each group spells one rational; its spellings share one _Truncation,
+    # whose eps is a Fraction, asked as eps and (up to 1/2) as 1/p
+    for group in ((True, 1), (np.int64(0), 0), (0.5, F(1, 2)),
+                  ("1/100", F(1, 100))):
+        for v in group:
+            assert hopf.truncation(v, 0) is hopf.truncation(group[0], 0)
+            assert type(hopf.truncation(v, 0).eps) is F
+            if group[-1] <= F(1, 2):
+                assert hopf.truncation(0, v) is hopf.truncation(0, group[0])
 
 
 def test_out_of_range_invp_refused_on_every_call(hopf):
     for _ in range(2):
         with pytest.raises(ValueError, match="1/p"):
             hopf.coproduct(noise(3), 0, F(3, 5))
+    # through each input type, and nothing is stored
+    before = dict(hopf._truncations)
+    for _ in range(2):
+        for eps in (F(-1, 100), "-1/100", -0.01, -1, np.int64(-1)):
+            with pytest.raises(ValueError, match="eps"):
+                hopf.truncation(eps, 0)
+        for invp in (F(3, 5), "3/5", 0.6, 1, True, np.int64(1)):
+            with pytest.raises(ValueError, match="1/p"):
+                hopf.truncation(0, invp)
+    assert hopf._truncations == before
 
 
 def test_graphical_oracle_agreement(hopf, sector):

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..grading import INF, integrability
 from ..trees import Tree
-from .model import _HALF, Model, weighted_sum
+from .model import _HALF, Model, live_model, weighted_sum
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -30,7 +30,6 @@ def check_route_equivalence(model: Model, t: Tree, x, invp) -> float:
 
 def check_comparison(model: Model, t: Tree, x, invp) -> float:
     """Recentering at p against p = 2 plus the comparison-character sum."""
-    invp = Fraction(invp)
     lhs = model.pi_x(t, x, invp)
 
     def rhs():  # lazy: listing the terms first faults in a field per call
@@ -43,12 +42,20 @@ def check_comparison(model: Model, t: Tree, x, invp) -> float:
     return relative_error(lhs, weighted_sum(rhs(), model.ctx.grid.sizes))
 
 
+_WEIGHTS = {}  # node tuple -> its derivative weights
+
+
 def _derivative_weights(nodes):
-    """Exact first-derivative-at-zero weights on the given nodes.
+    """Exact first-derivative-at-zero weights on the given nodes, as a
+    tuple formed once per tuple of nodes.
 
     Lagrange interpolation through the integer nodes; exact rational
     arithmetic, so the weights differentiate polynomials of degree
     len(nodes)-1 without truncation error."""
+    nodes = tuple(nodes)
+    out = _WEIGHTS.get(nodes)
+    if out is not None:
+        return out
     weights = []
     for i, ni in enumerate(nodes):
         w = Fraction(0)
@@ -62,7 +69,8 @@ def _derivative_weights(nodes):
                 term *= Fraction(0 - nm, ni - nm)
             w += term
         weights.append(w)
-    return weights
+    out = _WEIGHTS[nodes] = tuple(weights)
+    return out
 
 
 def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
@@ -74,12 +82,16 @@ def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
     derivative is a finite weighted sum of perturbed models; the right
     side interprets the relabeled trees at integrability infinity.  The
     tree is H-free, so the unperturbed model, which carries h, serves
-    as the perturbed model at j = 0."""
+    as the perturbed model at j = 0.  That model is the caller's live
+    model on these inputs when there is one (see ``Model``); otherwise
+    it is built here and freed with the perturbed ones."""
     deg = t.omega_count()
     m = deg // 2
-    nodes = list(range(-m, deg - m + 1))
+    nodes = range(-m, deg - m + 1)
     weights = _derivative_weights(nodes)
-    base = Model(sector, hopf, ctx, xi, h=h, eps=eps)
+    base = live_model(sector, hopf, ctx, xi, h, eps)
+    if base is None:
+        base = Model(sector, hopf, ctx, xi, h=h, eps=eps)
 
     def perturbed(j):
         return base if j == 0 else Model(sector, hopf, ctx,

@@ -14,6 +14,7 @@ field against the reflected kernel (see ``grid``).
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,9 @@ from ..trees import H, K, OMEGA, Tree, mi_add, mi_factorial, noise, unit
 from .grid import OperatorContext, _read_only
 
 _HALF = Fraction(1, 2)  # where the comparison formula reads every tree
+# the live models on a caller's own xi and h, by (sector, hopf, ctx,
+# id(xi), id(h), eps); see ``live_model``
+_LIVE = weakref.WeakValueDictionary()
 
 
 def _product(factors, sizes) -> np.ndarray:
@@ -59,6 +63,24 @@ def weighted_sum(terms, sizes) -> np.ndarray:
             term = np.multiply(f, w, out=term)
             out += term
     return _read_only(np.zeros(sizes) if out is None else out)
+
+
+def _is_half(invp) -> bool:
+    """Whether a request's 1/p is exactly 1/2; an int or a Fraction is
+    read by its integer numerator and denominator, with no Fraction
+    comparison, and a _Truncation handed down is never a request."""
+    try:
+        return invp.numerator == 1 and invp.denominator == 2
+    except AttributeError:
+        return not isinstance(invp, _Truncation) and invp == _HALF
+
+
+def live_model(sector, hopf, ctx, xi, h, eps):
+    """The live ``Model`` on these objects, or None: one built on the
+    arrays xi and h themselves, at eps, with no ``xi_hat`` and the
+    default preparation map, and not yet freed."""
+    m = _LIVE.get((sector, hopf, ctx, id(xi), id(h), Fraction(eps)))
+    return m if m is not None and m._xi is xi and m.h is h else None
 
 
 class Model:
@@ -101,7 +123,14 @@ class Model:
     model never writes into one, nor into the caller's ``xi``, ``h`` or
     ``xi_hat``: a write raises ValueError instead of changing every later
     result built from it.  Its sums go through ``weighted_sum``, and a
-    one-factor product is the cached factor."""
+    one-factor product is the cached factor.
+    A model built on the caller's ``xi`` and ``h`` arrays themselves,
+    with no ``xi_hat`` and the default preparation map, is live while
+    the caller holds it: ``check_derivative_identity`` on the same
+    sector, Hopf, context, arrays and eps reads through it
+    (``live_model``) instead of building its own, and so shares its
+    caches and moves its base point.  A caller must therefore not change
+    ``xi`` or ``h`` in place while a model on them lives."""
 
     def __init__(self, sector: Sector, hopf: Hopf, ctx: OperatorContext,
                  xi: np.ndarray | None = None, h: np.ndarray | None = None,
@@ -139,6 +168,10 @@ class Model:
         # None when its degree at p = 2 is not positive
         self._lambda_tr = {}
         self._i_eps = None
+        if (xi_hat is None and prep is None and h is not None
+                and self._xi is xi and self.h is h):
+            _LIVE.setdefault((sector, hopf, ctx, id(xi), id(h), self.eps),
+                             self)
 
     @property
     def xi(self) -> np.ndarray:
@@ -250,7 +283,7 @@ class Model:
         x = tuple(x)
         self._at_point(x)
         key = (t, x, tr)
-        half = not isinstance(invp, _Truncation) and invp == _HALF
+        half = _is_half(invp)
         entry = next((e for e in (self._pi_x_last, self._pi_x_half)
                       if e[0] == key), None)
         if entry is None:

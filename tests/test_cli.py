@@ -213,27 +213,40 @@ def test_repeated_runs_identical(capsys, small_cfg):
 
 
 
-@pytest.mark.parametrize("p, command, most", [
-    ("inf", ("model", "build"), (23, 18)),
-    ("inf", ("verify", "comparison"), (24, 10)),
-    ("2", ("model", "build"), (26, 30)),
-    ("2", ("verify", "comparison"), (24, 10))],
-    ids=["model-inf", "comparison-inf", "model-p2", "comparison-p2"])
+_PAM3D_16 = {"rule": "pam3d", "grid": {"sizes": [16, 16, 16]},
+             "noise": {"kind": "smooth", "scale": 0.7}, "seed": 7,
+             "basePoints": [[0, 0, 0], [5, 9, 3]]}
+_SMOOTH_32 = {"rule": "numeric2d", "grid": {"sizes": [32, 32]},
+              "noise": {"kind": "smooth", "scale": 0.7}, "seed": 7,
+              "basePoints": [[0, 0], [5, 9]]}
+
+
+@pytest.mark.parametrize("cfg, command, most", [
+    (dict(_PAM3D_16, p="inf"), ("model", "build"), (23, 18)),
+    (dict(_PAM3D_16, p="inf"), ("verify", "comparison"), (24, 10)),
+    (dict(_PAM3D_16, p="2"), ("model", "build"), (26, 30)),
+    (dict(_PAM3D_16, p="2"), ("verify", "comparison"), (24, 10)),
+    (_PAM3D_16, ("verify", "dpidd"), (24, 18)),
+    (_SMOOTH_32, ("verify", "dpidd"), (6, 6))],
+    ids=["model-inf", "comparison-inf", "model-p2", "comparison-p2",
+         "dpidd-pam3d", "dpidd-smooth"])
 def test_numeric_commands_transform_each_field_once(capsys, monkeypatch,
-                                                    tmp_path, p, command,
+                                                    tmp_path, cfg, command,
                                                     most):
     """model build and verify comparison visit the base points outermost,
     so the model's per-point caches serve every tree at a point and no
     field is transformed twice: on the pam3d 16^3 config at two base
     points they make at most the rfftn and irfftn calls counted when
-    every point's caches were kept."""
+    every point's caches were kept.  verify dpidd holds one model, through
+    which every derivative check reads its unperturbed side, so the
+    noise and its kernel fields are transformed once per command and not
+    once per tree: at most 24/18 calls on the pam3d 16^3 config (28/22
+    with one unperturbed model per check) and 6/6 on the numeric2d 32^2
+    smooth config."""
     import numpy as np
 
-    cfg = tmp_path / "pam3d.json"
-    cfg.write_text(json.dumps({
-        "rule": "pam3d", "grid": {"sizes": [16, 16, 16]},
-        "noise": {"kind": "smooth", "scale": 0.7}, "seed": 7, "p": p,
-        "basePoints": [[0, 0, 0], [5, 9, 3]]}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
     calls = {"rfftn": 0, "irfftn": 0}
     for name in calls:
         original = getattr(np.fft, name)
@@ -242,7 +255,7 @@ def test_numeric_commands_transform_each_field_once(capsys, monkeypatch,
             calls[_name] += 1
             return _f(*a, **k)
         monkeypatch.setattr(np.fft, name, counted)
-    code, _out, _err = run(capsys, *command, str(cfg))
+    code, _out, _err = run(capsys, *command, str(path))
     assert code == 0
     assert calls["rfftn"] <= most[0] and calls["irfftn"] <= most[1]
 

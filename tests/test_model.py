@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from ristruct.analytic import mc
-from ristruct.analytic.checks import (check_comparison,
+from ristruct.analytic.checks import (_derivative_weights,
+                                      check_comparison,
                                       check_derivative_identity,
                                       check_route_equivalence,
                                       qnorm_series, relative_error)
@@ -567,6 +568,93 @@ def test_derivative_memo_is_not_mutated(setup):
             sector.derive(t)
     for t, d in sector._derivatives.items():
         assert d == _derive(t)
+
+
+def _derivative_check_builds(monkeypatch, args):
+    """check_derivative_identity on args, with the models it builds
+    counted: (its value, how many it built, whether all are freed)."""
+    built = []
+    init = Model.__init__
+
+    def tracked(self, *a, **k):
+        init(self, *a, **k)
+        built.append(weakref.ref(self))
+    with monkeypatch.context() as patch:
+        patch.setattr(Model, "__init__", tracked)
+        err = check_derivative_identity(*args)
+    return err, len(built), all(r() is None for r in built)
+
+
+def test_derivative_check_reads_through_the_live_model(setup, monkeypatch):
+    """On the inputs of a live model the derivative check takes that model
+    as its unperturbed side and builds only the deg perturbed models,
+    which it frees; a str eps finds the same model.  Its value equals
+    the cold reference, which builds its own models, bit for bit."""
+    sector, hopf, ctx, xi, hf, model = setup
+    for eps in (EPS, "1/100"):
+        assert model_module.live_model(sector, hopf, ctx, xi, hf, eps) \
+            is model
+    for t in sector.basis_o:
+        args = (sector, hopf, ctx, xi, hf, t, Y0, EPS)
+        err, built, freed = _derivative_check_builds(monkeypatch, args)
+        assert (built, freed) == (t.omega_count(), True)
+        assert model._x == Y0  # the live model moved to the check's point
+        assert err.hex() == check_derivative_identity_reference(*args).hex()
+
+
+def test_derivative_check_refuses_other_models(setup, monkeypatch):
+    """The lookup takes only a live model built on the caller's own xi
+    and h, at the caller's eps, with no xi_hat and no preparation map.
+    In each other case the check builds its own unperturbed model, deg
+    + 1 models in all, frees them, and equals the cold reference bit for
+    bit: a copy of xi, another h, another eps, a model with a
+    preparation map, one given xi_hat, and one already freed."""
+    sector, hopf, ctx, xi, hf, model = setup
+    values = {t: F(1, 3) for t in negative_basis(sector)}
+    prep = RcMap(CounterTerms(values), hopf, sector)
+    xi_p, h_p, xi_s, h_s, xi_f, h_f = (f.copy() for f in (xi, hf) * 3)
+    held = [Model(sector, hopf, ctx, xi_p, h_p, eps=EPS, prep=prep),
+            Model(sector, hopf, ctx, h=h_s, eps=EPS,
+                  xi_hat=ctx.grid.rfft(xi_s))]
+    freed = weakref.ref(Model(sector, hopf, ctx, xi_f, h_f, eps=EPS))
+    assert freed() is None
+    cases = [(xi.copy(), hf, EPS), (xi, hf.copy(), EPS), (xi, hf, F(1, 50)),
+             (xi_p, h_p, EPS), (xi_s, h_s, EPS), (xi_f, h_f, EPS)]
+    for xi_c, h_c, eps in cases:
+        assert model_module.live_model(sector, hopf, ctx, xi_c, h_c,
+                                       eps) is None
+        for t in sector.basis_o:
+            args = (sector, hopf, ctx, xi_c, h_c, t, X0, eps)
+            err, built, gone = _derivative_check_builds(monkeypatch, args)
+            assert (built, gone) == (t.omega_count() + 1, True)
+            assert err.hex() \
+                == check_derivative_identity_reference(*args).hex()
+    assert len(held) == 2  # alive throughout
+
+
+def test_derivative_weights_are_formed_once_per_node_tuple():
+    """The exact weights are memoized by their nodes, in any sequence,
+    and differentiate every polynomial of degree below the node count
+    exactly at zero."""
+    for deg in range(1, 6):
+        nodes = range(-(deg // 2), deg - deg // 2 + 1)
+        weights = _derivative_weights(nodes)
+        assert _derivative_weights(list(nodes)) is weights
+        for k in range(deg + 1):
+            assert sum(w * F(n) ** k for n, w in zip(nodes, weights)) \
+                == (1 if k == 1 else 0)
+
+
+def test_comparison_takes_every_spelling_of_p(setup):
+    """check_comparison hands its 1/p on as given: a str or a float
+    names the same point as the Fraction, bit for bit."""
+    sector, _h, _c, _xi, _hf, model = setup
+    spellings = [("1/5", F(1, 5)), (0.2, F(3602879701896397, 2 ** 54)),
+                 (0.5, F(1, 2)), ("1/2", F(1, 2)), (0, F(0))]
+    for t in sector.dot_basis:
+        for spelled, invp in spellings:
+            assert check_comparison(model, t, X0, spelled).hex() \
+                == check_comparison_reference(model, t, X0, invp).hex()
 
 
 def test_model_from_spectrum_matches_field(setup):

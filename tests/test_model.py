@@ -645,18 +645,6 @@ def test_derivative_weights_are_formed_once_per_node_tuple():
                 == (1 if k == 1 else 0)
 
 
-def test_comparison_takes_every_spelling_of_p(setup):
-    """check_comparison hands its 1/p on as given: a str or a float
-    names the same point as the Fraction, bit for bit."""
-    sector, _h, _c, _xi, _hf, model = setup
-    spellings = [("1/5", F(1, 5)), (0.2, F(3602879701896397, 2 ** 54)),
-                 (0.5, F(1, 2)), ("1/2", F(1, 2)), (0, F(0))]
-    for t in sector.dot_basis:
-        for spelled, invp in spellings:
-            assert check_comparison(model, t, X0, spelled).hex() \
-                == check_comparison_reference(model, t, X0, invp).hex()
-
-
 def test_model_from_spectrum_matches_field(setup):
     """A model handed the noise spectrum agrees with one handed the field
     it stands for, on both recentering routes."""
@@ -910,7 +898,9 @@ def test_sums_match_the_new_array_per_term_references():
     the pam3d 16^3 smooth model they equal the sums that form a new
     array per term, bit for bit, over the members, 1/p in {0, 1/5, 1/2}
     and two base points; 1/5 and 21/50 are asked second in the cells of
-    some trees, whose values are computed at the first 1/p."""
+    some trees, whose values are computed at the first 1/p.
+    check_comparison hands its 1/p on as given, so a str or a float
+    names the same point as the Fraction the reference converts it to."""
     sector, model = _pam3d_model()
     for x in ((3, 5, 7), (12, 0, 9)):
         for invp in (F(0), F(1, 5), F(1, 2), F(21, 50)):
@@ -919,6 +909,10 @@ def test_sums_match_the_new_array_per_term_references():
                     == pi_x_reference(model, t, x, invp).tobytes()
                 assert check_comparison(model, t, x, invp).hex() \
                     == check_comparison_reference(model, t, x, invp).hex()
+        for spelled in ("1/5", 0.2, 0.5, "1/2", 0):
+            for t in sector.dot_basis:
+                assert check_comparison(model, t, x, spelled).hex() \
+                    == check_comparison_reference(model, t, x, spelled).hex()
     hopf = model.hopf
     seconds = [(parse("(H() K(O()))", dim=3), F(1, 5), F(0)),
                (parse("(O() K(H()))", dim=3), F(21, 50), F(1, 2))]

@@ -42,20 +42,12 @@ def check_comparison(model: Model, t: Tree, x, invp) -> float:
     return relative_error(lhs, weighted_sum(rhs(), model.ctx.grid.sizes))
 
 
-_WEIGHTS = {}  # node tuple -> its derivative weights
-
-
 def _derivative_weights(nodes):
-    """Exact first-derivative-at-zero weights on the given nodes, as a
-    tuple formed once per tuple of nodes.
+    """Exact first-derivative-at-zero weights on the given nodes.
 
     Lagrange interpolation through the integer nodes; exact rational
     arithmetic, so the weights differentiate polynomials of degree
     len(nodes)-1 without truncation error."""
-    nodes = tuple(nodes)
-    out = _WEIGHTS.get(nodes)
-    if out is not None:
-        return out
     weights = []
     for i, ni in enumerate(nodes):
         w = Fraction(0)
@@ -69,8 +61,7 @@ def _derivative_weights(nodes):
                 term *= Fraction(0 - nm, ni - nm)
             w += term
         weights.append(w)
-    out = _WEIGHTS[nodes] = tuple(weights)
-    return out
+    return weights
 
 
 def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
@@ -87,7 +78,7 @@ def check_derivative_identity(sector, hopf, ctx, xi, h, t: Tree, x,
     it is built here and freed with the perturbed ones."""
     deg = t.omega_count()
     m = deg // 2
-    nodes = range(-m, deg - m + 1)
+    nodes = list(range(-m, deg - m + 1))
     weights = _derivative_weights(nodes)
     base = live_model(sector, hopf, ctx, xi, h, eps)
     if base is None:

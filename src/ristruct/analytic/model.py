@@ -78,9 +78,12 @@ def _is_half(invp) -> bool:
 def live_model(sector, hopf, ctx, xi, h, eps):
     """The live ``Model`` on these objects, or None: one built on the
     arrays xi and h themselves, at eps, with no ``xi_hat`` and the
-    default preparation map, and not yet freed."""
+    default preparation map, not yet freed, and whose xi and h still
+    hold, bit for bit, the values it was built on."""
     m = _LIVE.get((sector, hopf, ctx, id(xi), id(h), Fraction(eps)))
-    return m if m is not None and m._xi is xi and m.h is h else None
+    if m is None or m._xi is not xi or m.h is not h:
+        return None
+    return m if m._built_on == (xi.tobytes(), h.tobytes()) else None
 
 
 class Model:
@@ -129,8 +132,12 @@ class Model:
     the caller holds it: ``check_derivative_identity`` on the same
     sector, Hopf, context, arrays and eps reads through it
     (``live_model``) instead of building its own, and so shares its
-    caches and moves its base point.  A caller must therefore not change
-    ``xi`` or ``h`` in place while a model on them lives."""
+    caches and moves its base point.  The model keeps a copy of the
+    values of ``xi`` and ``h`` it was built on, and the check takes it
+    only while both arrays still hold them, so an in-place write makes
+    the check build its own again.  The model itself reads the caller's
+    arrays, so a caller must not change them in place while it uses the
+    model."""
 
     def __init__(self, sector: Sector, hopf: Hopf, ctx: OperatorContext,
                  xi: np.ndarray | None = None, h: np.ndarray | None = None,
@@ -169,9 +176,12 @@ class Model:
         self._lambda_tr = {}
         self._i_eps = None
         if (xi_hat is None and prep is None and h is not None
-                and self._xi is xi and self.h is h):
-            _LIVE.setdefault((sector, hopf, ctx, id(xi), id(h), self.eps),
-                             self)
+                and self._xi is xi and self.h is h
+                and live_model(sector, hopf, ctx, xi, h, self.eps) is None):
+            # the values built on: an in-place write to xi or h after
+            # this makes ``live_model`` refuse this model
+            self._built_on = (xi.tobytes(), h.tobytes())
+            _LIVE[sector, hopf, ctx, id(xi), id(h), self.eps] = self
 
     @property
     def xi(self) -> np.ndarray:

@@ -400,15 +400,14 @@ def cmd_verify_dpidd(args):
     from .analytic.model import Model
 
     num = _numeric_setup(args, _load_cfg(args))
+    xi, h = _noise_fields(num)
     # held across the loop: each check reads through this live model in
     # place of building its own unperturbed one
-    model = Model(num.sector, num.hopf, num.ctx, *_noise_fields(num),
-                  eps=num.eps)
+    model = Model(num.sector, num.hopf, num.ctx, xi, h, eps=num.eps)
     errors, results = [], []
     for t in num.sector.basis_o:
-        err = check_derivative_identity(model.sector, model.hopf, model.ctx,
-                                        model.xi, model.h, t, num.points[0],
-                                        model.eps)
+        err = check_derivative_identity(num.sector, num.hopf, num.ctx, xi,
+                                        h, t, num.points[0], num.eps)
         errors.append(err)
         results.append({"tree": format_tree(t), "error": _error(err)})
     return _emit_verdict(args, _worst(errors), num.tol, results)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from ristruct.analytic import mc
-from ristruct.analytic.checks import (_derivative_weights,
-                                      check_comparison,
+from ristruct.analytic.checks import (check_comparison,
                                       check_derivative_identity,
                                       check_route_equivalence,
                                       qnorm_series, relative_error)
@@ -632,17 +631,28 @@ def test_derivative_check_refuses_other_models(setup, monkeypatch):
     assert len(held) == 2  # alive throughout
 
 
-def test_derivative_weights_are_formed_once_per_node_tuple():
-    """The exact weights are memoized by their nodes, in any sequence,
-    and differentiate every polynomial of degree below the node count
-    exactly at zero."""
-    for deg in range(1, 6):
-        nodes = range(-(deg // 2), deg - deg // 2 + 1)
-        weights = _derivative_weights(nodes)
-        assert _derivative_weights(list(nodes)) is weights
-        for k in range(deg + 1):
-            assert sum(w * F(n) ** k for n, w in zip(nodes, weights)) \
-                == (1 if k == 1 else 0)
+def test_derivative_check_refuses_a_model_whose_inputs_changed(
+        setup, monkeypatch):
+    """An in-place write to xi or h after a model is built on them makes
+    the lookup refuse that model, though its caches are warm: the check
+    builds its own unperturbed model and equals the cold reference bit
+    for bit.  A model built on the changed arrays is live in its place."""
+    sector, hopf, ctx, xi, hf, _m = setup
+    t = max(sector.basis_o, key=lambda s: s.omega_count())
+    for changed in (0, 1):
+        xi_c, h_c = xi.copy(), hf.copy()
+        model = Model(sector, hopf, ctx, xi_c, h_c, eps=EPS)
+        args = (sector, hopf, ctx, xi_c, h_c, t, X0, EPS)
+        check_derivative_identity(*args)  # through the model, warming it
+        (xi_c, h_c)[changed][3, 5] += 0.5
+        assert model_module.live_model(sector, hopf, ctx, xi_c, h_c,
+                                       EPS) is None
+        err, built, gone = _derivative_check_builds(monkeypatch, args)
+        assert (built, gone) == (t.omega_count() + 1, True)
+        assert err.hex() == check_derivative_identity_reference(*args).hex()
+        again = Model(sector, hopf, ctx, xi_c, h_c, eps=EPS)
+        assert model_module.live_model(sector, hopf, ctx, xi_c, h_c,
+                                       EPS) is again
 
 
 def test_model_from_spectrum_matches_field(setup):
